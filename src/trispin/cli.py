@@ -22,6 +22,7 @@ from .correlations import two_point_connected
 from .free_fermion import (
     CorrelationSeries,
     QuadratureError,
+    ZeroSeriesError,
     correlation_length,
     czz_analytic,
 )
@@ -250,10 +251,9 @@ def _correlation_row(b: float) -> tuple[list, list[list]]:
     try:
         est = correlation_length(series)
         return [b, est.xi, est.model, int(est.diverges)], detail
-    except ValueError as exc:
-        msg = str(exc)
-        if "numerically zero" in msg:
-            return [b, 0.0, "zero", 0], detail
+    except ZeroSeriesError:
+        return [b, 0.0, "zero", 0], detail
+    except ValueError:
         # too few points above the noise floor: two-point fallback slope
         pts = [(L, abs(v)) for L, v in zip(lengths, values) if abs(v) > 1e-13]
         if len(pts) >= 2:
@@ -280,9 +280,7 @@ def _entanglement_row(
     try:
         est = entanglement_length(series)
         row = [b, est.xi, est.model, int(est.diverges)]
-    except ValueError as exc:
-        if "numerically zero" not in str(exc):
-            raise
+    except ZeroSeriesError:
         row = [b, 0.0, "zero", 0]
     detail = [[b, s, v, row[3]] for s, v in zip(seps, vals)]
     return row, detail

@@ -19,6 +19,10 @@ class QuadratureError(RuntimeError):
     """The adaptive quadrature did not reach the requested tolerance."""
 
 
+class ZeroSeriesError(ValueError):
+    """Every value of a correlation series lies below the noise floor."""
+
+
 @dataclass(frozen=True)
 class Dispersion:
     """Quasiparticle dispersion Lambda(r) = sqrt(B^2 + 1 + 2 B cos r)."""
@@ -219,7 +223,7 @@ def correlation_length(
         if abs(val) > noise_floor
     ]
     if not pairs:
-        raise ValueError("correlations numerically zero: all values below noise floor")
+        raise ZeroSeriesError("correlations numerically zero: all values below noise floor")
     if len(pairs) < min_points:
         raise ValueError(
             f"need at least {min_points} points above the noise floor, got {len(pairs)}"

@@ -1,5 +1,5 @@
-"""Spin-1/2 chains as weighted Pauli strings, with matrix-free application
-and exact eigensolvers.
+"""Spin-1/2 chains as weighted Pauli strings, with a Z-parity-blocked sparse
+operator and exact eigensolvers.
 
 Conventions shared by every module in this package:
 
@@ -10,6 +10,9 @@ Conventions shared by every module in this package:
   ``X`` flips the bit; ``Y|0> = i|1>``, ``Y|1> = -i|0>``.
 * Hamiltonians carry real coefficients only; complex combinations (e.g.
   ladder operators) are formed by the caller from separate applications.
+* Every solver works on :class:`BlockedOperator`, the Hamiltonian split
+  into the joint eigenspaces ("sectors") of the products of Z over the
+  conserved sublattice masks.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.linalg import eigh
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .bose_hubbard import EffectiveCouplings
@@ -31,6 +36,13 @@ PAULI_OPS = ("X", "Y", "Z")
 DENSE_SITE_CAP = 14
 #: Largest chain for which the iterative ground-state solver is permitted.
 GROUND_SITE_CAP = 20
+#: Largest sector block solved densely; larger blocks go to Lanczos.
+DENSE_BLOCK_DIM = 512
+#: Levels closer than this count as one degenerate level.
+DEGENERACY_TOL = 1e-8
+#: Bound on the residual |H psi - E psi| of an iterative eigenpair, in units
+#: of max(1, |E|); a looser Lanczos ``tol`` loosens it to 100 * tol.
+RESIDUAL_TOL = 1e-8
 
 
 class ResourceLimitError(RuntimeError):
@@ -43,6 +55,10 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, best_energy: float | None = None):
         super().__init__(message)
         self.best_energy = best_energy
+
+
+class DegenerateGroundStateWarning(UserWarning):
+    """The ground level is degenerate within :data:`DEGENERACY_TOL`."""
 
 
 @dataclass(frozen=True)
@@ -114,14 +130,16 @@ class StateVector:
 class SpinChainSpec:
     """Symbolic chain Hamiltonian: a list of weighted Pauli strings.
 
-    Treated as immutable after construction; the term masks and phase tables
-    used by :func:`apply` are compiled lazily and cached.
+    Treated as immutable after construction; the :class:`BlockedOperator`
+    behind :func:`apply` and the solvers is built lazily and cached.
     """
 
     n_sites: int
     boundary: str
     terms: list[PauliString]
-    _compiled: list | None = field(default=None, init=False, repr=False, compare=False)
+    _operator: "BlockedOperator | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.n_sites < 3:
@@ -135,10 +153,10 @@ class SpinChainSpec:
             if any(not (0 <= s < self.n_sites) for s in t.sites):
                 raise ValueError(f"term {t} references sites outside [0, {self.n_sites})")
 
-    def compiled_terms(self):
-        if self._compiled is None:
-            self._compiled = [_compile_term(t, self.n_sites) for t in self.terms]
-        return self._compiled
+    def operator(self) -> "BlockedOperator":
+        if self._operator is None:
+            self._operator = _build_operator(self)
+        return self._operator
 
     def to_json(self) -> str:
         payload = {
@@ -218,11 +236,94 @@ def _apply_term(flip: int, phase: np.ndarray, amps: np.ndarray, n: int) -> np.nd
     return vals[idx]
 
 
-def _apply_compiled(compiled, amps: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros_like(amps)
-    for flip, phase in compiled:
-        out += _apply_term(flip, phase, amps, n)
-    return out
+# --- the blocked operator ---------------------------------------------------
+
+@dataclass(frozen=True)
+class Sector:
+    """One joint eigenspace of the conserved Z-parity operators.
+
+    ``basis`` holds the sector's basis-state indices in ascending order;
+    ``block`` is H restricted to them, rows and columns in ``basis`` order.
+    """
+
+    label: str
+    basis: np.ndarray
+    block: csr_matrix
+
+
+@dataclass(frozen=True)
+class BlockedOperator:
+    """H as one CSR block per sector of the conserved Z-parity masks.
+
+    A mask M is conserved when every term flips an even number of the sites
+    in M, so prod_{i in M} Z_i commutes with H.  ``sectors`` is ordered by
+    the parities: sector s has parity bit j of s for ``masks[j]``.
+    """
+
+    masks: tuple[int, ...]
+    sectors: tuple[Sector, ...]
+
+
+def _conserved_masks(n: int, flips) -> tuple[tuple[str, int], ...]:
+    """Named Z-parity masks conserved by every flip mask: both sublattices
+    when they are conserved, else the one that is, else all sites."""
+
+    def conserved(mask: int) -> bool:
+        return all((f & mask).bit_count() % 2 == 0 for f in flips)
+
+    full = (1 << n) - 1
+    even = sum(1 << i for i in range(0, n, 2))
+    found = tuple((name, m) for name, m in (("even", even), ("odd", full ^ even)) if conserved(m))
+    if not found and conserved(full):
+        found = (("all", full),)
+    return found
+
+
+def _build_operator(spec: SpinChainSpec) -> BlockedOperator:
+    """Sum the terms per flip mask and fill each sector's CSR block row-major.
+
+    Row b of H holds sum_t coeff_t i^{n_Y,t} (-1)^{popcount((b ^ flip) & zy_t)}
+    at column b ^ flip for each distinct flip, so every row has exactly one
+    entry per flip mask and ``indptr`` is an arange.
+    """
+    n = spec.n_sites
+    groups: dict[int, list[tuple[int, complex]]] = {}
+    is_complex = False
+    for term in spec.terms:
+        flip, zy, n_y = _term_masks(term.factors)
+        groups.setdefault(flip, []).append((zy, term.coeff * 1j**n_y))
+        is_complex = is_complex or n_y % 2 == 1
+    dtype = np.complex128 if is_complex else np.float64
+    flips = sorted(groups) or [0]
+    named = _conserved_masks(n, flips)
+
+    states = np.arange(1 << n, dtype=np.int64)
+    key = np.zeros(1 << n, dtype=np.int64)
+    for j, (_, mask) in enumerate(named):
+        key |= (np.bitwise_count(states & mask) & 1).astype(np.int64) << j
+    bases = [np.flatnonzero(key == s) for s in range(1 << len(named))]
+    position = np.empty(1 << n, dtype=np.int32)
+    for basis in bases:
+        position[basis] = np.arange(basis.size, dtype=np.int32)
+
+    sectors = []
+    for s, basis in enumerate(bases):
+        dim, m = basis.size, len(flips)
+        data = np.zeros((dim, m), dtype=dtype)
+        indices = np.empty((dim, m), dtype=np.int32)
+        for j, flip in enumerate(flips):
+            cols = basis ^ flip
+            indices[:, j] = position[cols]
+            for zy, pref in groups.get(flip, ()):
+                sign = 1.0 - 2.0 * (np.bitwise_count(cols & zy) & 1) if zy else 1.0
+                data[:, j] += (pref if is_complex else pref.real) * sign
+        indptr = np.arange(0, dim * m + 1, m)
+        block = csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
+        label = ",".join(
+            f"{name}{'-' if (s >> j) & 1 else '+'}" for j, (name, _) in enumerate(named)
+        )
+        sectors.append(Sector(label or "all states", basis, block))
+    return BlockedOperator(tuple(m for _, m in named), tuple(sectors))
 
 
 # --- Hamiltonian builders ---------------------------------------------------
@@ -288,55 +389,103 @@ def triangle_chain_hamiltonian(
 # --- application and solvers ------------------------------------------------
 
 def apply(spec: SpinChainSpec, state: StateVector) -> StateVector:
-    """H|psi>, unnormalized.  Matrix-free: no 2^n x 2^n storage."""
+    """H|psi>, unnormalized, one sector block at a time."""
     if state.n_sites != spec.n_sites:
         raise ValueError("state and Hamiltonian dimensions do not match")
-    out = _apply_compiled(spec.compiled_terms(), state.amplitudes, spec.n_sites)
+    amps = state.amplitudes
+    out = np.empty_like(amps)
+    for sector in spec.operator().sectors:
+        out[sector.basis] = _block_matvec(sector.block, amps[sector.basis])
     return StateVector(spec.n_sites, out)
 
 
-def dense_matrix(spec: SpinChainSpec) -> np.ndarray:
-    """Explicit 2^n x 2^n matrix; real when every term has an even Y count."""
-    n = spec.n_sites
+def _block_matvec(block: csr_matrix, x: np.ndarray) -> np.ndarray:
+    """block @ x for a complex x without casting a real block to complex
+    (scipy would copy its data on every call); a real x costs one product."""
+    if block.dtype.kind == "c":
+        return block @ x
+    re = block @ x.real
+    if not x.imag.any():
+        return re
+    return re + 1j * (block @ x.imag)
+
+
+def _check_dense_cap(n: int) -> None:
     if n > DENSE_SITE_CAP:
         raise ResourceLimitError(
             f"dense matrix for n={n} exceeds the n<={DENSE_SITE_CAP} cap"
         )
-    compiled = spec.compiled_terms()
-    dim = 1 << n
-    dtype = (
-        np.complex128
-        if any(ph.dtype.kind == "c" for _, ph in compiled)
-        else np.float64
-    )
-    h = np.zeros((dim, dim), dtype=dtype)
-    cols = np.arange(dim)
-    for flip, phase in compiled:
-        h[cols ^ flip, cols] += phase
+
+
+def _check_iterative_cap(n: int, site_cap: int) -> None:
+    if n > site_cap:
+        raise ResourceLimitError(f"n={n} exceeds the iterative cap {site_cap}")
+
+
+def dense_matrix(spec: SpinChainSpec) -> np.ndarray:
+    """Explicit 2^n x 2^n matrix; real when every term has an even Y count."""
+    _check_dense_cap(spec.n_sites)
+    op = spec.operator()
+    dim = 1 << spec.n_sites
+    h = np.zeros((dim, dim), dtype=op.sectors[0].block.dtype)
+    for sector in op.sectors:
+        h[np.ix_(sector.basis, sector.basis)] = sector.block.toarray()
     return h
 
 
+def _solve_block(
+    block: csr_matrix, k: int, *, vectors: bool, tol: float = 0.0, seed: int = 7
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The k lowest eigenpairs of one sector block, ascending.
+
+    Dense (symmetrized) when the block has at most ``DENSE_BLOCK_DIM`` rows or
+    nearly all levels are wanted; restarted Lanczos otherwise, followed by a
+    residual check on every returned pair.  Eigenvectors are the columns of
+    the second result, which is None for a dense solve without ``vectors``.
+    """
+    dim = block.shape[0]
+    k = min(k, dim)
+    if dim <= DENSE_BLOCK_DIM or k >= dim - 1:
+        h = block.toarray()
+        h = (h + h.conj().T) / 2.0
+        if not vectors:
+            return eigh(h, eigvals_only=True, subset_by_index=(0, k - 1)), None
+        return eigh(h, subset_by_index=(0, k - 1))
+    v0 = np.random.default_rng(seed).standard_normal(dim)
+    v0 /= np.linalg.norm(v0)
+    try:
+        vals, vecs = eigsh(
+            block, k=k, which="SA", v0=v0.astype(block.dtype), tol=tol,
+            ncv=min(dim - 1, max(4 * k + 1, 40)), maxiter=20000,
+        )
+    except ArpackNoConvergence as exc:
+        best = float(np.min(exc.eigenvalues)) if len(exc.eigenvalues) else None
+        raise ConvergenceError(
+            f"Lanczos did not converge on a sector of dimension {dim}, k={k}",
+            best_energy=best,
+        ) from exc
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    vecs /= np.linalg.norm(vecs, axis=0)
+    residual = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
+    bound = max(RESIDUAL_TOL, 100.0 * tol) * np.maximum(1.0, np.abs(vals))
+    if np.any(residual > bound):
+        worst = int(np.argmax(residual / bound))
+        raise ConvergenceError(
+            f"Lanczos eigenpair {worst} on a sector of dimension {dim} has residual "
+            f"{residual[worst]:.3g} > {bound[worst]:.3g}",
+            best_energy=float(vals[0]),
+        )
+    return vals, vecs
+
+
 def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
-    """All 2^n eigenvalues, ascending.  Symmetrizes before solving."""
-    h = dense_matrix(spec)
-    h = (h + h.conj().T) / 2.0
-    return np.linalg.eigvalsh(h)
-
-
-def _linear_operator(spec: SpinChainSpec) -> LinearOperator:
-    compiled = spec.compiled_terms()
-    n = spec.n_sites
-    dim = 1 << n
-    dtype = (
-        np.complex128
-        if any(ph.dtype.kind == "c" for _, ph in compiled)
-        else np.float64
-    )
-
-    def matvec(x):
-        return _apply_compiled(compiled, np.asarray(x, dtype=dtype).ravel(), n)
-
-    return LinearOperator((dim, dim), matvec=matvec, dtype=dtype)
+    """All 2^n eigenvalues, ascending, from the dense sector blocks."""
+    _check_dense_cap(spec.n_sites)
+    blocks = [sector.block for sector in spec.operator().sectors]
+    return np.sort(np.concatenate(
+        [_solve_block(block, block.shape[0], vectors=False)[0] for block in blocks]
+    ))
 
 
 def lowest_eigenvalues(
@@ -346,29 +495,13 @@ def lowest_eigenvalues(
     seed: int = 7,
     site_cap: int = GROUND_SITE_CAP,
 ) -> np.ndarray:
-    """k smallest eigenvalues via restarted Lanczos (dense for tiny chains)."""
-    n = spec.n_sites
-    if n > site_cap:
-        raise ResourceLimitError(f"n={n} exceeds the iterative cap {site_cap}")
-    dim = 1 << n
-    if dim <= 512 or k >= dim - 1:
-        return dense_spectrum(spec)[:k]
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    v0 /= np.linalg.norm(v0)
-    op = _linear_operator(spec)
-    ncv = min(dim - 1, max(4 * k + 1, 40))
-    try:
-        vals = eigsh(
-            op, k=k, which="SA", v0=v0.astype(op.dtype), tol=tol,
-            ncv=ncv, maxiter=20000, return_eigenvectors=False,
-        )
-    except ArpackNoConvergence as exc:
-        best = float(np.min(exc.eigenvalues)) if len(exc.eigenvalues) else None
-        raise ConvergenceError(
-            f"Lanczos did not converge for n={n}, k={k}", best_energy=best
-        ) from exc
-    return np.sort(vals)
+    """k smallest eigenvalues: the k lowest of each sector, merged."""
+    _check_iterative_cap(spec.n_sites, site_cap)
+    vals = [
+        _solve_block(sector.block, k, vectors=False, tol=tol, seed=seed)[0]
+        for sector in spec.operator().sectors
+    ]
+    return np.sort(np.concatenate(vals))[:k]
 
 
 def ground_state(
@@ -377,48 +510,49 @@ def ground_state(
     seed: int = 7,
     site_cap: int = GROUND_SITE_CAP,
 ) -> tuple[float, StateVector]:
-    """Lowest eigenpair.  Deterministic for a fixed seed.
+    """Lowest eigenpair over all Z-parity sectors.
 
-    Warns when the two lowest Ritz values agree within 1e-8 (degenerate
-    ground space); any normalized minimizer is then returned.
+    Degeneracy rule: when the lowest levels of two or more sectors agree
+    within ``DEGENERACY_TOL``, the ground state of the first tied sector in
+    the fixed order of ``spec.operator().sectors`` is returned, and a
+    :class:`DegenerateGroundStateWarning` names the tied sectors.  The state
+    returned at a cross-sector degeneracy therefore does not depend on
+    ``seed``.  A tie between the two lowest levels inside the returned
+    sector warns the same way; any normalized minimizer is then returned.
     """
     n = spec.n_sites
-    if n > site_cap:
-        raise ResourceLimitError(f"n={n} exceeds the iterative cap {site_cap}")
-    dim = 1 << n
-    if dim <= 512:
-        h = dense_matrix(spec)
-        h = (h + h.conj().T) / 2.0
-        vals, vecs = np.linalg.eigh(h)
-        if vals[1] - vals[0] < 1e-8:
-            warnings.warn("ground state degenerate within 1e-8; returning one minimizer")
-        return float(vals[0]), StateVector(n, vecs[:, 0])
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    v0 /= np.linalg.norm(v0)
-    op = _linear_operator(spec)
-    try:
-        vals, vecs = eigsh(
-            op, k=2, which="SA", v0=v0.astype(op.dtype), tol=tol,
-            ncv=min(dim - 1, 40), maxiter=20000,
+    _check_iterative_cap(n, site_cap)
+    sectors = spec.operator().sectors
+    solved = [
+        _solve_block(sector.block, 2, vectors=True, tol=tol, seed=seed)
+        for sector in sectors
+    ]
+    lows = np.array([vals[0] for vals, _ in solved])
+    tied = np.flatnonzero(lows - lows.min() < DEGENERACY_TOL)
+    first = int(tied[0])
+    vals, vecs = solved[first]
+    if tied.size > 1:
+        names = ", ".join(sectors[i].label for i in tied)
+        warnings.warn(
+            f"ground level degenerate within {DEGENERACY_TOL:g} across Z-parity "
+            f"sectors {names}; returning the state of sector {sectors[first].label}",
+            DegenerateGroundStateWarning,
         )
-    except ArpackNoConvergence as exc:
-        best = float(np.min(exc.eigenvalues)) if len(exc.eigenvalues) else None
-        raise ConvergenceError(
-            f"ground-state iteration did not converge for n={n}", best_energy=best
-        ) from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    if vals[1] - vals[0] < 1e-8:
-        warnings.warn("ground state degenerate within 1e-8; returning one minimizer")
-    vec = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-    return float(vals[0]), StateVector(n, vec)
+    elif vals.size > 1 and vals[1] - vals[0] < DEGENERACY_TOL:
+        warnings.warn(
+            f"ground level degenerate within {DEGENERACY_TOL:g} inside Z-parity "
+            f"sector {sectors[first].label}; returning one minimizer",
+            DegenerateGroundStateWarning,
+        )
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[sectors[first].basis] = vecs[:, 0]
+    return float(vals[0]), StateVector(n, amps)
 
 
 def spectral_gap(
     spec: SpinChainSpec,
     k: int = 8,
-    degeneracy_tol: float = 1e-8,
+    degeneracy_tol: float = DEGENERACY_TOL,
     seed: int = 7,
 ) -> float:
     """First excitation energy above the (possibly degenerate) ground level.

@@ -92,7 +92,7 @@ class TestCorrelationLength:
         assert est.diverges
 
     def test_all_below_floor(self):
-        with pytest.raises(ValueError, match="numerically zero"):
+        with pytest.raises(ts.ZeroSeriesError, match="numerically zero"):
             correlation_length(synthetic_series(lambda L: 1e-15, range(1, 11)))
 
     def test_too_few_points(self):

@@ -4,7 +4,38 @@ import numpy as np
 import pytest
 
 import trispin as ts
-from trispin.spin_core import ResourceLimitError
+from trispin import spin_core
+from trispin.spin_core import ConvergenceError, ResourceLimitError
+
+
+PAULI_MATRICES = {
+    "I": np.eye(2),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    "Z": np.diag([1.0, -1.0]),
+}
+
+
+def kron_oracle(spec):
+    """H from Kronecker products of 2x2 Paulis; site 0 is the lowest bit."""
+    h = np.zeros((1 << spec.n_sites,) * 2, dtype=np.complex128)
+    for term in spec.terms:
+        ops = dict(term.factors)
+        prod = np.eye(1)
+        for site in reversed(range(spec.n_sites)):
+            prod = np.kron(prod, PAULI_MATRICES[ops.get(site, "I")])
+        h += term.coeff * prod
+    return h
+
+
+def random_spec(n, seed):
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(rng.integers(1, 3 * n)):
+        sites = rng.choice(n, size=rng.integers(1, min(n, 4) + 1), replace=False)
+        ops = rng.choice(list("XYZ"), size=sites.size)
+        terms.append(ts.PauliString(rng.normal(), tuple(zip(sites.tolist(), ops.tolist()))))
+    return ts.SpinChainSpec(n, "periodic", terms)
 
 
 def random_state(n, seed):
@@ -236,3 +267,83 @@ class TestRaisingOperator:
         out = ts.apply(spec, ts.StateVector(n, raised)).amplitudes
         residual = np.linalg.norm(out - (energy + 2.0) * raised)
         assert residual < 1e-9
+
+
+class TestBlockedOperator:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_kronecker_oracle(self, seed):
+        n = 3 + seed % 4
+        spec = random_spec(n, seed)
+        oracle = kron_oracle(spec)
+        assert np.max(np.abs(ts.dense_matrix(spec) - oracle)) < 1e-12
+        psi = random_state(n, seed + 100)
+        assert np.max(np.abs(ts.apply(spec, psi).amplitudes - oracle @ psi.amplitudes)) < 1e-12
+
+    def test_oracle_covers_complex_and_parity_breaking_terms(self):
+        specs = [random_spec(3 + seed % 4, seed) for seed in range(12)]
+        assert any(ts.dense_matrix(sp).dtype.kind == "c" for sp in specs)
+        assert any(len(sp.operator().sectors) == 1 for sp in specs)
+
+    def test_builders_match_oracle(self):
+        coup = ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0)
+        for spec in (
+            ts.cluster_hamiltonian(6, 0.7),
+            ts.cluster_hamiltonian(5, 0.3),
+            ts.triangle_chain_hamiltonian(coup, (0.1, 0.2, 0.4), 5),
+            ts.triangle_chain_hamiltonian(coup, (0.0, 0.0, 0.4), 6),
+        ):
+            oracle = kron_oracle(spec)
+            assert np.max(np.abs(ts.dense_matrix(spec) - oracle)) < 1e-12
+            assert np.allclose(ts.dense_spectrum(spec), np.linalg.eigvalsh(oracle), atol=1e-10)
+
+    def test_sector_counts(self):
+        coup = ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0)
+        for n in (4, 6, 8):
+            assert len(ts.cluster_hamiltonian(n, 0.5).operator().sectors) == 4
+        for n in (5, 7, 9):
+            assert len(ts.cluster_hamiltonian(n, 0.5).operator().sectors) == 2
+        tri = ts.triangle_chain_hamiltonian(coup, (0.1, 0.0, 0.4), 6)
+        assert len(tri.operator().sectors) == 1
+
+    def test_sectors_partition_the_basis(self):
+        op = ts.cluster_hamiltonian(8, 0.5).operator()
+        basis = np.concatenate([sector.basis for sector in op.sectors])
+        assert np.array_equal(np.sort(basis), np.arange(1 << 8))
+
+
+class TestDegenerateGroundState:
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_seed_independent_at_critical_field(self, n):
+        spec = ts.cluster_hamiltonian(n, 1.0)
+        czz = []
+        for seed in (7, 8):
+            with pytest.warns(ts.DegenerateGroundStateWarning, match="even\\+,odd\\+"):
+                _, gs = ts.ground_state(spec, seed=seed)
+            czz.append(ts.two_point_connected(gs, "z", "z", 0, 3))
+        assert abs(czz[0] - czz[1]) < 1e-10
+
+    def test_tie_inside_one_sector_warns(self):
+        spec = ts.SpinChainSpec(
+            3, "periodic",
+            [ts.PauliString(1.0, ((0, "X"),)), ts.PauliString(1.0, ((1, "X"),))],
+        )
+        with pytest.warns(ts.DegenerateGroundStateWarning, match="inside"):
+            energy, _ = ts.ground_state(spec)
+        assert abs(energy + 2.0) < 1e-12
+
+
+class TestResidualCheck:
+    def test_perturbed_eigenvector_raises(self, monkeypatch):
+        spec = ts.cluster_hamiltonian(12, 0.5)
+        exact, _ = ts.ground_state(spec)
+        real_eigsh = spin_core.eigsh
+        rng = np.random.default_rng(0)
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = real_eigsh(*args, **kwargs)
+            return vals, vecs + 1e-4 * rng.standard_normal(vecs.shape)
+
+        monkeypatch.setattr(spin_core, "eigsh", perturbed)
+        with pytest.raises(ConvergenceError) as info:
+            ts.ground_state(ts.cluster_hamiltonian(12, 0.5))
+        assert abs(info.value.best_energy - exact) < 1e-9
