@@ -4,7 +4,6 @@ states, plus the census of non-vanishing random operator strings.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -73,6 +72,27 @@ def _window_string(ops_row, sites) -> PauliString:
     return PauliString(1.0, factors)
 
 
+#: Stacked single-site Paulis {1, X, Y, Z}: ``_PAULIS[c][j, i]`` = <j|P_c|i>.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _window_pauli_transform(state: StateVector, sites: list[int]) -> np.ndarray:
+    """<P> for every string P over ``sites``, in ``itertools.product`` order.
+
+    Forms the window's reduced density matrix rho = A A^dagger, with A the
+    state tensor's window axes moved first, then contracts one site at a time
+    with the stacked Paulis, giving Tr(rho P).
+    """
+    n, w = state.n_sites, len(sites)
+    psi = state.amplitudes.reshape((2,) * n)  # axis k is site n-1-k
+    a = np.moveaxis(psi, [n - 1 - s for s in sites], range(w)).reshape(1 << w, -1)
+    t = (a @ a.conj().T).reshape((2,) * (2 * w))
+    # axes: i_k..i_{w-1}, j_k..j_{w-1}, then the Pauli codes of sites[:k]
+    for k in range(w):
+        t = np.tensordot(t, _PAULIS, axes=([0, w - k], [2, 1]))
+    return t.ravel()
+
+
 def survey(
     state: StateVector,
     window_n: int,
@@ -87,9 +107,10 @@ def survey(
     expectation magnitude exceeds ``threshold``.
 
     Each site of the window carries one of 1, X, Y, Z; the all-identity
-    string counts as non-vanishing.  ``mode="exhaustive"`` enumerates all
-    4^window_n strings, ``mode="sampled"`` draws ``samples`` strings with a
-    seeded generator (deterministic for a fixed seed).
+    string counts as non-vanishing.  ``mode="exhaustive"`` reads all
+    4^window_n expectations off the window's reduced density matrix,
+    ``mode="sampled"`` draws ``samples`` strings with a seeded generator
+    (deterministic for a fixed seed) and evaluates each on the full state.
     """
     if window_n <= 4:
         raise ValueError("the census is defined for windows of more than 4 sites")
@@ -104,20 +125,22 @@ def survey(
                 f"exhaustive survey of 4^{window_n} strings exceeds the cap; "
                 "use mode='sampled'"
             )
-        rows = itertools.product(range(4), repeat=window_n)
+        values = _window_pauli_transform(state, sites)
+        if np.any(np.abs(values.imag) > 1e-10 * np.maximum(1.0, np.abs(values.real))):
+            raise ValueError("expectation of a Hermitian string came out complex")
+        hits = int(np.count_nonzero(np.abs(values.real) > threshold))
     elif mode == "sampled":
         if samples <= 0:
             raise ValueError("sampled mode needs samples > 0")
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, 4, size=(samples, window_n)).tolist()
         total = samples
+        hits = sum(
+            abs(expectation(state, _window_string(row, sites))) > threshold for row in rows
+        )
     else:
         raise ValueError(f"unknown survey mode {mode!r}")
 
-    hits = 0
-    for row in rows:
-        if abs(expectation(state, _window_string(row, sites))) > threshold:
-            hits += 1
     return SurveyReport(
         n_sites_window=window_n,
         b_field=b_field,

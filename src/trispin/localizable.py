@@ -60,7 +60,13 @@ class MeasurementPlan:
 
 @dataclass
 class BranchResult:
-    """One measurement outcome: its probability and the residual pair state."""
+    """One measurement outcome: its probability and the residual pair state.
+
+    ``outcome`` lists the measured sites' results (0 for +n, 1 for -n) in
+    ascending site order.  ``amplitudes[2 * bit(larger site) + bit(smaller
+    site)]`` is the normalized residual amplitude, the package's basis
+    convention restricted to the target pair.
+    """
 
     outcome: tuple[int, ...]
     probability: float
@@ -120,8 +126,9 @@ def branch_average(
 ) -> LocEntResult:
     """Exact enumeration of every measurement outcome of ``plan``.
 
-    All 2^(n-2) outcomes are generated by sequential projection (batched over
-    branches, so the total work is O(n 2^n)); branches with joint probability
+    All 2^(n-2) outcomes come from rotating each measured site of the state
+    tensor into its measurement basis (total work O(n 2^n)) and reading the
+    target pair's four amplitudes per outcome; branches with joint probability
     below ``prob_cutoff`` are dropped and the rest renormalized.  The average
     is sum(p * concurrence) / sum(p) over the kept branches.
     """
@@ -133,30 +140,16 @@ def branch_average(
     if abs(state.norm() - 1.0) > 1e-10:
         raise ValueError("input state must be normalized")
 
-    pair = set(plan.target_pair)
-    # Column index of A encodes the remaining sites, order[0] most significant.
-    a = state.amplitudes.reshape(1, -1)
-    order = list(range(n - 1, -1, -1))
-    contracted: list[int] = []
-    while len(order) > 2:
-        site = order[0]
-        m = len(order)
-        if site in pair:
-            # rotate the target's axis to the least-significant slot
-            a = (
-                a.reshape(-1, 2, 1 << (m - 1))
-                .transpose(0, 2, 1)
-                .reshape(-1, 1 << m)
-            )
-            order = order[1:] + [order[0]]
-            continue
-        mat = _measurement_matrix(*plan.angles[site])
-        a3 = a.reshape(-1, 2, 1 << (m - 1))
-        a = np.einsum("ot,bts->bos", mat, a3).reshape(-1, 1 << (m - 1))
-        order.pop(0)
-        contracted.append(site)
+    # Axis k of the state tensor is site n-1-k.  After the rotations the
+    # targets move last, larger site first, so row r of ``a`` is the outcome
+    # with the largest measured site as the most significant bit of r.
+    psi = state.amplitudes.reshape((2,) * n)
+    for site, angles in plan.angles.items():
+        axis = n - 1 - site
+        psi = np.moveaxis(np.tensordot(_measurement_matrix(*angles), psi, (1, axis)), 0, axis)
+    lo, hi = sorted(plan.target_pair)
+    a = np.moveaxis(psi, (n - 1 - hi, n - 1 - lo), (-2, -1)).reshape(-1, 4)
 
-    # Leaf rows now hold the two target qubits; order == [hi, lo] site labels.
     probs = np.einsum("bi,bi->b", a.conj(), a).real
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-10:
@@ -169,14 +162,9 @@ def branch_average(
     branches = None
     if keep_branches:
         branches = []
-        width = len(contracted)
         for row in np.nonzero(keep)[0]:
-            # bit (width-1-k) of `row` is the outcome on contracted[k]
-            bits = {
-                site: (int(row) >> (width - 1 - k)) & 1
-                for k, site in enumerate(contracted)
-            }
-            outcome = tuple(bits[s] for s in sorted(bits))
+            # outcomes in ascending site order
+            outcome = tuple(int(bit) for bit in np.unravel_index(row, (2,) * (n - 2))[::-1])
             amps = a[row] / np.sqrt(probs[row])
             branches.append(
                 BranchResult(

@@ -179,18 +179,7 @@ class SpinChainSpec:
         return cls(payload["n"], payload["boundary"], terms)
 
 
-# --- term compilation -------------------------------------------------------
-
-_ARANGE: dict[int, np.ndarray] = {}
-
-
-def _basis_indices(n: int) -> np.ndarray:
-    arr = _ARANGE.get(n)
-    if arr is None:
-        arr = np.arange(1 << n, dtype=np.uint64)
-        _ARANGE[n] = arr
-    return arr
-
+# --- the blocked operator ---------------------------------------------------
 
 def _term_masks(factors) -> tuple[int, int, int]:
     """Bit masks describing a Pauli string: (flip, phase-mask, #Y factors)."""
@@ -209,34 +198,6 @@ def _term_masks(factors) -> tuple[int, int, int]:
             zy |= bit
     return flip, zy, n_y
 
-
-def _compile_term(term: PauliString, n: int):
-    """Precompute (flip mask, per-basis phase array) for one Pauli string.
-
-    P|b> = phase[b] |b ^ flip> with
-    phase[b] = coeff * i^{n_Y} * (-1)^{popcount(b & (Zmask|Ymask))}.
-    """
-    flip, zy, n_y = _term_masks(term.factors)
-    b = _basis_indices(n)
-    parity = (np.bitwise_count(b & np.uint64(zy)) & 1).astype(np.float64)
-    sign = 1.0 - 2.0 * parity
-    pref = term.coeff * (1j ** n_y)
-    if n_y % 2 == 0:
-        phase = pref.real * sign
-    else:
-        phase = pref * sign.astype(np.complex128)
-    return flip, phase
-
-
-def _apply_term(flip: int, phase: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
-    vals = phase * amps
-    if flip == 0:
-        return vals
-    idx = _basis_indices(n) ^ np.uint64(flip)
-    return vals[idx]
-
-
-# --- the blocked operator ---------------------------------------------------
 
 @dataclass(frozen=True)
 class Sector:
@@ -561,14 +522,19 @@ def spectral_gap(
     literal E1 - E0 vanishes there; the gap above the ground manifold is the
     quantity that closes smoothly with 1/n and is what this returns.
     """
-    vals = lowest_eigenvalues(spec, k=k, seed=seed)
-    e0 = vals[0]
-    for e in vals[1:]:
-        if e - e0 > degeneracy_tol:
-            return float(e - e0)
-    raise ConvergenceError(
-        f"no level above the ground manifold among the lowest {k}; increase k"
-    )
+    return _gap_above_ground(lowest_eigenvalues(spec, k=k, seed=seed), degeneracy_tol)
+
+
+def _gap_above_ground(energies: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> float:
+    """Distance from the lowest of the ascending ``energies`` to the first
+    level more than ``degeneracy_tol`` above it."""
+    above = energies[energies - energies[0] > degeneracy_tol]
+    if above.size == 0:
+        raise ConvergenceError(
+            f"no level above the ground manifold among the lowest {energies.size}; "
+            "increase k"
+        )
+    return float(above[0] - energies[0])
 
 
 def expectation(state: StateVector, op: PauliString) -> float:
@@ -576,8 +542,13 @@ def expectation(state: StateVector, op: PauliString) -> float:
     n = state.n_sites
     if any(s >= n for s in op.sites):
         raise ValueError("operator acts outside the state's sites")
-    flip, phase = _compile_term(op, n)
-    val = np.vdot(state.amplitudes, _apply_term(flip, phase, state.amplitudes, n))
+    flip, zy, n_y = _term_masks(op.factors)
+    b = np.arange(1 << n)
+    # P|b> = coeff i^{n_Y} (-1)^{popcount(b & zy)} |b ^ flip>; the sign is
+    # formed in float because bitwise_count returns uint8
+    sign = 1.0 - 2.0 * (np.bitwise_count(b & zy) & 1)
+    amps = state.amplitudes
+    val = op.coeff * 1j**n_y * np.vdot(amps[b ^ flip], sign * amps)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise ValueError(f"expectation of Hermitian string came out complex: {val}")
     return float(val.real)

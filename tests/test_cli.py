@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import trispin as ts
 from trispin import cli
 
 
@@ -70,6 +71,14 @@ class TestSpectrum:
         assert payload["ground_energy"] == pytest.approx(-6.0, abs=1e-9)
         assert "min gap 2" in capsys.readouterr().out
 
+    def test_iterative_gap_matches_spectral_gap(self, tmp_path):
+        code, out = run(tmp_path, "spectrum", "--n", "13", "--b", "0.5")
+        assert code == 0
+        payload = json.loads((out / "spectrum.json").read_text())
+        expected = ts.spectral_gap(ts.cluster_hamiltonian(13, 0.5))
+        assert payload["dense"] is False
+        assert payload["gap"] == pytest.approx(expected, abs=1e-9)
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_64(self):
@@ -81,6 +90,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["spectrum", "--does-not-exist"])
         assert excinfo.value.code == 64
+
+    def test_nonpositive_threads_exits_64(self, tmp_path):
+        for threads in ("0", "-2"):
+            with pytest.raises(SystemExit) as excinfo:
+                run(tmp_path, "figure2", "--threads", threads)
+            assert excinfo.value.code == 64
 
     def test_bad_grid_is_an_error(self, tmp_path):
         code, _ = run(tmp_path, "figure2", "--b-grid", "nonsense")

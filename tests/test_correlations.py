@@ -20,6 +20,20 @@ def cluster_ground():
     return get
 
 
+def cluster_stabilizer_codes(w):
+    """Strings over w consecutive sites (codes 0..3 for 1, X, Y, Z) in the
+    group generated by the cluster stabilizers X Z X inside the window."""
+    gens = [(0b101 << (k - 1), 1 << k) for k in range(1, w - 1)]  # (x bits, z bits)
+    codes = set()
+    for chosen in itertools.product((0, 1), repeat=len(gens)):
+        x = z = 0
+        for use, (gx, gz) in zip(chosen, gens):
+            if use:
+                x, z = x ^ gx, z ^ gz
+        codes.add(tuple((0, 3, 1, 2)[((x >> k) & 1) * 2 + ((z >> k) & 1)] for k in range(w)))
+    return codes
+
+
 class TestTwoPoint:
     def test_product_state_uncorrelated(self):
         st = ts.StateVector.basis_state(6, 0)
@@ -103,6 +117,40 @@ class TestSurvey:
         assert r1.fraction == r2.fraction
         exact = survey(gs, 6, mode="exhaustive")
         assert abs(r1.fraction - exact.fraction) < 0.03
+        # at B=0 the drawn strings that count are exactly the stabilizers
+        # supported in the window; w=12 is above the exhaustive cap.  The
+        # draw is replayed from the documented seeded generator.
+        hits = []
+        for w in (6, 12):
+            rows = np.random.default_rng(5).integers(0, 4, size=(4000, w)).tolist()
+            stabilizers = cluster_stabilizer_codes(w)
+            rep = survey(cluster_ground(12, 0.0), w, mode="sampled", samples=4000, seed=5)
+            assert rep.total == 4000
+            assert rep.nonvanishing == sum(tuple(row) in stabilizers for row in rows)
+            hits.append(rep.nonvanishing)
+        assert hits[0] > 0
+
+    def test_exhaustive_matches_per_string_count(self):
+        # random complex state with a definite Z parity on sites 0, 2, 4, 6,
+        # so that both vanishing and Y-bearing non-vanishing strings occur
+        n, w = 8, 5
+        rng = np.random.default_rng(3)
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        amps[[bin(b & 0b01010101).count("1") % 2 == 1 for b in range(1 << n)]] = 0.0
+        state = ts.StateVector(n, amps).normalized()
+        for start in (0, 6):
+            sites = [(start + k) % n for k in range(w)]
+            values = [
+                ts.expectation(state, ts.PauliString(1.0, tuple(
+                    (site, "IXYZ"[c]) for site, c in zip(sites, row) if c
+                )))
+                for row in itertools.product(range(4), repeat=w)
+            ]
+            for threshold in (1e-8, 0.02):
+                count = sum(abs(v) > threshold for v in values)
+                rep = survey(state, w, mode="exhaustive", window_start=start, threshold=threshold)
+                assert rep.nonvanishing == count
+            assert 0 < count < 4**w
 
     def test_small_window_rejected(self, cluster_ground):
         with pytest.raises(ValueError):

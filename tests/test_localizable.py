@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,36 @@ Z = (0.0, 0.0)
 
 def cluster_ground(n, b):
     return ts.ground_state(ts.cluster_hamiltonian(n, b))[1]
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return ts.StateVector(n, amps / np.linalg.norm(amps))
+
+
+def brute_force_branches(state, plan):
+    """{outcome: (probability, concurrence)} from Kronecker products of the
+    per-site measurement bras, outcomes in ascending site order."""
+    n = state.n_sites
+    measured = sorted(plan.angles)
+    out = {}
+    for outcome in itertools.product((0, 1), repeat=n - 2):
+        bits = dict(zip(measured, outcome))
+        op = np.eye(1)
+        for site in reversed(range(n)):  # site 0 is the lowest bit
+            if site in bits:
+                theta, phi = plan.angles[site]
+                c, s = math.cos(theta / 2), math.sin(theta / 2)
+                ket = [c, np.exp(1j * phi) * s] if bits[site] == 0 else [s, -np.exp(1j * phi) * c]
+                factor = np.conj(np.array([ket]))
+            else:
+                factor = np.eye(2)
+            op = np.kron(op, factor)
+        amps = op @ state.amplitudes
+        prob = float(np.vdot(amps, amps).real)
+        out[outcome] = (prob, 2 * abs(amps[0] * amps[3] - amps[1] * amps[2]) / prob)
+    return out
 
 
 def random_plan(n, pair, seed):
@@ -116,6 +147,37 @@ class TestBranchAverage:
         st = ts.StateVector(6, np.ones(64))
         with pytest.raises(ValueError, match="normalized"):
             branch_average(st, random_plan(6, (0, 3), 1))
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_matches_kronecker_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(6):
+            state = random_state(n, 100 * n + trial)
+            p, q = (int(s) for s in rng.choice(n, size=2, replace=False))
+            for pair in ((p, q), (q, p)):
+                plan = random_plan(n, pair, seed=10 * n + trial)
+                res = branch_average(state, plan, keep_branches=True)
+                oracle = brute_force_branches(state, plan)
+                kept = {o: v for o, v in oracle.items() if v[0] > 1e-14}
+                mass = sum(prob for prob, _ in kept.values())
+                value = sum(prob * conc for prob, conc in kept.values()) / mass
+                assert res.value == pytest.approx(value, abs=1e-12)
+                assert res.branch_count == len(kept)
+                for branch in res.branches:
+                    prob, conc = kept[branch.outcome]
+                    assert branch.probability == pytest.approx(prob, abs=1e-12)
+                    assert branch.concurrence == pytest.approx(conc, abs=1e-12)
+
+    def test_pair_amplitude_order(self):
+        # amplitudes[2 * bit(larger site) + bit(smaller site)] for every pair
+        n = 7
+        for p, q in itertools.permutations(range(n), 2):
+            plan = MeasurementPlan(n, (p, q), {s: Z for s in range(n) if s not in (p, q)})
+            lo, hi = min(p, q), max(p, q)
+            for b_hi, b_lo in itertools.product((0, 1), repeat=2):
+                state = ts.StateVector.basis_state(n, (b_hi << hi) | (b_lo << lo))
+                (branch,) = branch_average(state, plan, keep_branches=True).branches
+                assert abs(branch.amplitudes[2 * b_hi + b_lo]) == pytest.approx(1.0)
 
     def test_frozen_ring_fixture(self):
         # enumeration value frozen at build time: B=0.5, 9-site ring, L=9 recipe

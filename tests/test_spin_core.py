@@ -246,6 +246,15 @@ class TestExpectation:
         vals = [ts.expectation(gs, ts.PauliString(1.0, ((i, "Z"),))) for i in range(8)]
         assert max(vals) - min(vals) < 1e-9
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_kronecker_oracle(self, seed):
+        n = 4 + seed % 3
+        psi = random_state(n, seed + 200)
+        for term in random_spec(n, seed).terms:
+            matrix = kron_oracle(ts.SpinChainSpec(n, "open", [term]))
+            oracle = np.vdot(psi.amplitudes, matrix @ psi.amplitudes)
+            assert abs(ts.expectation(psi, term) - oracle.real) < 1e-12
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             ts.expectation(ts.StateVector.basis_state(3), ts.PauliString(1.0, ((5, "X"),)))
