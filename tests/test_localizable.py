@@ -14,6 +14,7 @@ from trispin.localizable import (
     entanglement_length,
     optimize_plan,
     lower_bound_plan,
+    scheme_seed_plans,
 )
 from trispin.spin_core import ResourceLimitError
 
@@ -63,6 +64,52 @@ def random_plan(n, pair, seed):
         if s not in pair
     }
     return MeasurementPlan(n, pair, angles)
+
+
+def full_evaluation_anneal(state, pair, cfg):
+    """The annealer restated with one full ``branch_average`` per proposal,
+    drawing its random numbers in the same order as ``optimize_plan``.
+    Returns the best plan and its value."""
+    n = state.n_sites
+    measured = sorted(set(range(n)) - set(pair))
+    seeds = scheme_seed_plans(n, pair)
+    seed_vals = [branch_average(state, plan).value for plan in seeds]
+    best_val = max(seed_vals)
+    best_plan = seeds[seed_vals.index(best_val)]
+    rng = np.random.default_rng(cfg.seed)
+    for restart in range(cfg.restarts):
+        if restart == 0:
+            current, current_val = best_plan, best_val
+        else:
+            angles = {
+                s: (rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+                for s in measured
+            }
+            current = MeasurementPlan(n, pair, angles)
+            current_val = branch_average(state, current).value
+            if current_val > best_val:
+                best_plan, best_val = current, current_val
+        temp = cfg.t_start
+        for _ in range(cfg.n_temps):
+            sigma = cfg.sigma0 * temp / cfg.t_start
+            for _ in range(cfg.proposals_per_temp):
+                site = measured[rng.integers(len(measured))]
+                d_theta, d_phi = sigma * rng.standard_normal(), sigma * rng.standard_normal()
+                theta, phi = current.angles[site]
+                theta = (theta + d_theta) % (2.0 * math.pi)
+                if theta > math.pi:
+                    theta = 2.0 * math.pi - theta
+                angles = dict(current.angles)
+                angles[site] = (theta, (phi + d_phi) % (2.0 * math.pi))
+                cand = MeasurementPlan(n, pair, angles)
+                cand_val = branch_average(state, cand).value
+                delta = cand_val - current_val
+                if delta >= 0.0 or rng.random() < math.exp(delta / max(temp, 1e-12)):
+                    current, current_val = cand, cand_val
+                    if current_val > best_val:
+                        best_plan, best_val = current, current_val
+            temp *= cfg.cooling
+    return best_plan, best_val
 
 
 class TestConcurrence:
@@ -237,8 +284,6 @@ class TestOptimizer:
 
     def test_never_worse_than_schemes(self):
         gs = cluster_ground(10, 0.5)
-        from trispin.localizable import scheme_seed_plans
-
         ensemble = max(branch_average(gs, p).value for p in scheme_seed_plans(10, (0, 4)))
         cfg = ts.AnnealConfig(n_temps=20, proposals_per_temp=10, restarts=1, seed=2)
         assert optimize_plan(gs, (0, 4), cfg).value >= ensemble - 1e-12
@@ -250,6 +295,19 @@ class TestOptimizer:
         r2 = optimize_plan(gs, (0, 3), cfg)
         assert r1.value == r2.value
         assert r1.plan.angles == r2.plan.angles
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_matches_full_evaluation_annealer(self, n):
+        rng = np.random.default_rng(n)
+        p, q = (int(s) for s in rng.choice(n, size=2, replace=False))
+        for trial, pair in enumerate(((p, q), (q, p))):
+            state = random_state(n, 300 + 10 * n + trial)
+            cfg = ts.AnnealConfig(n_temps=12, proposals_per_temp=10, restarts=2, seed=n + trial)
+            res = optimize_plan(state, pair, cfg)
+            plan, value = full_evaluation_anneal(state, pair, cfg)
+            assert res.plan.angles == plan.angles
+            assert res.value == pytest.approx(value, abs=1e-12)
+            assert res.value == branch_average(state, res.plan).value
 
     def test_trace_recorded(self):
         gs = cluster_ground(7, 0.9)
