@@ -456,7 +456,13 @@ def lowest_eigenvalues(
     seed: int = 7,
     site_cap: int = GROUND_SITE_CAP,
 ) -> np.ndarray:
-    """k smallest eigenvalues: the k lowest of each sector, merged."""
+    """The k lowest levels of each sector, merged, the k smallest returned.
+
+    Only dense solves are exact: sectors of at most ``DENSE_BLOCK_DIM`` rows,
+    or with nearly all their levels wanted.  Other sectors go through
+    Lanczos, which can miss an exactly degenerate copy of a level; the result
+    then skips that copy and lists a higher level in its place.
+    """
     _check_iterative_cap(spec.n_sites, site_cap)
     vals = [
         _solve_block(sector.block, k, vectors=False, tol=tol, seed=seed)[0]
@@ -480,6 +486,9 @@ def ground_state(
     returned at a cross-sector degeneracy therefore does not depend on
     ``seed``.  A tie between the two lowest levels inside the returned
     sector warns the same way; any normalized minimizer is then returned.
+    That in-sector check is reliable only for sectors of at most
+    ``DENSE_BLOCK_DIM`` rows, which are solved dense: Lanczos, used above
+    that, can miss the degenerate copy, and then no warning is given.
     """
     n = spec.n_sites
     _check_iterative_cap(n, site_cap)

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 import trispin as ts
+from trispin import localizable
 from trispin.free_fermion import CorrelationSeries
 from trispin.localizable import (
+    PROB_CUTOFF,
     MeasurementPlan,
+    _read,
+    _rotate_site,
+    _rotated,
     branch_average,
     cluster_scheme_plan,
     concurrence_pure,
@@ -233,6 +238,54 @@ class TestBranchAverage:
         assert res.value == pytest.approx(0.930092888739, abs=1e-9)
 
 
+class TestKernels:
+    @pytest.mark.parametrize("n", [9, 13])
+    def test_rotate_site_matches_tensordot(self, n):
+        # every depth k: both forms, on both sides of the crossover at n=13
+        rng = np.random.default_rng(n)
+        a = random_state(n, 40 + n).amplitudes.reshape(-1, 4)
+        before = a.copy()
+        for k in range(n - 2):
+            u = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            x = a.reshape(2**k, 2, -1)
+            ref = np.moveaxis(np.tensordot(u, x, (1, 1)), 0, 1).reshape(a.shape)
+            got = _rotate_site(a, u, k)
+            assert got.shape == a.shape
+            assert np.max(np.abs(got - ref)) <= 1e-15
+        assert np.array_equal(a, before)
+
+    def test_read_rejects_unnormalized_tensor(self):
+        state = random_state(7, 5)
+        a = _rotated(state, random_plan(7, (1, 4), seed=5))
+        _read(a, PROB_CUTOFF)
+        with pytest.raises(AssertionError, match="sum to"):
+            _read(1.01 * a, PROB_CUTOFF)
+
+    @pytest.mark.parametrize("basis_site", [None, 5])
+    def test_all_kept_shortcut_matches_masked_sum(self, basis_site):
+        # basis_site=None: a random state, every branch kept (the shortcut).
+        # Otherwise that site is |0> up to a 1e-7 admixture of |1> and is
+        # measured in Z, so half the branches fall below the cutoff and are
+        # dropped (the masked sum), and dropping them shows in the value.
+        n = 8
+        amps = random_state(n, 9).amplitudes.copy()
+        angles = random_plan(n, (0, 3), seed=9).angles
+        if basis_site is not None:
+            amps[(np.arange(amps.size) >> basis_site) & 1 == 1] *= 1e-7
+            amps /= np.linalg.norm(amps)
+            angles[basis_site] = Z
+        state = ts.StateVector(n, amps)
+        a = _rotated(state, MeasurementPlan(n, (0, 3), angles))
+        value, probs, keep, dets = _read(a, PROB_CUTOFF)
+        assert value == float(dets[keep].sum() / probs[keep].sum())
+        if basis_site is None:
+            assert keep.all()
+        else:
+            assert keep.sum() == 2 ** (n - 3)
+            assert value != float(dets.sum() / probs.sum())
+        assert value > 0.1
+
+
 class TestSchemePlans:
     def test_cluster_scheme_shorter_arc(self):
         plan = cluster_scheme_plan(8, (0, 2))
@@ -308,6 +361,16 @@ class TestOptimizer:
             assert res.plan.angles == plan.angles
             assert res.value == pytest.approx(value, abs=1e-12)
             assert res.value == branch_average(state, res.plan).value
+
+    def test_unnormalized_state_rejected(self):
+        st = ts.StateVector(6, np.ones(64))
+        with pytest.raises(ValueError, match="normalized"):
+            optimize_plan(st, (0, 3), ts.AnnealConfig(n_temps=1, proposals_per_temp=1))
+
+    def test_measured_cap(self, monkeypatch):
+        monkeypatch.setattr(localizable, "MEASURED_CAP", 3)
+        with pytest.raises(ResourceLimitError):
+            optimize_plan(ts.StateVector.basis_state(8), (0, 4))
 
     def test_trace_recorded(self):
         gs = cluster_ground(7, 0.9)
