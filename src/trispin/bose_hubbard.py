@@ -18,6 +18,8 @@ BONDS = ((0, 1), (1, 2), (2, 0))
 
 #: Ratio max(J)/min(U) above which the expansion is suspect.
 PERTURBATIVE_WARN_RATIO = 0.2
+#: Largest (N_a, N_b) sector built as a dense matrix.
+FULL_DIM_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -205,20 +207,16 @@ def _hamiltonian_on_basis(params: BoseHubbardParams, basis: FockBasis) -> np.nda
     return h
 
 
-def build_full_hamiltonian(
-    params: BoseHubbardParams,
-    sector: tuple[int, int],
-    dim_cap: int = 20000,
-) -> np.ndarray:
+def build_full_hamiltonian(params: BoseHubbardParams, sector: tuple[int, int]) -> np.ndarray:
     """Dense Hermitian matrix of the triangle in the (N_a, N_b) sector.
 
     Rows/columns follow :meth:`FockBasis.build` ordering.  Bosonic matrix
     elements carry the sqrt(n (m+1)) enhancement factors.
     """
     basis = FockBasis.build(*sector)
-    if basis.dim > dim_cap:
+    if basis.dim > FULL_DIM_CAP:
         raise ResourceLimitError(
-            f"sector {sector} has dimension {basis.dim} > cap {dim_cap}"
+            f"sector {sector} has dimension {basis.dim} > cap {FULL_DIM_CAP}"
         )
     return _hamiltonian_on_basis(params, basis)
 

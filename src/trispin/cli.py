@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +21,7 @@ from . import __version__
 from .bose_hubbard import BoseHubbardParams, effective_couplings, validate_perturbation
 from .correlations import two_point_connected
 from .free_fermion import (
+    NOISE_FLOOR,
     CorrelationSeries,
     QuadratureError,
     ZeroSeriesError,
@@ -110,7 +112,9 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"bad grid {text!r}; expected start:stop:step") from exc
     if step <= 0 or stop < start:
         raise ValueError(f"bad grid {text!r}")
-    count = int(round((stop - start) / step)) + 1
+    # floor never passes stop; the guard keeps a stop that rounding leaves
+    # just short of a whole number of steps
+    count = math.floor((stop - start) / step + 1e-9) + 1
     return [round(start + i * step, 10) for i in range(count)]
 
 
@@ -265,7 +269,7 @@ def _correlation_row(b: float) -> tuple[list, list[list]]:
         return [b, 0.0, "zero", 0], detail
     except ValueError:
         # too few points above the noise floor: two-point fallback slope
-        pts = [(L, abs(v)) for L, v in zip(lengths, values) if abs(v) > 1e-13]
+        pts = [(L, abs(v)) for L, v in zip(lengths, values) if abs(v) > NOISE_FLOOR]
         if len(pts) >= 2:
             (l1, v1), (l2, v2) = pts[-2], pts[-1]
             slope = (np.log(v2) - np.log(v1)) / (l2 - l1)
@@ -390,8 +394,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("corr", help="connected two-point correlator sweep")
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--n", type=int, default=12)
-    p.add_argument("--alpha", default="z")
-    p.add_argument("--beta", default="z")
+    p.add_argument("--alpha", choices=("x", "y", "z"), default="z")
+    p.add_argument("--beta", choices=("x", "y", "z"), default="z")
     p.add_argument("--l-min", type=int, default=3)
     p.add_argument("--l-max", type=int, default=8)
     p.add_argument("--channel", choices=("ed", "analytic"), default="ed")

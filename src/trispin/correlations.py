@@ -52,6 +52,9 @@ def two_point_connected(
     n = state.n_sites
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"sites ({i}, {j}) outside [0, {n})")
+    for axis in (alpha, beta):
+        if axis.lower() not in AXIS_OPS:
+            raise ValueError(f"unknown axis {axis!r}; expected one of x, y, z")
     op_a = AXIS_OPS[alpha.lower()]
     op_b = AXIS_OPS[beta.lower()]
     joint = expectation(state, PauliString(1.0, ((i, op_a), (j, op_b))))

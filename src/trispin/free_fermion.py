@@ -14,6 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+#: Absolute agreement of two successive quadrature refinements.
+QUAD_TOL = 1e-9
+#: Largest refinement level: 2^MAX_REFINE panels between the splits.
+MAX_REFINE = 14
+
+#: Length-fit rules of :func:`correlation_length`.
+NOISE_FLOOR = 1e-13
+MIN_POINTS = 5
+POWER_LAW_FACTOR = 4.0
+SATURATION_RATIO = 1.5
+SATURATION_FLOOR = 1e-2
+MAX_XI_FACTOR = 10.0
+
 
 class QuadratureError(RuntimeError):
     """The adaptive quadrature did not reach the requested tolerance."""
@@ -65,12 +78,7 @@ def _gauss_on_panels(f, edges: np.ndarray) -> float:
     return float(np.sum(vals * _GL_WEIGHTS[None, :] * half))
 
 
-def czz_analytic(
-    b_field: float,
-    L: int,
-    tol: float = 1e-9,
-    max_refine: int = 14,
-) -> float:
+def czz_analytic(b_field: float, L: int) -> float:
     """Thermodynamic-limit connected <Z_1 Z_L> from the closed-form quadratures.
 
     Evaluates, with Lambda(r) = sqrt(B^2 + 1 + 2 B cos r) and prefactor
@@ -81,7 +89,7 @@ def czz_analytic(
 
     and returns I1^2 - I2^2.  Panels are split at r = +/- pi where the
     square root vanishes at |B| = 1; panel counts are doubled until two
-    successive estimates agree within ``tol`` absolutely.
+    successive estimates agree within ``QUAD_TOL`` absolutely.
     """
     if L < 2:
         raise ValueError("separation index L must be >= 2")
@@ -98,7 +106,7 @@ def czz_analytic(
     base = np.array([-2.0 * np.pi, -np.pi, 0.0, np.pi, 2.0 * np.pi])
     prev = None
     pref = 1.0 / (4.0 * np.pi)
-    for level in range(max_refine + 1):
+    for level in range(MAX_REFINE + 1):
         splits = 1 << level
         edges = np.concatenate(
             [np.linspace(base[i], base[i + 1], splits + 1)[:-1] for i in range(4)]
@@ -106,12 +114,12 @@ def czz_analytic(
         )
         i1 = pref * _gauss_on_panels(f_sin, edges)
         i2 = pref * _gauss_on_panels(f_cos, edges)
-        if prev is not None and abs(i1 - prev[0]) < tol and abs(i2 - prev[1]) < tol:
+        if prev is not None and abs(i1 - prev[0]) < QUAD_TOL and abs(i2 - prev[1]) < QUAD_TOL:
             return i1 * i1 - i2 * i2
         prev = (i1, i2)
     raise QuadratureError(
-        f"correlator quadrature did not converge to {tol} at B={b}, L={L}; "
-        "increase max_refine (node budget)"
+        f"correlator quadrature did not converge to {QUAD_TOL} at B={b}, L={L} "
+        f"within {MAX_REFINE} refinements"
     )
 
 
@@ -188,29 +196,20 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(coeffs[1]), float(np.sqrt(np.mean(resid**2)))
 
 
-def correlation_length(
-    series: CorrelationSeries,
-    l_min: int | None = None,
-    noise_floor: float = 1e-13,
-    power_law_factor: float = 4.0,
-    saturation_ratio: float = 1.5,
-    saturation_floor: float = 1e-2,
-    max_xi_factor: float = 10.0,
-    min_points: int = 5,
-) -> LengthEstimate:
+def correlation_length(series: CorrelationSeries) -> LengthEstimate:
     """Fit the decay length of a correlation series.
 
-    Procedure: drop values below ``noise_floor``; keep the largest-L window
-    (default L >= max(4, L_max/2), extended downward if that leaves fewer
-    than ``min_points`` points); fit log|C| against L and against log L.
+    Procedure: drop values below ``NOISE_FLOOR``; keep the largest-L window
+    L >= max(4, L_max/2), extended downward if that leaves fewer than
+    ``MIN_POINTS`` points; fit log|C| against L and against log L.
     The series is flagged divergent (model ``power_law``, xi infinite) when
 
-      * the surviving values saturate: max/min <= ``saturation_ratio`` while
-        staying above ``saturation_floor``, or
+      * the surviving values saturate: max/min <= ``SATURATION_RATIO`` while
+        staying above ``SATURATION_FLOOR``, or
       * the log-log fit residual beats the log-linear one by
-        ``power_law_factor``, or
+        ``POWER_LAW_FACTOR``, or
       * the log-linear slope is non-negative, or
-      * the fitted xi exceeds ``max_xi_factor * L_max`` (no decay resolvable
+      * the fitted xi exceeds ``MAX_XI_FACTOR * L_max`` (no decay resolvable
         inside the window).
 
     Otherwise xi = -1/slope (positive for decaying series; the sign flip
@@ -220,19 +219,19 @@ def correlation_length(
     pairs = [
         (sep, abs(val))
         for sep, val in zip(series.lengths, series.values)
-        if abs(val) > noise_floor
+        if abs(val) > NOISE_FLOOR
     ]
     if not pairs:
         raise ZeroSeriesError("correlations numerically zero: all values below noise floor")
-    if len(pairs) < min_points:
+    if len(pairs) < MIN_POINTS:
         raise ValueError(
-            f"need at least {min_points} points above the noise floor, got {len(pairs)}"
+            f"need at least {MIN_POINTS} points above the noise floor, got {len(pairs)}"
         )
     l_max = pairs[-1][0]
-    lo = l_min if l_min is not None else max(4, l_max // 2)
+    lo = max(4, l_max // 2)
     window = [(sep, val) for sep, val in pairs if sep >= lo]
-    if len(window) < min_points:
-        window = pairs[-min_points:]
+    if len(window) < MIN_POINTS:
+        window = pairs[-MIN_POINTS:]
     seps = np.array([p[0] for p in window], dtype=float)
     mags = np.array([p[1] for p in window], dtype=float)
     logs = np.log(mags)
@@ -241,13 +240,13 @@ def correlation_length(
     slope_pow, res_pow = _line_fit(np.log(seps), logs)
     win = (int(seps[0]), int(seps[-1]))
 
-    saturating = (mags.max() / mags.min() <= saturation_ratio) and (
-        mags.min() >= saturation_floor
+    saturating = (mags.max() / mags.min() <= SATURATION_RATIO) and (
+        mags.min() >= SATURATION_FLOOR
     )
-    power_law_wins = res_pow <= res_exp / power_law_factor
+    power_law_wins = res_pow <= res_exp / POWER_LAW_FACTOR
     if saturating or power_law_wins or slope_exp >= -1e-9:
         return LengthEstimate(math.inf, res_pow, win, "power_law")
     xi = -1.0 / slope_exp
-    if xi > max_xi_factor * l_max:
+    if xi > MAX_XI_FACTOR * l_max:
         return LengthEstimate(math.inf, res_pow, win, "power_law")
     return LengthEstimate(xi, res_exp, win, "exponential")

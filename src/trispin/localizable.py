@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,12 @@ from .spin_core import ResourceLimitError, StateVector
 PROB_CUTOFF = 1e-14
 #: Largest number of measured spins enumerated exhaustively.
 MEASURED_CAP = 20
+#: Annealing schedule: the starting temperature, the cooling factor applied
+#: after each temperature step, and the angle step (radians) at ``T_START``,
+#: which shrinks in proportion to the temperature.
+T_START = 0.5
+COOLING = 0.97
+SIGMA0 = 0.6
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,6 @@ class LocEntResult:
     plan: MeasurementPlan
     branch_count: int
     branches: list[BranchResult] | None = None
-    trace: list[tuple[int, float]] | None = field(default=None, repr=False)
 
     def to_json(self, b_field: float | None = None) -> str:
         return json.dumps(
@@ -125,22 +130,31 @@ def _rotate_site(a: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
     # products in both, and they agree bit for bit on every tensor tested.
     # The batched matmul makes one small product per batch entry, so its cost
     # grows with 2^k; the kron form is one BLAS product doing m times the
-    # needed flops.  Medians, one BLAS thread, matmul vs kron:
-    #   n=17: k=11, m=32: 0.8-1.2 vs 1.5-1.6 ms; k=12, m=16: 1.4 vs 0.9 ms;
-    #         k=14, m=4: 6.1-8.5 vs 0.7 ms
-    #   n=13: k=8, m=16: 96-98 vs 79-95 us; k=10, m=4: 443-468 vs 48-77 us
-    #   n=11: k=7, m=8: 46-60 vs 41-57 us (a tie); k=8, m=4: 88-102 vs 37-55 us
-    #   n=9:  k=6, m=4: 25-33 vs 34-38 us
-    # so kron pays once m <= 16 and the batch is at least 256.
+    # needed flops, its (2m, 2m) matrix kron(u^T, 1_m) built by broadcasting.
+    # Two timing runs, one BLAS thread, matmul vs kron form:
+    #   n=17: k=11, m=32: 1.0-2.1 vs 1.7-1.8 ms; k=12, m=16: 1.6-1.8 vs 0.9-1.1 ms;
+    #         k=14, m=4: 5.6-7.3 vs 0.4-0.6 ms
+    #   n=13: k=8, m=16: 102-176 vs 62-93 us; k=10, m=4: 340-639 vs 34-47 us
+    #   n=11: k=7, m=8: 51-91 vs 21-27 us; k=8, m=4: 94-164 vs 16-23 us
+    #   n=9:  k=6, m=4: 27-46 vs 12-17 us
+    # The kron form is taken once m <= 16 and the batch is at least 256; as
+    # timed above it also wins on smaller batches, which still take the matmul.
     if m <= 16 and batch >= 256:
-        out = x.reshape(batch, 2 * m) @ np.kron(u.T, np.eye(m))
+        kron = (u.T[:, None, :, None] * np.eye(m)[:, None, :]).reshape(2 * m, 2 * m)
+        out = x.reshape(batch, 2 * m) @ kron
     else:
         out = np.matmul(u, x)
     return out.reshape(a.shape)
 
 
-def _rotated(state: StateVector, plan: MeasurementPlan) -> np.ndarray:
-    """The state tensor rotated into ``plan``'s measurement bases.
+def _plan_bras(plan: MeasurementPlan) -> list[np.ndarray]:
+    """``plan``'s measurement matrices in ascending site order."""
+    return [_measurement_matrix(*plan.angles[site]) for site in sorted(plan.angles)]
+
+
+def _rotated(state: StateVector, pair: tuple[int, int], bras: list[np.ndarray]) -> np.ndarray:
+    """The state tensor rotated into the measurement bases ``bras``, one
+    ``_measurement_matrix`` per measured site in ascending site order.
 
     Row r of the C-contiguous ``(2^(n-2), 4)`` result holds the target pair's
     four amplitudes (larger site first) for the outcome whose bits are the
@@ -149,20 +163,20 @@ def _rotated(state: StateVector, plan: MeasurementPlan) -> np.ndarray:
     with k the number of measured sites above s.
     """
     n = state.n_sites
-    lo, hi = sorted(plan.target_pair)
+    lo, hi = sorted(pair)
     # Axis k of the state tensor is site n-1-k; one copy moves the pair last.
     psi = state.amplitudes.reshape((2,) * n)
     a = np.moveaxis(psi, (n - 1 - hi, n - 1 - lo), (-2, -1)).reshape(-1, 4)
-    for k, site in enumerate(sorted(plan.angles, reverse=True)):
-        a = _rotate_site(a, _measurement_matrix(*plan.angles[site]), k)
+    for k, u in enumerate(reversed(bras)):
+        a = _rotate_site(a, u, k)
     return a
 
 
-def _read(a: np.ndarray, prob_cutoff: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+def _read(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Branch average of a ``_rotated`` tensor.
 
     Returns ``(value, probs, keep, dets)``: the average, each branch's
-    probability, the mask of branches above ``prob_cutoff``, and each
+    probability, the mask of branches above ``PROB_CUTOFF``, and each
     branch's unnormalized concurrence 2|a00 a11 - a01 a10|.
     """
     # Each row's squared norm is the sum of its 8 squared float components.
@@ -171,7 +185,7 @@ def _read(a: np.ndarray, prob_cutoff: float) -> tuple[float, np.ndarray, np.ndar
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-10:
         raise AssertionError(f"branch probabilities sum to {total}, not 1")
-    keep = probs > prob_cutoff
+    keep = probs > PROB_CUTOFF
     det = a[:, 0] * a[:, 3]
     det -= a[:, 1] * a[:, 2]
     dets = np.abs(det)
@@ -181,10 +195,10 @@ def _read(a: np.ndarray, prob_cutoff: float) -> tuple[float, np.ndarray, np.ndar
     return float(dets[keep].sum() / probs[keep].sum()), probs, keep, dets
 
 
-def _check_state(state: StateVector, measured_cap: int) -> None:
+def _check_state(state: StateVector) -> None:
     n = state.n_sites
-    if n - 2 > measured_cap:
-        raise ResourceLimitError(f"{n - 2} measured spins exceed the cap {measured_cap}")
+    if n - 2 > MEASURED_CAP:
+        raise ResourceLimitError(f"{n - 2} measured spins exceed the cap {MEASURED_CAP}")
     if abs(state.norm() - 1.0) > 1e-10:
         raise ValueError("input state must be normalized")
 
@@ -192,8 +206,6 @@ def _check_state(state: StateVector, measured_cap: int) -> None:
 def branch_average(
     state: StateVector,
     plan: MeasurementPlan,
-    prob_cutoff: float = PROB_CUTOFF,
-    measured_cap: int = MEASURED_CAP,
     keep_branches: bool = False,
 ) -> LocEntResult:
     """Exact enumeration of every measurement outcome of ``plan``.
@@ -201,15 +213,15 @@ def branch_average(
     All 2^(n-2) outcomes come from rotating each measured site of the state
     tensor into its measurement basis (total work O(n 2^n)) and reading the
     target pair's four amplitudes per outcome; branches with joint probability
-    below ``prob_cutoff`` are dropped and the rest renormalized.  The average
+    below ``PROB_CUTOFF`` are dropped and the rest renormalized.  The average
     is sum(p * concurrence) / sum(p) over the kept branches.
     """
     n = state.n_sites
     if plan.n_sites != n:
         raise ValueError("plan and state sizes do not match")
-    _check_state(state, measured_cap)
-    a = _rotated(state, plan)
-    value, probs, keep, dets = _read(a, prob_cutoff)
+    _check_state(state)
+    a = _rotated(state, plan.target_pair, _plan_bras(plan))
+    value, probs, keep, dets = _read(a)
 
     branches = None
     if keep_branches:
@@ -295,37 +307,13 @@ def lower_bound_plan(n: int, l_site: int, far_basis: str = "z") -> MeasurementPl
 
 @dataclass
 class AnnealConfig:
-    """Geometric-cooling schedule for the measurement-basis search."""
+    """Length, restarts and seed of the geometric-cooling schedule; its
+    temperatures and angle steps are ``T_START``, ``COOLING`` and ``SIGMA0``."""
 
-    t_start: float = 0.5
-    cooling: float = 0.97
     n_temps: int = 200
     proposals_per_temp: int = 50
-    sigma0: float = 0.6
     restarts: int = 2
     seed: int = 0
-    keep_trace: bool = False
-
-
-def _random_plan(n: int, pair: tuple[int, int], rng) -> MeasurementPlan:
-    angles = {}
-    for site in range(n):
-        if site in pair:
-            continue
-        angles[site] = (rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-    return MeasurementPlan(n, pair, angles)
-
-
-def _perturbed(plan: MeasurementPlan, site: int, d_theta: float, d_phi: float) -> MeasurementPlan:
-    theta, phi = plan.angles[site]
-    theta = theta + d_theta
-    # reflect theta back into [0, pi]
-    theta = theta % (2.0 * math.pi)
-    if theta > math.pi:
-        theta = 2.0 * math.pi - theta
-    angles = dict(plan.angles)
-    angles[site] = (theta, (phi + d_phi) % (2.0 * math.pi))
-    return MeasurementPlan(plan.n_sites, plan.target_pair, angles)
 
 
 def scheme_seed_plans(n: int, pair: tuple[int, int]) -> list[MeasurementPlan]:
@@ -355,71 +343,76 @@ def optimize_plan(
 
     Restart 0 starts from the best deterministic seed plan (so the result is
     never worse than the prescribed schemes); further restarts start from
-    random plans.  Deterministic for a fixed config seed.  Each proposal
-    changes one site's angles, so it is scored by rotating only that site of
-    the current plan's rotated tensor (O(2^n) instead of O(n 2^n)); the
-    returned value and branch count come from a fresh ``branch_average``.
+    random plans.  Deterministic for a fixed config seed.  The walk holds the
+    current plan as per-site angle and bra lists, indexed like the measured
+    sites, plus its rotated tensor.  Each proposal changes one site's angles,
+    so it is scored by rotating only that site's axis from the old bra to the
+    new one (O(2^n) instead of O(n 2^n)).  A ``MeasurementPlan`` is built only
+    for a new best plan; the returned value and branch count come from a fresh
+    ``branch_average``.
     """
     cfg = config or AnnealConfig()
     n = state.n_sites
-    _check_state(state, MEASURED_CAP)
+    _check_state(state)
     pair = (int(pair[0]), int(pair[1]))
     measured = sorted(set(range(n)) - set(pair))
 
-    # Only the best seed's rotated tensor is kept: restart 0 starts from it.
-    seed_a = None
+    def walk_from(angles):
+        """Walk state (thetas, phis, bras, rotated tensor, value) at
+        ``angles``, one (theta, phi) per measured site."""
+        bras = [_measurement_matrix(theta, phi) for theta, phi in angles]
+        a = _rotated(state, pair, bras)
+        thetas, phis = (list(x) for x in zip(*angles))
+        return thetas, phis, bras, a, _read(a)[0]
+
+    def plan_of(thetas, phis):
+        return MeasurementPlan(n, pair, dict(zip(measured, zip(thetas, phis))))
+
+    # Only the best seed's walk state is kept: restart 0 starts from it.
+    start = None
     for plan in scheme_seed_plans(n, pair):
-        a = _rotated(state, plan)
-        value = _read(a, PROB_CUTOFF)[0]
-        if seed_a is None or value > best_val:
-            best_plan, best_val, seed_a = plan, value, a
-    trace: list[tuple[int, float]] | None = [] if cfg.keep_trace else None
+        walk = walk_from([plan.angles[site] for site in measured])
+        if start is None or walk[-1] > best_val:
+            best_plan, best_val, start = plan, walk[-1], walk
 
     rng = np.random.default_rng(cfg.seed)
     for restart in range(cfg.restarts):
-        # ``a`` is always the current plan's rotated tensor: a proposal at one
-        # site rotates only that site's axis from the old basis to the new one.
         if restart == 0:
-            current, current_val, a, seed_a = best_plan, best_val, seed_a, None
+            (thetas, phis, bras, a, current_val), start = start, None
         else:
-            current = _random_plan(n, pair, rng)
-            a = _rotated(state, current)
-            current_val = _read(a, PROB_CUTOFF)[0]
+            drawn = rng.uniform((0.0, 0.0), (math.pi, 2.0 * math.pi), size=(len(measured), 2))
+            thetas, phis, bras, a, current_val = walk_from(drawn.tolist())
             if current_val > best_val:
-                best_plan, best_val = current, current_val
-        temp = cfg.t_start
-        for step in range(cfg.n_temps):
-            sigma = cfg.sigma0 * temp / cfg.t_start
+                best_plan, best_val = plan_of(thetas, phis), current_val
+        temp = T_START
+        for _ in range(cfg.n_temps):
+            sigma = SIGMA0 * temp / T_START
             for _ in range(cfg.proposals_per_temp):
                 idx = int(rng.integers(len(measured)))
-                site = measured[idx]
-                cand = _perturbed(
-                    current, site,
-                    sigma * rng.standard_normal(), sigma * rng.standard_normal(),
-                )
-                old_bras = _measurement_matrix(*current.angles[site])
-                u = _measurement_matrix(*cand.angles[site]) @ old_bras.conj().T
-                k = len(measured) - 1 - idx  # measured sites above ``site``
-                cand_a = _rotate_site(a, u, k)
-                cand_val = _read(cand_a, PROB_CUTOFF)[0]
+                # theta reflects back into [0, pi]; phi wraps into [0, 2 pi)
+                theta = (thetas[idx] + sigma * rng.standard_normal()) % (2.0 * math.pi)
+                if theta > math.pi:
+                    theta = 2.0 * math.pi - theta
+                phi = (phis[idx] + sigma * rng.standard_normal()) % (2.0 * math.pi)
+                bra = _measurement_matrix(theta, phi)
+                k = len(measured) - 1 - idx  # measured sites above this one
+                cand_a = _rotate_site(a, bra @ bras[idx].conj().T, k)
+                cand_val = _read(cand_a)[0]
                 delta = cand_val - current_val
                 if delta >= 0.0 or rng.random() < math.exp(delta / max(temp, 1e-12)):
-                    current, current_val, a = cand, cand_val, cand_a
+                    thetas[idx], phis[idx], bras[idx] = theta, phi, bra
+                    a, current_val = cand_a, cand_val
                     if current_val > best_val:
-                        best_plan, best_val = current, current_val
-            if trace is not None:
-                trace.append((restart * cfg.n_temps + step, best_val))
-            temp *= cfg.cooling
+                        best_plan, best_val = plan_of(thetas, phis), current_val
+            temp *= COOLING
 
-    result = branch_average(state, best_plan)
-    result.trace = trace
-    return result
+    return branch_average(state, best_plan)
 
 
-def entanglement_length(series: CorrelationSeries, **kwargs) -> LengthEstimate:
+def entanglement_length(series: CorrelationSeries) -> LengthEstimate:
     """Decay length of a localizable-entanglement series.
 
     Same fitting contract as the correlation-length estimator; series that
     saturate at a nonzero constant are flagged divergent.
     """
-    return correlation_length(series, **kwargs)
+    return correlation_length(series)

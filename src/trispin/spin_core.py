@@ -41,8 +41,13 @@ DENSE_BLOCK_DIM = 512
 #: Levels closer than this count as one degenerate level.
 DEGENERACY_TOL = 1e-8
 #: Bound on the residual |H psi - E psi| of an iterative eigenpair, in units
-#: of max(1, |E|); a looser Lanczos ``tol`` loosens it to 100 * tol.
+#: of max(1, |E|).
 RESIDUAL_TOL = 1e-8
+#: Lanczos ``tol`` of the ground-state solve; ``lowest_eigenvalues`` uses 0
+#: (machine precision).
+GROUND_TOL = 1e-10
+#: Lowest levels solved per sector for ``spectral_gap``.
+GAP_LEVELS = 8
 
 
 class ResourceLimitError(RuntimeError):
@@ -378,9 +383,9 @@ def _check_dense_cap(n: int) -> None:
         )
 
 
-def _check_iterative_cap(n: int, site_cap: int) -> None:
-    if n > site_cap:
-        raise ResourceLimitError(f"n={n} exceeds the iterative cap {site_cap}")
+def _check_iterative_cap(n: int) -> None:
+    if n > GROUND_SITE_CAP:
+        raise ResourceLimitError(f"n={n} exceeds the iterative cap {GROUND_SITE_CAP}")
 
 
 def dense_matrix(spec: SpinChainSpec) -> np.ndarray:
@@ -429,7 +434,7 @@ def _solve_block(
     vals, vecs = vals[order], vecs[:, order]
     vecs /= np.linalg.norm(vecs, axis=0)
     residual = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
-    bound = max(RESIDUAL_TOL, 100.0 * tol) * np.maximum(1.0, np.abs(vals))
+    bound = RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))
     if np.any(residual > bound):
         worst = int(np.argmax(residual / bound))
         raise ConvergenceError(
@@ -449,13 +454,7 @@ def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
     ))
 
 
-def lowest_eigenvalues(
-    spec: SpinChainSpec,
-    k: int = 2,
-    tol: float = 0.0,
-    seed: int = 7,
-    site_cap: int = GROUND_SITE_CAP,
-) -> np.ndarray:
+def lowest_eigenvalues(spec: SpinChainSpec, k: int = 2, seed: int = 7) -> np.ndarray:
     """The k lowest levels of each sector, merged, the k smallest returned.
 
     Only dense solves are exact: sectors of at most ``DENSE_BLOCK_DIM`` rows,
@@ -463,20 +462,15 @@ def lowest_eigenvalues(
     Lanczos, which can miss an exactly degenerate copy of a level; the result
     then skips that copy and lists a higher level in its place.
     """
-    _check_iterative_cap(spec.n_sites, site_cap)
+    _check_iterative_cap(spec.n_sites)
     vals = [
-        _solve_block(sector.block, k, vectors=False, tol=tol, seed=seed)[0]
+        _solve_block(sector.block, k, vectors=False, seed=seed)[0]
         for sector in spec.operator().sectors
     ]
     return np.sort(np.concatenate(vals))[:k]
 
 
-def ground_state(
-    spec: SpinChainSpec,
-    tol: float = 1e-10,
-    seed: int = 7,
-    site_cap: int = GROUND_SITE_CAP,
-) -> tuple[float, StateVector]:
+def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector]:
     """Lowest eigenpair over all Z-parity sectors.
 
     Degeneracy rule: when the lowest levels of two or more sectors agree
@@ -491,10 +485,10 @@ def ground_state(
     that, can miss the degenerate copy, and then no warning is given.
     """
     n = spec.n_sites
-    _check_iterative_cap(n, site_cap)
+    _check_iterative_cap(n)
     sectors = spec.operator().sectors
     solved = [
-        _solve_block(sector.block, 2, vectors=True, tol=tol, seed=seed)
+        _solve_block(sector.block, 2, vectors=True, tol=GROUND_TOL, seed=seed)
         for sector in sectors
     ]
     lows = np.array([vals[0] for vals, _ in solved])
@@ -519,29 +513,24 @@ def ground_state(
     return float(vals[0]), StateVector(n, amps)
 
 
-def spectral_gap(
-    spec: SpinChainSpec,
-    k: int = 8,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    seed: int = 7,
-) -> float:
+def spectral_gap(spec: SpinChainSpec, seed: int = 7) -> float:
     """First excitation energy above the (possibly degenerate) ground level.
 
     At |B| = 1 rings with n = 2 (mod 4) carry an exact zero mode, so the
     literal E1 - E0 vanishes there; the gap above the ground manifold is the
     quantity that closes smoothly with 1/n and is what this returns.
     """
-    return _gap_above_ground(lowest_eigenvalues(spec, k=k, seed=seed), degeneracy_tol)
+    return _gap_above_ground(lowest_eigenvalues(spec, k=GAP_LEVELS, seed=seed))
 
 
-def _gap_above_ground(energies: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> float:
+def _gap_above_ground(energies: np.ndarray) -> float:
     """Distance from the lowest of the ascending ``energies`` to the first
-    level more than ``degeneracy_tol`` above it."""
-    above = energies[energies - energies[0] > degeneracy_tol]
+    level more than ``DEGENERACY_TOL`` above it."""
+    above = energies[energies - energies[0] > DEGENERACY_TOL]
     if above.size == 0:
         raise ConvergenceError(
             f"no level above the ground manifold among the lowest {energies.size}; "
-            "increase k"
+            "solve more levels"
         )
     return float(above[0] - energies[0])
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import trispin as ts
-from trispin import cli
+from trispin import cli, free_fermion
 
 
 def run(tmp_path, *argv):
@@ -101,6 +101,22 @@ class TestUsage:
         code, _ = run(tmp_path, "figure2", "--b-grid", "nonsense")
         assert code == 1
 
+    def test_bad_axis_exits_64(self, tmp_path):
+        for flag in ("--alpha", "--beta"):
+            with pytest.raises(SystemExit) as excinfo:
+                run(tmp_path, "corr", "--b", "0.5", flag, "w")
+            assert excinfo.value.code == 64
+
+
+class TestGrid:
+    def test_stops_at_or_before_stop(self):
+        assert cli._parse_grid("0:1:0.35") == [0.0, 0.35, 0.7]
+
+    def test_whole_step_grids_keep_their_stop(self):
+        grid = cli._parse_grid("0:2:0.1")
+        assert len(grid) == 21 and grid[-1] == 2.0
+        assert cli._parse_grid("0.5:1.5:1.0") == [0.5, 1.5]
+
 
 class TestCorr:
     def test_ed_channel_csv(self, tmp_path):
@@ -140,6 +156,20 @@ class TestLocent:
         payload = json.loads((out / "locent.json").read_text())
         assert payload["value"] == pytest.approx(0.930092888739, abs=1e-9)
 
+    def test_anneal_scheme(self, tmp_path):
+        # the default two restarts include one from a random plan
+        argv = ["locent", "--b", "1.2", "--n", "8", "--pair", "0,4"]
+        schedule = ["--scheme", "anneal", "--anneal-temps", "6", "--anneal-proposals", "5"]
+        texts = []
+        for name in ("first", "second"):
+            assert cli.main([*argv, *schedule, "--out", str(tmp_path / name)]) == 0
+            texts.append((tmp_path / name / "locent.json").read_text())
+        assert texts[0] == texts[1]
+        code, out = run(tmp_path, *argv)
+        assert code == 0
+        cluster = json.loads((out / "locent.json").read_text())["value"]
+        assert json.loads(texts[0])["value"] >= cluster - 1e-12
+
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
@@ -152,6 +182,19 @@ def small_run(tmp_path_factory):
 
 
 class TestFigure2:
+    def test_partial_failures_are_logged(self, tmp_path, monkeypatch):
+        # no quadrature refinement: every correlation point fails, the
+        # entanglement channel still runs
+        monkeypatch.setattr(free_fermion, "MAX_REFINE", 0)
+        code, out = run(tmp_path, "figure2", "--no-anneal", "--b-grid", "0.5:1.5:0.5")
+        assert code == 0
+        log = (out / "failures.log").read_text().splitlines()
+        assert [line.split(":")[0] for line in log] == [
+            "correlation B=0.5", "correlation B=1.0", "correlation B=1.5",
+        ]
+        assert (out / "correlation_length.csv").read_text() == "B,xi,model,diverges\n"
+        assert len((out / "entanglement_length.csv").read_text().splitlines()) == 4
+
     def test_exit_and_files(self, small_run):
         code, out = small_run
         assert code == 0

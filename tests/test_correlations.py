@@ -55,6 +55,12 @@ class TestTwoPoint:
         with pytest.raises(ValueError):
             two_point_connected(ts.StateVector.basis_state(4), "z", "z", 0, 6)
 
+    def test_unknown_axis_named(self):
+        for axes in (("w", "z"), ("x", "w")):
+            with pytest.raises(ValueError) as excinfo:
+                two_point_connected(ts.StateVector.basis_state(4), *axes, 0, 2)
+            assert "'w'" in str(excinfo.value)
+
     def test_zero_field_matches_analytic(self, cluster_ground):
         gs = cluster_ground(8, 0.0)
         assert abs(two_point_connected(gs, "z", "z", 1, 3) - ts.czz_analytic(0.0, 3)) < 2e-2

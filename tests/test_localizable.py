@@ -8,8 +8,11 @@ import trispin as ts
 from trispin import localizable
 from trispin.free_fermion import CorrelationSeries
 from trispin.localizable import (
-    PROB_CUTOFF,
+    COOLING,
+    SIGMA0,
+    T_START,
     MeasurementPlan,
+    _plan_bras,
     _read,
     _rotate_site,
     _rotated,
@@ -94,9 +97,9 @@ def full_evaluation_anneal(state, pair, cfg):
             current_val = branch_average(state, current).value
             if current_val > best_val:
                 best_plan, best_val = current, current_val
-        temp = cfg.t_start
+        temp = T_START
         for _ in range(cfg.n_temps):
-            sigma = cfg.sigma0 * temp / cfg.t_start
+            sigma = SIGMA0 * temp / T_START
             for _ in range(cfg.proposals_per_temp):
                 site = measured[rng.integers(len(measured))]
                 d_theta, d_phi = sigma * rng.standard_normal(), sigma * rng.standard_normal()
@@ -113,7 +116,7 @@ def full_evaluation_anneal(state, pair, cfg):
                     current, current_val = cand, cand_val
                     if current_val > best_val:
                         best_plan, best_val = current, current_val
-            temp *= cfg.cooling
+            temp *= COOLING
     return best_plan, best_val
 
 
@@ -189,11 +192,10 @@ class TestBranchAverage:
             branch_average(gs, flipped).value, abs=1e-12
         )
 
-    def test_measured_cap(self):
+    def test_measured_cap(self, monkeypatch):
+        monkeypatch.setattr(localizable, "MEASURED_CAP", 3)
         with pytest.raises(ResourceLimitError):
-            branch_average(
-                ts.StateVector.basis_state(8), random_plan(8, (0, 4), 1), measured_cap=3
-            )
+            branch_average(ts.StateVector.basis_state(8), random_plan(8, (0, 4), 1))
 
     def test_unnormalized_state_rejected(self):
         st = ts.StateVector(6, np.ones(64))
@@ -256,10 +258,11 @@ class TestKernels:
 
     def test_read_rejects_unnormalized_tensor(self):
         state = random_state(7, 5)
-        a = _rotated(state, random_plan(7, (1, 4), seed=5))
-        _read(a, PROB_CUTOFF)
+        plan = random_plan(7, (1, 4), seed=5)
+        a = _rotated(state, plan.target_pair, _plan_bras(plan))
+        _read(a)
         with pytest.raises(AssertionError, match="sum to"):
-            _read(1.01 * a, PROB_CUTOFF)
+            _read(1.01 * a)
 
     @pytest.mark.parametrize("basis_site", [None, 5])
     def test_all_kept_shortcut_matches_masked_sum(self, basis_site):
@@ -275,8 +278,8 @@ class TestKernels:
             amps /= np.linalg.norm(amps)
             angles[basis_site] = Z
         state = ts.StateVector(n, amps)
-        a = _rotated(state, MeasurementPlan(n, (0, 3), angles))
-        value, probs, keep, dets = _read(a, PROB_CUTOFF)
+        a = _rotated(state, (0, 3), _plan_bras(MeasurementPlan(n, (0, 3), angles)))
+        value, probs, keep, dets = _read(a)
         assert value == float(dets[keep].sum() / probs[keep].sum())
         if basis_site is None:
             assert keep.all()
@@ -372,14 +375,6 @@ class TestOptimizer:
         with pytest.raises(ResourceLimitError):
             optimize_plan(ts.StateVector.basis_state(8), (0, 4))
 
-    def test_trace_recorded(self):
-        gs = cluster_ground(7, 0.9)
-        cfg = ts.AnnealConfig(n_temps=4, proposals_per_temp=3, restarts=1, seed=0, keep_trace=True)
-        res = optimize_plan(gs, (0, 2), cfg)
-        assert len(res.trace) == 4
-        best = [v for _, v in res.trace]
-        assert best == sorted(best)
-
     @pytest.mark.slow
     @pytest.mark.parametrize("b", [0.5, 1.5])
     def test_distance_monotonicity_within_parity(self, b):
@@ -390,6 +385,64 @@ class TestOptimizer:
         vals = {s: optimize_plan(gs, (0, s), cfg).value for s in range(2, 7)}
         for seq in ([vals[2], vals[4], vals[6]], [vals[3], vals[5]]):
             assert all(later <= earlier + 1e-6 for earlier, later in zip(seq, seq[1:]))
+
+
+YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def assistance_concurrence(state, pair):
+    """Concurrence of assistance C_a = sum_i lambda_i of the pair's reduced
+    state rho, lambda_i^2 the eigenvalues of rho (Y x Y) rho* (Y x Y).
+
+    With rho = R^dagger R (R from a QR of the pair's amplitude matrix), the
+    sum is the nuclear norm of R (Y x Y) R^T: no square root of a
+    near-zero eigenvalue is taken.
+    """
+    n = state.n_sites
+    psi = state.amplitudes.reshape((2,) * n)
+    amps = np.moveaxis(psi, [n - 1 - s for s in pair], (0, 1)).reshape(4, -1)
+    r = np.linalg.qr(amps.conj().T, mode="r")
+    return float(np.linalg.svd(r @ YY @ r.T, compute_uv=False).sum())
+
+
+class TestAssistanceBound:
+    """Measuring the rest of the chain picks one pure-state decomposition of
+    the pair's reduced state, so E_loc <= C_a (Laustsen, Verstraete & van
+    Enk, QIC 3, 64 (2003))."""
+
+    def test_matches_eigenvalue_definition(self):
+        state = random_state(6, 11)
+        psi = state.amplitudes.reshape((2,) * 6)
+        amps = np.moveaxis(psi, (5, 2), (0, 1)).reshape(4, -1)
+        rho = amps @ amps.conj().T
+        lam2 = np.linalg.eigvals(rho @ YY @ rho.conj() @ YY).real
+        expected = np.sqrt(np.clip(lam2, 0.0, None)).sum()
+        assert assistance_concurrence(state, (0, 3)) == pytest.approx(expected, abs=1e-10)
+
+    def test_bell_pair_and_product_state(self):
+        bell = np.zeros(16, dtype=complex)
+        bell[0] = bell[0b0101] = 2**-0.5  # sites 0 and 2 entangled, 1 and 3 up
+        assert assistance_concurrence(ts.StateVector(4, bell), (0, 2)) == pytest.approx(1.0)
+        product = ts.StateVector.basis_state(4, 0b0110)
+        assert assistance_concurrence(product, (1, 3)) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_branch_average_bounded(self, n):
+        rng = np.random.default_rng(500 + n)
+        for trial in range(6):
+            state = random_state(n, 600 + 10 * n + trial)
+            pair = tuple(int(s) for s in rng.choice(n, size=2, replace=False))
+            value = branch_average(state, random_plan(n, pair, seed=trial)).value
+            assert value <= assistance_concurrence(state, pair) + 1e-12
+
+    @pytest.mark.parametrize("n", [9, 11])
+    @pytest.mark.parametrize("b", [0.5, 1.5])
+    def test_optimized_value_bounded(self, n, b):
+        gs = cluster_ground(n, b)
+        cfg = ts.AnnealConfig(n_temps=8, proposals_per_temp=8, restarts=2, seed=n)
+        for s in range(2, n // 2 + 1):
+            value = optimize_plan(gs, (0, s), cfg).value
+            assert value <= assistance_concurrence(gs, (0, s)) + 1e-12
 
 
 class TestEntanglementLength:
