@@ -134,12 +134,15 @@ def _rotate_site(a: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
     # Two timing runs, one BLAS thread, matmul vs kron form:
     #   n=17: k=11, m=32: 1.0-2.1 vs 1.7-1.8 ms; k=12, m=16: 1.6-1.8 vs 0.9-1.1 ms;
     #         k=14, m=4: 5.6-7.3 vs 0.4-0.6 ms
-    #   n=13: k=8, m=16: 102-176 vs 62-93 us; k=10, m=4: 340-639 vs 34-47 us
-    #   n=11: k=7, m=8: 51-91 vs 21-27 us; k=8, m=4: 94-164 vs 16-23 us
-    #   n=9:  k=6, m=4: 27-46 vs 12-17 us
-    # The kron form is taken once m <= 16 and the batch is at least 256; as
-    # timed above it also wins on smaller batches, which still take the matmul.
-    if m <= 16 and batch >= 256:
+    #   n=13: k=7, m=32: 54-62 vs 100-125 us; k=8, m=16: 101-104 vs 69-78 us
+    #   n=11: k=5, m=32: 17-23 vs 50-64 us; k=6, m=16: 28-35 vs 26-36 us;
+    #         k=7, m=8: 47-51 vs 18-26 us
+    #   n=9:  k=4, m=16: 9-14 vs 18-26 us; k=5, m=8: 13-22 vs 18-20 us;
+    #         k=6, m=4: 25-32 vs 12-17 us
+    # So the kron form is taken for m <= 16 once the batch is at least 8m;
+    # below that the matmul wins or ties.  From n=13 up every m <= 16 meets
+    # the batch bound.
+    if m <= 16 and batch >= 8 * m:
         kron = (u.T[:, None, :, None] * np.eye(m)[:, None, :]).reshape(2 * m, 2 * m)
         out = x.reshape(batch, 2 * m) @ kron
     else:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -43,9 +43,16 @@ DEGENERACY_TOL = 1e-8
 #: Bound on the residual |H psi - E psi| of an iterative eigenpair, in units
 #: of max(1, |E|).
 RESIDUAL_TOL = 1e-8
-#: Lanczos ``tol`` of the ground-state solve; ``lowest_eigenvalues`` uses 0
-#: (machine precision).
+#: Stopping bound of the ground-state Lanczos (``_lanczos``): the residual
+#: estimate |beta_j s_j| of the lowest Ritz pair, in units of max(1, |theta|).
 GROUND_TOL = 1e-10
+#: Lanczos steps after which ``_lanczos`` gives up (a multiple of the next),
+#: and steps between its Ritz checks.
+LANCZOS_STEP_CAP = 4000
+LANCZOS_CHECK_EVERY = 8
+#: Shift c of the deflated operator H + c psi psi^H in ``ground_state``'s
+#: in-sector tie check; far above ``DEGENERACY_TOL``.
+TIE_SHIFT = 1.0
 #: Lowest levels solved per sector for ``spectral_gap``.
 GAP_LEVELS = 8
 
@@ -400,7 +407,7 @@ def dense_matrix(spec: SpinChainSpec) -> np.ndarray:
 
 
 def _solve_block(
-    block: csr_matrix, k: int, *, vectors: bool, tol: float = 0.0, seed: int = 7
+    block: csr_matrix, k: int, *, vectors: bool, seed: int = 7
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The k lowest eigenpairs of one sector block, ascending.
 
@@ -421,7 +428,7 @@ def _solve_block(
     v0 /= np.linalg.norm(v0)
     try:
         vals, vecs = eigsh(
-            block, k=k, which="SA", v0=v0.astype(block.dtype), tol=tol,
+            block, k=k, which="SA", v0=v0.astype(block.dtype), tol=0.0,
             ncv=min(dim - 1, max(4 * k + 1, 40)), maxiter=20000,
         )
     except ArpackNoConvergence as exc:
@@ -433,16 +440,91 @@ def _solve_block(
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     vecs /= np.linalg.norm(vecs, axis=0)
+    _check_residual(block, vals, vecs)
+    return vals, vecs
+
+
+def _check_residual(block: csr_matrix, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Raise :class:`ConvergenceError` unless every normalized pair (column j
+    of ``vecs``, ``vals[j]``) has |H v - E v| <= ``RESIDUAL_TOL`` max(1, |E|)."""
     residual = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
     bound = RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))
     if np.any(residual > bound):
         worst = int(np.argmax(residual / bound))
         raise ConvergenceError(
-            f"Lanczos eigenpair {worst} on a sector of dimension {dim} has residual "
-            f"{residual[worst]:.3g} > {bound[worst]:.3g}",
+            f"Lanczos eigenpair {worst} on a sector of dimension {block.shape[0]} has "
+            f"residual {residual[worst]:.3g} > {bound[worst]:.3g}",
             best_energy=float(vals[0]),
         )
-    return vals, vecs
+
+
+def _lanczos(block: csr_matrix, seed: int, deflate: np.ndarray | None = None):
+    """Lowest eigenvalue of ``block``, or of ``block + TIE_SHIFT psi psi^H`` for
+    a normalized ``deflate=psi``, by plain three-term Lanczos from the start
+    vector drawn from ``seed``.
+
+    Returns ``(theta, ritz_vector)``.  Only three Krylov vectors are kept and
+    none is reorthogonalized: lost orthogonality adds spurious copies of
+    converged Ritz values above the lowest one but leaves that one accurate
+    (Paige, J. Inst. Math. Appl. 18, 373 (1976)).  Every
+    ``LANCZOS_CHECK_EVERY`` steps the lowest Ritz pair (theta, s) of the
+    tridiagonal is formed, and the loop stops once |beta_j s_j| <=
+    ``GROUND_TOL`` max(1, |theta|); a beta that small also stops it at once,
+    since the Krylov space is then invariant.  Raises
+    :class:`ConvergenceError` after ``LANCZOS_STEP_CAP`` steps.
+
+    ``ritz_vector()`` sums the normalized Ritz vector sum_j s_j v_j on a
+    second pass that replays the recurrence from the stored coefficients, so
+    its v_j are bit-equal to the first pass's; the caller checks its residual.
+    """
+    dim = block.shape[0]
+    start = np.random.default_rng(seed).standard_normal(dim)
+    start = (start / np.linalg.norm(start)).astype(block.dtype)
+
+    def matvec(v):
+        w = block @ v
+        if deflate is not None:
+            w += (TIE_SHIFT * np.vdot(deflate, v)) * deflate
+        return w
+
+    alphas: list[float] = []
+    betas: list[float] = []
+    v_prev, v = None, start
+    for j in range(LANCZOS_STEP_CAP):
+        w = matvec(v)
+        if j:
+            w -= betas[-1] * v_prev
+        alpha = np.vdot(v, w).real
+        w -= alpha * v
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        if beta <= GROUND_TOL or (j + 1) % LANCZOS_CHECK_EVERY == 0:
+            ritz = eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(0, 0))
+            theta, s = float(ritz[0][0]), ritz[1][:, 0]
+            if abs(beta * s[-1]) <= GROUND_TOL * max(1.0, abs(theta)):
+                break
+        v_prev, v = v, w / beta
+    else:  # the cap is a multiple of the check interval, so theta is current
+        raise ConvergenceError(
+            f"Lanczos did not converge in {LANCZOS_STEP_CAP} steps on a sector of "
+            f"dimension {dim}",
+            best_energy=theta,
+        )
+
+    def ritz_vector() -> np.ndarray:
+        psi = s[0] * start
+        v_prev, v = None, start
+        for j in range(1, s.size):
+            w = matvec(v)
+            if j > 1:
+                w -= betas[j - 2] * v_prev
+            w -= alphas[j - 1] * v
+            v_prev, v = v, w / betas[j - 1]
+            psi += s[j] * v
+        return psi / np.linalg.norm(psi)
+
+    return theta, ritz_vector
 
 
 def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
@@ -473,6 +555,11 @@ def lowest_eigenvalues(spec: SpinChainSpec, k: int = 2, seed: int = 7) -> np.nda
 def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector]:
     """Lowest eigenpair over all Z-parity sectors.
 
+    Sectors of at most ``DENSE_BLOCK_DIM`` rows are solved dense.  Larger
+    sectors get one energy-only Lanczos pass each (``_lanczos``); the ground
+    vector is then summed on a second, replaying pass in the chosen sector
+    only and residual-checked.
+
     Degeneracy rule: when the lowest levels of two or more sectors agree
     within ``DEGENERACY_TOL``, the ground state of the first tied sector in
     the fixed order of ``spec.operator().sectors`` is returned, and a
@@ -480,21 +567,34 @@ def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector
     returned at a cross-sector degeneracy therefore does not depend on
     ``seed``.  A tie between the two lowest levels inside the returned
     sector warns the same way; any normalized minimizer is then returned.
-    That in-sector check is reliable only for sectors of at most
-    ``DENSE_BLOCK_DIM`` rows, which are solved dense: Lanczos, used above
-    that, can miss the degenerate copy, and then no warning is given.
+    That in-sector check is reliable on both paths: a dense sector compares
+    its two lowest levels, and a Lanczos sector solves H + ``TIE_SHIFT``
+    psi psi^H from a second start vector, whose lowest level is
+    min(E1, E0 + ``TIE_SHIFT``), so it lies within ``DEGENERACY_TOL`` of E0
+    exactly when the ground level has a second copy.
     """
     n = spec.n_sites
     _check_iterative_cap(n)
     sectors = spec.operator().sectors
-    solved = [
-        _solve_block(sector.block, 2, vectors=True, tol=GROUND_TOL, seed=seed)
-        for sector in sectors
-    ]
-    lows = np.array([vals[0] for vals, _ in solved])
+    dense, lanczos = {}, {}
+    for i, sector in enumerate(sectors):
+        if sector.basis.size <= DENSE_BLOCK_DIM:
+            dense[i] = _solve_block(sector.block, 2, vectors=True)
+        else:
+            lanczos[i] = _lanczos(sector.block, seed)
+    lows = np.array([
+        dense[i][0][0] if i in dense else lanczos[i][0] for i in range(len(sectors))
+    ])
     tied = np.flatnonzero(lows - lows.min() < DEGENERACY_TOL)
     first = int(tied[0])
-    vals, vecs = solved[first]
+    block = sectors[first].block
+    if first in dense:
+        vals, vecs = dense[first]
+        energy, psi = float(vals[0]), vecs[:, 0]
+    else:
+        energy, ritz_vector = lanczos[first]
+        psi = ritz_vector()
+        _check_residual(block, np.array([energy]), psi[:, None])
     if tied.size > 1:
         names = ", ".join(sectors[i].label for i in tied)
         warnings.warn(
@@ -502,15 +602,20 @@ def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector
             f"sectors {names}; returning the state of sector {sectors[first].label}",
             DegenerateGroundStateWarning,
         )
-    elif vals.size > 1 and vals[1] - vals[0] < DEGENERACY_TOL:
-        warnings.warn(
-            f"ground level degenerate within {DEGENERACY_TOL:g} inside Z-parity "
-            f"sector {sectors[first].label}; returning one minimizer",
-            DegenerateGroundStateWarning,
-        )
+    else:
+        if first in dense:
+            second = vals[1] if vals.size > 1 else np.inf
+        else:
+            second = _lanczos(block, seed + 1, deflate=psi)[0]
+        if second - energy < DEGENERACY_TOL:
+            warnings.warn(
+                f"ground level degenerate within {DEGENERACY_TOL:g} inside Z-parity "
+                f"sector {sectors[first].label}; returning one minimizer",
+                DegenerateGroundStateWarning,
+            )
     amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[sectors[first].basis] = vecs[:, 0]
-    return float(vals[0]), StateVector(n, amps)
+    amps[sectors[first].basis] = psi
+    return energy, StateVector(n, amps)
 
 
 def spectral_gap(spec: SpinChainSpec, seed: int = 7) -> float:

@@ -241,9 +241,10 @@ class TestBranchAverage:
 
 
 class TestKernels:
-    @pytest.mark.parametrize("n", [9, 13])
+    @pytest.mark.parametrize("n", [9, 11, 13])
     def test_rotate_site_matches_tensordot(self, n):
-        # every depth k: both forms, on both sides of the crossover at n=13
+        # every depth k, so both forms on both sides of the crossover (kron
+        # from k=6 at n=9, k=7 at n=11, k=8 at n=13)
         rng = np.random.default_rng(n)
         a = random_state(n, 40 + n).amplitudes.reshape(-1, 4)
         before = a.copy()

@@ -1,7 +1,9 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 import trispin as ts
 from trispin import spin_core
@@ -343,16 +345,128 @@ class TestDegenerateGroundState:
 
 class TestResidualCheck:
     def test_perturbed_eigenvector_raises(self, monkeypatch):
+        # lowest_eigenvalues goes through eigsh, ground_state through _lanczos
         spec = ts.cluster_hamiltonian(12, 0.5)
         exact, _ = ts.ground_state(spec)
         real_eigsh = spin_core.eigsh
+        real_lanczos = spin_core._lanczos
         rng = np.random.default_rng(0)
 
-        def perturbed(*args, **kwargs):
+        def perturbed_eigsh(*args, **kwargs):
             vals, vecs = real_eigsh(*args, **kwargs)
             return vals, vecs + 1e-4 * rng.standard_normal(vecs.shape)
 
-        monkeypatch.setattr(spin_core, "eigsh", perturbed)
+        def perturbed_lanczos(*args, **kwargs):
+            energy, ritz_vector = real_lanczos(*args, **kwargs)
+
+            def perturbed_vector():
+                psi = ritz_vector()
+                return psi + 1e-4 * rng.standard_normal(psi.shape)
+
+            return energy, perturbed_vector
+
+        monkeypatch.setattr(spin_core, "eigsh", perturbed_eigsh)
+        monkeypatch.setattr(spin_core, "_lanczos", perturbed_lanczos)
+        for solve in (ts.lowest_eigenvalues, ts.ground_state):
+            with pytest.raises(ConvergenceError) as info:
+                solve(ts.cluster_hamiltonian(12, 0.5))
+            assert abs(info.value.best_energy - exact) < 1e-9
+
+
+@functools.cache
+def dense_sector_levels(n, b):
+    """Per sector of the cluster ring: its two lowest levels and the lowest
+    level's vector, by dense eigh."""
+    return [
+        eigh(sector.block.toarray(), subset_by_index=(0, 1))
+        for sector in ts.cluster_hamiltonian(n, b).operator().sectors
+    ]
+
+
+def free_site_chain(n):
+    """ZZ bonds and X fields on sites 0..n-2; site n-1 carries no term, so
+    every level, the ground level included, is exactly twofold."""
+    fields = np.linspace(0.3, 1.2, n - 1)
+    terms = [ts.PauliString(1.0, ((i, "Z"), (i + 1, "Z"))) for i in range(n - 2)]
+    terms += [ts.PauliString(float(h), ((i, "X"),)) for i, h in enumerate(fields)]
+    return ts.SpinChainSpec(n, "open", terms)
+
+
+class TestLanczosGroundState:
+    """Sectors above DENSE_BLOCK_DIM rows: ground_state's Lanczos path."""
+
+    @pytest.mark.parametrize("case", [
+        (11, 0.0), (11, 0.5), (11, 1.5), (12, 0.0), (12, 0.5), (12, 1.5), "triangle",
+    ], ids=lambda c: c if isinstance(c, str) else f"n{c[0]}-B{c[1]}")
+    def test_matches_dense_oracle(self, case):
+        if case == "triangle":  # by != 0: one complex sector of 1,024 rows
+            spec = ts.triangle_chain_hamiltonian(
+                ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.2, 0.4), 10
+            )
+            levels = [eigh(s.block.toarray(), subset_by_index=(0, 1))
+                      for s in spec.operator().sectors]
+            assert spec.operator().sectors[0].block.dtype.kind == "c"
+        else:
+            spec = ts.cluster_hamiltonian(*case)
+            levels = dense_sector_levels(*case)
+        sectors = spec.operator().sectors
+        assert all(s.basis.size > spin_core.DENSE_BLOCK_DIM for s in sectors)
+        lows = np.sort(np.concatenate([vals for vals, _ in levels]))
+        assert lows[1] - lows[0] > 1e-3  # a unique ground state to compare with
+        best = int(np.argmin([vals[0] for vals, _ in levels]))
+        oracle = np.zeros(1 << spec.n_sites, dtype=np.complex128)
+        oracle[sectors[best].basis] = levels[best][1][:, 0]
+        energy, state = ts.ground_state(spec)
+        assert abs(energy - lows[0]) < 1e-10
+        assert abs(np.vdot(oracle, state.amplitudes)) > 1 - 1e-10
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_tie_in_one_large_sector_warns(self, n):
+        spec = free_site_chain(n)
+        (sector,) = spec.operator().sectors
+        assert sector.label == "all states" and sector.basis.size == 1 << n
+        with pytest.warns(ts.DegenerateGroundStateWarning, match="inside"):
+            ts.ground_state(spec)
+
+    def test_breakdown_on_diagonal_ring(self):
+        # only Z terms: every block is diagonal, so beta vanishes after a few
+        # steps; the two Neel states tie inside even+,odd+
+        n = 12
+        ring = ts.SpinChainSpec(
+            n, "periodic",
+            [ts.PauliString(1.0, ((i, "Z"), ((i + 1) % n, "Z"))) for i in range(n)],
+        )
+        with pytest.warns(ts.DegenerateGroundStateWarning, match="inside .*even\\+,odd\\+"):
+            energy, state = ts.ground_state(ring)
+        assert abs(energy + n) < 1e-12
+        residual = ts.apply(ring, state).amplitudes - energy * state.amplitudes
+        assert np.linalg.norm(residual) < 1e-12
+
+    def test_step_cap_raises_with_best_energy(self, monkeypatch):
+        spec = ts.cluster_hamiltonian(12, 0.5)
+        exact = min(vals[0] for vals, _ in dense_sector_levels(12, 0.5))
+        monkeypatch.setattr(spin_core, "LANCZOS_STEP_CAP", 2 * spin_core.LANCZOS_CHECK_EVERY)
         with pytest.raises(ConvergenceError) as info:
-            ts.ground_state(ts.cluster_hamiltonian(12, 0.5))
-        assert abs(info.value.best_energy - exact) < 1e-9
+            ts.ground_state(spec)
+        # a Ritz value bounds the sector's lowest level from above
+        assert exact - 1e-12 <= info.value.best_energy < exact + 1e-3
+
+    def test_deflated_check_finds_every_copy(self):
+        # every sector of 1,024 rows on the cluster rings n=11, 12 over
+        # B = 0..2: the deflated solve lands on E0 exactly when dense eigh
+        # shows a second copy of the sector's lowest level
+        tied = found = 0
+        for n in (11, 12):
+            for b in np.arange(9) * 0.25:
+                spec = ts.cluster_hamiltonian(n, b)
+                for sector, (vals, _) in zip(spec.operator().sectors, dense_sector_levels(n, b)):
+                    assert sector.basis.size == 1024
+                    energy, ritz_vector = spin_core._lanczos(sector.block, 7)
+                    shifted, _ = spin_core._lanczos(sector.block, 8, deflate=ritz_vector())
+                    assert abs(energy - vals[0]) < 1e-10
+                    is_tied = vals[1] - vals[0] < spin_core.DEGENERACY_TOL
+                    tied += is_tied
+                    found += is_tied and shifted - energy < spin_core.DEGENERACY_TOL
+                    if not is_tied:
+                        assert shifted - energy > spin_core.DEGENERACY_TOL
+        assert (tied, found) == (20, 20)
