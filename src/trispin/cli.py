@@ -386,7 +386,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda2", type=float, default=0.0)
     p.add_argument("--lambda3", type=float, default=0.0)
     p.add_argument("--lambda4", type=float, default=0.0)
-    p.add_argument("--max-levels", type=int, default=64)
+    p.add_argument("--max-levels", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spectrum)

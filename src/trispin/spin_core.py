@@ -12,7 +12,8 @@ Conventions shared by every module in this package:
   ladder operators) are formed by the caller from separate applications.
 * Every solver works on :class:`BlockedOperator`, the Hamiltonian split
   into the joint eigenspaces ("sectors") of the products of Z over the
-  conserved sublattice masks.
+  conserved sublattice masks; :func:`dense_spectrum` alone splits each
+  sector further into lattice-momentum blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -407,9 +408,10 @@ def dense_matrix(spec: SpinChainSpec) -> np.ndarray:
 
 
 def _solve_block(
-    block: csr_matrix, k: int, *, vectors: bool, seed: int = 7
+    block: csr_matrix | np.ndarray, k: int, *, vectors: bool, seed: int = 7
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The k lowest eigenpairs of one sector block, ascending.
+    """The k lowest eigenpairs of one sector (CSR) or momentum (dense) block,
+    ascending.
 
     Dense (symmetrized) when the block has at most ``DENSE_BLOCK_DIM`` rows or
     nearly all levels are wanted; restarted Lanczos otherwise, followed by a
@@ -419,7 +421,7 @@ def _solve_block(
     dim = block.shape[0]
     k = min(k, dim)
     if dim <= DENSE_BLOCK_DIM or k >= dim - 1:
-        h = block.toarray()
+        h = block.toarray() if issparse(block) else block
         h = (h + h.conj().T) / 2.0
         if not vectors:
             return eigh(h, eigvals_only=True, subset_by_index=(0, k - 1)), None
@@ -527,13 +529,104 @@ def _lanczos(block: csr_matrix, seed: int, deflate: np.ndarray | None = None):
     return theta, ritz_vector
 
 
+def _rotate_sites(x, d: int, n: int):
+    """Basis index (or mask) x with every site i moved to (i + d) mod n."""
+    return ((x << d) | (x >> (n - d))) & ((1 << n) - 1)
+
+
+def _translation_step(spec: SpinChainSpec) -> int:
+    """Smallest divisor d of n such that shifting every site by d maps the
+    summed Pauli strings and every conserved mask onto themselves, with
+    coefficients compared exactly; n when there is none or the chain is open."""
+    n = spec.n_sites
+    if spec.boundary != "periodic":
+        return n
+    coeffs: dict[tuple[int, int, int], float] = {}
+    for term in spec.terms:
+        key = _term_masks(term.factors)
+        coeffs[key] = coeffs.get(key, 0.0) + term.coeff
+    coeffs = {key: c for key, c in coeffs.items() if c != 0.0}
+    masks = spec.operator().masks
+    for d in range(1, n):
+        if n % d or any(_rotate_sites(m, d, n) != m for m in masks):
+            continue
+        moved = {
+            (_rotate_sites(flip, d, n), _rotate_sites(zy, d, n), n_y): c
+            for (flip, zy, n_y), c in coeffs.items()
+        }
+        if moved == coeffs:
+            return d
+    return n
+
+
+def _momentum_blocks(sector: Sector, n: int, d: int):
+    """Yield ``(q, Q_q^H H Q_q)``, a dense array, for each momentum q = 0..M-1
+    (M = n/d) whose block is not empty.
+
+    The columns of Q_q are the momentum states of the orbits of T^d (T moves
+    every site by one) in the sector, one per representative r (the smallest
+    index of its orbit) whose orbit length p has q p = 0 (mod M):
+    p^(-1/2) sum_{j<p} exp(2 pi i q j / M) |T^(-dj) r>, an eigenvector of T^d
+    with eigenvalue exp(2 pi i q / M).  At q = 0 and q = M/2 the phases are
+    real, and a real sector block gives a real momentum block.
+
+    The block is summed entry by entry from the sector block's nonzeros
+    H[s, t], s and t in kept orbits: entry (r_s, r_t) gains
+    exp(2 pi i q (j_t - j_s) / M) H[s, t] / sqrt(p_s p_t), with s = T^(-d j_s) r_s.
+    """
+    basis, period = sector.basis, n // d
+    orbit = [basis]  # orbit[j] = T^(dj) applied to every basis state
+    for _ in range(1, period):
+        orbit.append(_rotate_sites(orbit[-1], d, n))
+    orbit = np.array(orbit)
+    back = orbit.argmin(axis=0)  # T^(d back) s is the representative of s
+    rep = np.searchsorted(basis, orbit.min(axis=0))
+    length = period // (orbit == basis).sum(axis=0)  # T^(dj) s = s for M/p of the j
+    is_rep = rep == np.arange(basis.size)
+    entries = sector.block.tocoo()
+    s, t = entries.row, entries.col
+    rep_s, rep_t = rep[s], rep[t]
+    shift = (back[t] - back[s]) % period
+    weight = entries.data / np.sqrt(length[s] * length[t])
+    roots = np.exp(2j * np.pi * np.arange(period) / period)
+    real = sector.block.dtype.kind == "f"
+    for q in range(period):
+        keep = (q * length) % period == 0
+        column = np.cumsum(keep & is_rep) - 1  # column of each kept representative
+        if column[-1] < 0:
+            continue
+        dim = int(column[-1]) + 1
+        sel = np.flatnonzero(keep[s] & keep[t])
+        phase = roots[(q * shift[sel]) % period]
+        if real and (2 * q) % period == 0:
+            phase = phase.real
+        values = weight[sel] * phase
+        flat = column[rep_s[sel]] * dim + column[rep_t[sel]]
+        block = np.bincount(flat, weights=values.real, minlength=dim * dim)
+        if values.dtype.kind == "c":
+            block = block + 1j * np.bincount(flat, weights=values.imag, minlength=dim * dim)
+        yield q, block.reshape(dim, dim)
+
+
 def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
-    """All 2^n eigenvalues, ascending, from the dense sector blocks."""
+    """All 2^n eigenvalues, ascending, from dense lattice-momentum blocks.
+
+    Each Z-parity sector is split by the translation T^d, d the smallest
+    divisor of n under which the summed Pauli strings and the conserved
+    masks are exactly invariant (``_translation_step``): the sector's
+    representatives under T^d span one block per momentum q = 0..n/d-1
+    (``_momentum_blocks``), and every block is solved dense.  A chain that
+    is open or not exactly invariant has d = n, so M = n/d = 1 and its one
+    block per sector is the sector block itself.  Only this solver uses
+    momentum blocks; the others work on the parity sectors alone.
+    """
     _check_dense_cap(spec.n_sites)
-    blocks = [sector.block for sector in spec.operator().sectors]
-    return np.sort(np.concatenate(
-        [_solve_block(block, block.shape[0], vectors=False)[0] for block in blocks]
-    ))
+    d = _translation_step(spec)
+    return np.sort(np.concatenate([
+        _solve_block(block, block.shape[0], vectors=False)[0]
+        for sector in spec.operator().sectors
+        for _, block in _momentum_blocks(sector, spec.n_sites, d)
+    ]))
 
 
 def lowest_eigenvalues(spec: SpinChainSpec, k: int = 2, seed: int = 7) -> np.ndarray:

@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trispin as ts
-from trispin import cli, free_fermion
+from trispin import cli, free_fermion, spin_core
+from test_spin_core import kron_oracle
 
 
 def run(tmp_path, *argv):
@@ -79,6 +81,25 @@ class TestSpectrum:
         assert payload["dense"] is False
         assert payload["gap"] == pytest.approx(expected, abs=1e-9)
 
+    def test_triangle_matches_kronecker_oracle(self, tmp_path):
+        # bx, by != 0: one complex sector, translation step 1
+        fields = ["--bx", "0.1", "--by", "0.2", "--b", "0.4"]
+        lambdas = ["--lambda1", "0.31", "--lambda2", "-0.17", "--lambda3", "0.05",
+                   "--lambda4", "-0.23"]
+        code, out = run(tmp_path, "spectrum", "--model", "triangle", "--n", "8",
+                        *fields, *lambdas, "--max-levels", "256")
+        assert code == 0
+        payload = json.loads((out / "spectrum.json").read_text())
+        spec = ts.triangle_chain_hamiltonian(
+            ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.2, 0.4), 8
+        )
+        assert [s.block.dtype.kind for s in spec.operator().sectors] == ["c"]
+        assert spin_core._translation_step(spec) == 1
+        oracle = np.linalg.eigvalsh(kron_oracle(spec))
+        assert payload["dense"] is True
+        assert np.max(np.abs(np.array(payload["energies"]) - oracle)) < 1e-10
+        assert payload["gap"] == pytest.approx(oracle[1] - oracle[0], abs=1e-10)
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_64(self):
@@ -95,6 +116,12 @@ class TestUsage:
         for threads in ("0", "-2"):
             with pytest.raises(SystemExit) as excinfo:
                 run(tmp_path, "figure2", "--threads", threads)
+            assert excinfo.value.code == 64
+
+    def test_nonpositive_max_levels_exits_64(self, tmp_path):
+        for levels in ("0", "-1"):
+            with pytest.raises(SystemExit) as excinfo:
+                run(tmp_path, "spectrum", "--n", "6", "--max-levels", levels)
             assert excinfo.value.code == 64
 
     def test_bad_grid_is_an_error(self, tmp_path):

@@ -40,6 +40,16 @@ def random_spec(n, seed):
     return ts.SpinChainSpec(n, "periodic", terms)
 
 
+def invariant_spec(n, seed):
+    """random_spec's terms, each copied onto every site shift of the ring."""
+    terms = [
+        ts.PauliString(term.coeff, tuple(((site + shift) % n, op) for site, op in term.factors))
+        for term in random_spec(n, seed).terms
+        for shift in range(n)
+    ]
+    return ts.SpinChainSpec(n, "periodic", terms)
+
+
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
@@ -289,6 +299,8 @@ class TestBlockedOperator:
         assert np.max(np.abs(ts.dense_matrix(spec) - oracle)) < 1e-12
         psi = random_state(n, seed + 100)
         assert np.max(np.abs(ts.apply(spec, psi).amplitudes - oracle @ psi.amplitudes)) < 1e-12
+        assert spin_core._translation_step(spec) == n  # one momentum block per sector
+        assert np.max(np.abs(ts.dense_spectrum(spec) - np.linalg.eigvalsh(oracle))) < 1e-10
 
     def test_oracle_covers_complex_and_parity_breaking_terms(self):
         specs = [random_spec(3 + seed % 4, seed) for seed in range(12)]
@@ -320,6 +332,80 @@ class TestBlockedOperator:
         op = ts.cluster_hamiltonian(8, 0.5).operator()
         basis = np.concatenate([sector.basis for sector in op.sectors])
         assert np.array_equal(np.sort(basis), np.arange(1 << 8))
+
+
+class TestMomentumBlocks:
+    """dense_spectrum's lattice-momentum blocks inside each Z-parity sector."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_invariant_specs_match_oracle(self, seed):
+        n = 3 + seed % 6
+        spec = invariant_spec(n, seed)
+        assert spin_core._translation_step(spec) < n
+        oracle = np.linalg.eigvalsh(kron_oracle(spec))
+        assert np.max(np.abs(ts.dense_spectrum(spec) - oracle)) < 1e-10
+
+    def test_invariant_specs_cover_complex_and_parity_breaking_terms(self):
+        specs = [invariant_spec(3 + seed % 6, seed) for seed in range(12)]
+        assert {sp.n_sites for sp in specs} == set(range(3, 9))
+        assert any(ts.dense_matrix(sp).dtype.kind == "c" for sp in specs)
+        assert any(len(sp.operator().sectors) == 1 for sp in specs)
+
+    @staticmethod
+    def alternating_ring(n, boundary):
+        """ZZ bonds and X fields 0.7, 0.3 alternating: period 2, no conserved mask."""
+        terms = [ts.PauliString(1.0, ((i, "Z"), ((i + 1) % n, "Z"))) for i in range(n)]
+        terms += [ts.PauliString(0.7 if i % 2 == 0 else 0.3, ((i, "X"),)) for i in range(n)]
+        return ts.SpinChainSpec(n, boundary, terms)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_alternating_field_ring_has_step_two(self, n):
+        spec = self.alternating_ring(n, "periodic")
+        assert spec.operator().masks == ()
+        assert spin_core._translation_step(spec) == 2
+        oracle = np.linalg.eigvalsh(kron_oracle(spec))
+        assert np.max(np.abs(ts.dense_spectrum(spec) - oracle)) < 1e-10
+
+    def test_open_chain_falls_back(self):
+        spec = self.alternating_ring(8, "open")
+        assert spin_core._translation_step(spec) == 8
+        oracle = np.linalg.eigvalsh(kron_oracle(spec))
+        assert np.max(np.abs(ts.dense_spectrum(spec) - oracle)) < 1e-10
+
+    def test_translation_steps_of_the_builders(self):
+        coup = ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0)
+        for n in (4, 6, 10, 12):  # the sublattice masks force d = 2
+            assert spin_core._translation_step(ts.cluster_hamiltonian(n, 0.5)) == 2
+        for n in (5, 9, 11):
+            assert spin_core._translation_step(ts.cluster_hamiltonian(n, 0.5)) == 1
+        tri = ts.triangle_chain_hamiltonian(coup, (0.1, 0.2, 0.4), 7)
+        assert spin_core._translation_step(tri) == 1
+
+    @pytest.mark.parametrize("n, step", [(10, 2), (11, 1)])
+    def test_blocks_partition_each_sector_and_all_are_solved(self, n, step, monkeypatch):
+        spec = ts.cluster_hamiltonian(n, 0.5)
+        assert spin_core._translation_step(spec) == step
+        period = n // step
+        solved = []
+        real_solve = spin_core._solve_block
+
+        def recording_solve(block, k, **kwargs):
+            solved.append(block.shape[0])
+            return real_solve(block, k, **kwargs)
+
+        monkeypatch.setattr(spin_core, "_solve_block", recording_solve)
+        ts.dense_spectrum(spec)
+        expected = []
+        for sector in spec.operator().sectors:
+            blocks = dict(spin_core._momentum_blocks(sector, n, step))
+            assert sorted(blocks) == list(range(period))
+            assert sum(block.shape[0] for block in blocks.values()) == sector.basis.size
+            # H is real here, so the q and M - q blocks share a spectrum
+            for q, block in blocks.items():
+                pair = np.linalg.eigvalsh(blocks[(period - q) % period])
+                assert np.max(np.abs(np.linalg.eigvalsh(block) - pair)) < 1e-10
+            expected += [block.shape[0] for block in blocks.values()]
+        assert solved == expected
 
 
 class TestDegenerateGroundState:
