@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse import csr_matrix, issparse
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -54,7 +55,8 @@ LANCZOS_CHECK_EVERY = 8
 #: Shift c of the deflated operator H + c psi psi^H in ``ground_state``'s
 #: in-sector tie check; far above ``DEGENERACY_TOL``.
 TIE_SHIFT = 1.0
-#: Lowest levels solved per sector for ``spectral_gap``.
+#: Cap on the ground-manifold copies, over all sectors, that ``spectral_gap``
+#: finds before it gives up; also the levels it solves in each dense sector.
 GAP_LEVELS = 8
 
 
@@ -460,10 +462,15 @@ def _check_residual(block: csr_matrix, vals: np.ndarray, vecs: np.ndarray) -> No
         )
 
 
-def _lanczos(block: csr_matrix, seed: int, deflate: np.ndarray | None = None):
-    """Lowest eigenvalue of ``block``, or of ``block + TIE_SHIFT psi psi^H`` for
-    a normalized ``deflate=psi``, by plain three-term Lanczos from the start
-    vector drawn from ``seed``.
+def _lanczos(
+    block: csr_matrix,
+    seed: int,
+    deflate: np.ndarray | None = None,
+    shift: float = TIE_SHIFT,
+):
+    """Lowest eigenvalue of ``block``, or of ``block + shift Psi Psi^H`` for
+    ``deflate=Psi``, a normalized vector or a matrix of orthonormal columns,
+    by plain three-term Lanczos from the start vector drawn from ``seed``.
 
     Returns ``(theta, ritz_vector)``.  Only three Krylov vectors are kept and
     none is reorthogonalized: lost orthogonality adds spurious copies of
@@ -478,35 +485,54 @@ def _lanczos(block: csr_matrix, seed: int, deflate: np.ndarray | None = None):
     ``ritz_vector()`` sums the normalized Ritz vector sum_j s_j v_j on a
     second pass that replays the recurrence from the stored coefficients, so
     its v_j are bit-equal to the first pass's; the caller checks its residual.
+    Each pass works in place in three preallocated vectors (a fourth holds
+    the deflation term).
     """
     dim = block.shape[0]
-    start = np.random.default_rng(seed).standard_normal(dim)
-    start = (start / np.linalg.norm(start)).astype(block.dtype)
 
-    def matvec(v):
-        w = block @ v
+    def start_vector() -> np.ndarray:  # drawn again for the replay, not kept
+        start = np.random.default_rng(seed).standard_normal(dim)
+        return (start / np.linalg.norm(start)).astype(block.dtype)
+
+    if deflate is not None:
+        deflate = deflate.reshape(dim, -1)
+        deflate_h = deflate.conj().T
+        extra = np.empty(dim, dtype=block.dtype)
+
+    def step(v_prev, v, w, beta_prev, alpha=None):
+        """w <- H v - alpha v - beta_prev v_prev, unnormalized, with alpha =
+        <v|H v> unless given; leaves v_prev as scratch and returns alpha."""
+        w.fill(0)
+        # scipy's private CSR kernel adds block @ v into w without allocating;
+        # it is the routine behind `block @ v`, so the product is bit-equal
+        csr_matvec(dim, dim, block.indptr, block.indices, block.data, v, w)
         if deflate is not None:
-            w += (TIE_SHIFT * np.vdot(deflate, v)) * deflate
-        return w
+            np.dot(deflate, shift * (deflate_h @ v), out=extra)
+            w += extra
+        if beta_prev is not None:
+            v_prev *= beta_prev
+            w -= v_prev
+        if alpha is None:
+            alpha = np.vdot(v, w).real
+        np.multiply(v, alpha, out=v_prev)
+        w -= v_prev
+        return alpha
 
     alphas: list[float] = []
     betas: list[float] = []
-    v_prev, v = None, start
+    v = start_vector()
+    v_prev, w = np.empty_like(v), np.empty_like(v)
     for j in range(LANCZOS_STEP_CAP):
-        w = matvec(v)
-        if j:
-            w -= betas[-1] * v_prev
-        alpha = np.vdot(v, w).real
-        w -= alpha * v
+        alphas.append(step(v_prev, v, w, betas[-1] if j else None))
         beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
         betas.append(beta)
         if beta <= GROUND_TOL or (j + 1) % LANCZOS_CHECK_EVERY == 0:
             ritz = eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(0, 0))
             theta, s = float(ritz[0][0]), ritz[1][:, 0]
             if abs(beta * s[-1]) <= GROUND_TOL * max(1.0, abs(theta)):
                 break
-        v_prev, v = v, w / beta
+        np.divide(w, beta, out=w)
+        v_prev, v, w = v, w, v_prev
     else:  # the cap is a multiple of the check interval, so theta is current
         raise ConvergenceError(
             f"Lanczos did not converge in {LANCZOS_STEP_CAP} steps on a sector of "
@@ -515,15 +541,15 @@ def _lanczos(block: csr_matrix, seed: int, deflate: np.ndarray | None = None):
         )
 
     def ritz_vector() -> np.ndarray:
-        psi = s[0] * start
-        v_prev, v = None, start
+        v = start_vector()
+        psi = s[0] * v
+        v_prev, w = np.empty_like(v), np.empty_like(v)
         for j in range(1, s.size):
-            w = matvec(v)
-            if j > 1:
-                w -= betas[j - 2] * v_prev
-            w -= alphas[j - 1] * v
-            v_prev, v = v, w / betas[j - 1]
-            psi += s[j] * v
+            step(v_prev, v, w, betas[j - 2] if j > 1 else None, alphas[j - 1])
+            np.divide(w, betas[j - 1], out=w)
+            v_prev, v, w = v, w, v_prev
+            np.multiply(v, s[j], out=w)
+            psi += w
         return psi / np.linalg.norm(psi)
 
     return theta, ritz_vector
@@ -632,10 +658,12 @@ def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
 def lowest_eigenvalues(spec: SpinChainSpec, k: int = 2, seed: int = 7) -> np.ndarray:
     """The k lowest levels of each sector, merged, the k smallest returned.
 
-    Only dense solves are exact: sectors of at most ``DENSE_BLOCK_DIM`` rows,
-    or with nearly all their levels wanted.  Other sectors go through
-    Lanczos, which can miss an exactly degenerate copy of a level; the result
-    then skips that copy and lists a higher level in its place.
+    Its one caller is ``trispin spectrum`` above n = 12, the only path left
+    on ARPACK.  Only dense solves are exact: sectors of at most
+    ``DENSE_BLOCK_DIM`` rows, or with nearly all their levels wanted.  Other
+    sectors go through ``eigsh`` (restarted Lanczos), which can miss an
+    exactly degenerate copy of a level; the result then skips that copy and
+    lists a higher level in its place.
     """
     _check_iterative_cap(spec.n_sites)
     vals = [
@@ -643,6 +671,24 @@ def lowest_eigenvalues(spec: SpinChainSpec, k: int = 2, seed: int = 7) -> np.nda
         for sector in spec.operator().sectors
     ]
     return np.sort(np.concatenate(vals))[:k]
+
+
+def _lowest_levels(sectors, seed: int, k: int, vectors: bool):
+    """Each sector's lowest level: dense ``_solve_block`` (the k lowest
+    levels) up to ``DENSE_BLOCK_DIM`` rows, else one energy-only ``_lanczos``
+    pass.  Returns ``(lows, dense, lanczos)``: the lowest levels in sector
+    order, and by sector index the dense ``(vals, vecs)`` and the Lanczos
+    ``(theta, ritz_vector)``."""
+    dense, lanczos = {}, {}
+    for i, sector in enumerate(sectors):
+        if sector.basis.size <= DENSE_BLOCK_DIM:
+            dense[i] = _solve_block(sector.block, k, vectors=vectors)
+        else:
+            lanczos[i] = _lanczos(sector.block, seed)
+    lows = np.array([
+        dense[i][0][0] if i in dense else lanczos[i][0] for i in range(len(sectors))
+    ])
+    return lows, dense, lanczos
 
 
 def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector]:
@@ -669,15 +715,7 @@ def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector
     n = spec.n_sites
     _check_iterative_cap(n)
     sectors = spec.operator().sectors
-    dense, lanczos = {}, {}
-    for i, sector in enumerate(sectors):
-        if sector.basis.size <= DENSE_BLOCK_DIM:
-            dense[i] = _solve_block(sector.block, 2, vectors=True)
-        else:
-            lanczos[i] = _lanczos(sector.block, seed)
-    lows = np.array([
-        dense[i][0][0] if i in dense else lanczos[i][0] for i in range(len(sectors))
-    ])
+    lows, dense, lanczos = _lowest_levels(sectors, seed, 2, vectors=True)
     tied = np.flatnonzero(lows - lows.min() < DEGENERACY_TOL)
     first = int(tied[0])
     block = sectors[first].block
@@ -717,8 +755,48 @@ def spectral_gap(spec: SpinChainSpec, seed: int = 7) -> float:
     At |B| = 1 rings with n = 2 (mod 4) carry an exact zero mode, so the
     literal E1 - E0 vanishes there; the gap above the ground manifold is the
     quantity that closes smoothly with 1/n and is what this returns.
+
+    Method: every sector's lowest level as in :func:`ground_state` (dense up
+    to ``DENSE_BLOCK_DIM`` rows, with its ``GAP_LEVELS`` lowest levels; else
+    one energy-only ``_lanczos`` pass), and E0 the lowest of them.  In each
+    Lanczos sector whose lowest level lies within ``DEGENERACY_TOL`` of E0,
+    that level's vector is replayed and residual-checked, and the next level
+    is the lowest of H + c Psi Psi^H from the next seed, Psi the vectors found
+    so far; this repeats until the level lies above E0 + ``DEGENERACY_TOL``.
+    The shift c = 2 sum_t |coeff_t| + 1 exceeds the spectral width, so the
+    deflated minimum is the next level and never E0 + c.  The gap is the
+    lowest level above the manifold over all sectors, minus E0.
+
+    Raises :class:`ConvergenceError` when the ground manifold has
+    ``GAP_LEVELS`` or more copies over all sectors, or no level above it.
     """
-    return _gap_above_ground(lowest_eigenvalues(spec, k=GAP_LEVELS, seed=seed))
+    _check_iterative_cap(spec.n_sites)
+    sectors = spec.operator().sectors
+    lows, dense, lanczos = _lowest_levels(sectors, seed, GAP_LEVELS, vectors=False)
+    e0 = float(lows.min())
+    shift = 2.0 * sum(abs(t.coeff) for t in spec.terms) + 1.0
+    copies, above = 0, []
+    for vals, _ in dense.values():
+        manifold = int(np.count_nonzero(vals - e0 < DEGENERACY_TOL))
+        copies += manifold
+        above.extend(vals[manifold:manifold + 1])
+    for i, (theta, ritz_vector) in lanczos.items():
+        block, found = sectors[i].block, []
+        while theta - e0 < DEGENERACY_TOL and copies < GAP_LEVELS:
+            psi = ritz_vector()
+            _check_residual(block, np.array([theta]), psi[:, None])
+            found.append(psi)
+            copies += 1
+            theta, ritz_vector = _lanczos(
+                block, seed + len(found), deflate=np.stack(found, axis=1), shift=shift
+            )
+        above.append(theta)
+    if copies >= GAP_LEVELS or not above:
+        raise ConvergenceError(
+            f"no level found above a ground manifold of {copies} copies "
+            f"(cap {GAP_LEVELS})"
+        )
+    return float(min(above) - e0)
 
 
 def _gap_above_ground(energies: np.ndarray) -> float:

@@ -376,7 +376,6 @@ class TestOptimizer:
         with pytest.raises(ResourceLimitError):
             optimize_plan(ts.StateVector.basis_state(8), (0, 4))
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("b", [0.5, 1.5])
     def test_distance_monotonicity_within_parity(self, b):
         # E_loc alternates with separation parity (sublattice structure), so

@@ -431,7 +431,8 @@ class TestDegenerateGroundState:
 
 class TestResidualCheck:
     def test_perturbed_eigenvector_raises(self, monkeypatch):
-        # lowest_eigenvalues goes through eigsh, ground_state through _lanczos
+        # lowest_eigenvalues goes through eigsh; ground_state and spectral_gap
+        # through _lanczos
         spec = ts.cluster_hamiltonian(12, 0.5)
         exact, _ = ts.ground_state(spec)
         real_eigsh = spin_core.eigsh
@@ -453,7 +454,7 @@ class TestResidualCheck:
 
         monkeypatch.setattr(spin_core, "eigsh", perturbed_eigsh)
         monkeypatch.setattr(spin_core, "_lanczos", perturbed_lanczos)
-        for solve in (ts.lowest_eigenvalues, ts.ground_state):
+        for solve in (ts.lowest_eigenvalues, ts.ground_state, ts.spectral_gap):
             with pytest.raises(ConvergenceError) as info:
                 solve(ts.cluster_hamiltonian(12, 0.5))
             assert abs(info.value.best_energy - exact) < 1e-9
@@ -469,13 +470,22 @@ def dense_sector_levels(n, b):
     ]
 
 
-def free_site_chain(n):
-    """ZZ bonds and X fields on sites 0..n-2; site n-1 carries no term, so
-    every level, the ground level included, is exactly twofold."""
-    fields = np.linspace(0.3, 1.2, n - 1)
-    terms = [ts.PauliString(1.0, ((i, "Z"), (i + 1, "Z"))) for i in range(n - 2)]
+def free_site_chain(n, free=1):
+    """ZZ bonds and X fields on sites 0..n-free-1; the last ``free`` sites
+    carry no term, so every level, the ground level included, is exactly
+    2^free-fold."""
+    fields = np.linspace(0.3, 1.2, n - free)
+    terms = [ts.PauliString(1.0, ((i, "Z"), (i + 1, "Z"))) for i in range(n - free - 1)]
     terms += [ts.PauliString(float(h), ((i, "X"),)) for i, h in enumerate(fields)]
     return ts.SpinChainSpec(n, "open", terms)
+
+
+def zz_ring(n):
+    """Only ZZ bonds: every block is diagonal, so Lanczos breaks down after a
+    few steps; the two Neel states tie inside even+,odd+."""
+    return ts.SpinChainSpec(
+        n, "periodic", [ts.PauliString(1.0, ((i, "Z"), ((i + 1) % n, "Z"))) for i in range(n)]
+    )
 
 
 class TestLanczosGroundState:
@@ -515,13 +525,8 @@ class TestLanczosGroundState:
             ts.ground_state(spec)
 
     def test_breakdown_on_diagonal_ring(self):
-        # only Z terms: every block is diagonal, so beta vanishes after a few
-        # steps; the two Neel states tie inside even+,odd+
         n = 12
-        ring = ts.SpinChainSpec(
-            n, "periodic",
-            [ts.PauliString(1.0, ((i, "Z"), ((i + 1) % n, "Z"))) for i in range(n)],
-        )
+        ring = zz_ring(n)
         with pytest.warns(ts.DegenerateGroundStateWarning, match="inside .*even\\+,odd\\+"):
             energy, state = ts.ground_state(ring)
         assert abs(energy + n) < 1e-12
@@ -556,3 +561,75 @@ class TestLanczosGroundState:
                     if not is_tied:
                         assert shifted - energy > spin_core.DEGENERACY_TOL
         assert (tied, found) == (20, 20)
+
+
+class TestLanczosGap:
+    """spectral_gap: deflated Lanczos above the ground manifold, no ARPACK."""
+
+    def test_cluster_rings_match_dense_oracle(self):
+        # every sector has 1,024 rows; the sweep holds the 20 in-sector ties
+        # of test_deflated_check_finds_every_copy
+        tied = 0
+        for n in (11, 12):
+            for b in np.arange(9) * 0.25:
+                spec = ts.cluster_hamiltonian(n, b)
+                assert all(s.basis.size == 1024 for s in spec.operator().sectors)
+                tied += sum(vals[1] - vals[0] < spin_core.DEGENERACY_TOL
+                            for vals, _ in dense_sector_levels(n, b))
+                oracle = spin_core._gap_above_ground(ts.dense_spectrum(spec))
+                assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
+        assert tied == 20
+
+    @pytest.mark.parametrize("case", [
+        "free10", "free11", "free12", "free10-fourfold", "zz12", "triangle",
+    ])
+    def test_matches_dense_oracle(self, case):
+        oracle_spec = None
+        if case.startswith("free"):
+            free = 2 if "fourfold" in case else 1
+            spec = free_site_chain(int(case[4:6]), free)
+            # the same levels without the free sites' 2^free-fold copies: the
+            # gap is unchanged, and the dense solve is 2^free times smaller
+            oracle_spec = ts.SpinChainSpec(spec.n_sites - free, "open", spec.terms)
+        elif case == "zz12":
+            spec = zz_ring(12)
+        else:  # by != 0: one complex sector of 1,024 rows
+            spec = ts.triangle_chain_hamiltonian(
+                ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.2, 0.4), 10
+            )
+            assert spec.operator().sectors[0].block.dtype.kind == "c"
+        assert all(s.basis.size > spin_core.DENSE_BLOCK_DIM for s in spec.operator().sectors)
+        oracle = spin_core._gap_above_ground(ts.dense_spectrum(oracle_spec or spec))
+        assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
+
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    def test_no_arpack(self, n, monkeypatch):
+        def no_eigsh(*args, **kwargs):
+            raise AssertionError("spectral_gap called eigsh")
+
+        monkeypatch.setattr(spin_core, "eigsh", no_eigsh)
+        assert ts.spectral_gap(ts.cluster_hamiltonian(n, 1.0)) > 0.1
+
+    def test_zero_mode_ring_matches_arpack(self):
+        # n = 14 at B = 1: the ground manifold spans two sectors
+        spec = ts.cluster_hamiltonian(14, 1.0)
+        lows, _, _ = spin_core._lowest_levels(
+            spec.operator().sectors, 7, spin_core.GAP_LEVELS, vectors=False
+        )
+        assert np.count_nonzero(lows - lows.min() < spin_core.DEGENERACY_TOL) == 2
+        arpack = spin_core._gap_above_ground(
+            ts.lowest_eigenvalues(spec, k=spin_core.GAP_LEVELS)
+        )
+        assert abs(ts.spectral_gap(spec) - arpack) < 1e-10
+
+    @pytest.mark.parametrize("n", [9, 10])  # one sector: dense at n=9, Lanczos at n=10
+    def test_manifold_at_the_cap_raises(self, n, monkeypatch):
+        spec = free_site_chain(n, free=3)  # every level eightfold
+        assert spin_core.GAP_LEVELS == 8
+        with pytest.raises(ConvergenceError):
+            ts.spectral_gap(spec)
+        monkeypatch.setattr(spin_core, "GAP_LEVELS", 9)  # one copy more is allowed
+        oracle = spin_core._gap_above_ground(
+            ts.dense_spectrum(ts.SpinChainSpec(n - 3, "open", spec.terms))
+        )
+        assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
