@@ -1,5 +1,6 @@
-"""Connected two-point and arbitrary n-point correlators on exact ground
-states, plus the census of non-vanishing random operator strings.
+"""Connected two-point correlators on exact ground states, plus the census
+of non-vanishing random operator strings; a plain n-point expectation is
+:func:`trispin.spin_core.expectation`.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ def two_point_connected(
     one_i = expectation(state, PauliString(1.0, ((i, op_a),)))
     one_j = expectation(state, PauliString(1.0, ((j, op_b),)))
     return joint - one_i * one_j
-
-
-def n_point(state: StateVector, op: PauliString) -> float:
-    """Plain (non-connected) expectation <P>."""
-    return expectation(state, op)
 
 
 def _window_string(ops_row, sites) -> PauliString:

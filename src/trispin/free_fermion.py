@@ -5,8 +5,6 @@ correlators, and decay-length extraction from correlation series.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -140,23 +138,6 @@ class CorrelationSeries:
             raise ValueError("lengths and values must have equal size")
         if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
             raise ValueError("lengths must be strictly increasing")
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["L", "value"])
-        for sep, val in zip(self.lengths, self.values):
-            writer.writerow([sep, f"{val:.12g}"])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, kind: str = "generic") -> "CorrelationSeries":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or [c.strip() for c in rows[0]] != ["L", "value"]:
-            raise ValueError("expected CSV header 'L,value'")
-        lengths = [int(r[0]) for r in rows[1:] if r]
-        values = [float(r[1]) for r in rows[1:] if r]
-        return cls(lengths, values, kind)
 
 
 @dataclass

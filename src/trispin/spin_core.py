@@ -14,20 +14,25 @@ Conventions shared by every module in this package:
   into the joint eigenspaces ("sectors") of the products of Z over the
   conserved sublattice masks; :func:`dense_spectrum` alone splits each
   sector further into lattice-momentum blocks.
+* Sectors of at most :data:`DENSE_BLOCK_DIM` rows are solved by dense
+  ``eigh``.  Larger ones have one iterative eigensolver, a three-term
+  Lanczos (``_lanczos``): :func:`ground_state`, :func:`spectral_gap` and
+  :func:`lowest_eigenvalues` each start from one energy-only pass per
+  sector, and each level after a sector's lowest comes from a solve
+  deflated against the vectors of the levels below it.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .bose_hubbard import EffectiveCouplings
@@ -56,7 +61,9 @@ LANCZOS_CHECK_EVERY = 8
 #: in-sector tie check; far above ``DEGENERACY_TOL``.
 TIE_SHIFT = 1.0
 #: Cap on the ground-manifold copies, over all sectors, that ``spectral_gap``
-#: finds before it gives up; also the levels it solves in each dense sector.
+#: deflates before it gives up; also the levels it solves in each dense
+#: sector.  ``lowest_eigenvalues`` has no such cap: it deflates every level
+#: it lists but the last of each sector.
 GAP_LEVELS = 8
 
 
@@ -172,26 +179,6 @@ class SpinChainSpec:
         if self._operator is None:
             self._operator = _build_operator(self)
         return self._operator
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n_sites,
-            "boundary": self.boundary,
-            "terms": [
-                {"coeff": t.coeff, "factors": [[s, op] for s, op in t.factors]}
-                for t in self.terms
-            ],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpinChainSpec":
-        payload = json.loads(text)
-        terms = [
-            PauliString(item["coeff"], tuple((s, op) for s, op in item["factors"]))
-            for item in payload["terms"]
-        ]
-        return cls(payload["n"], payload["boundary"], terms)
 
 
 # --- the blocked operator ---------------------------------------------------
@@ -410,42 +397,18 @@ def dense_matrix(spec: SpinChainSpec) -> np.ndarray:
 
 
 def _solve_block(
-    block: csr_matrix | np.ndarray, k: int, *, vectors: bool, seed: int = 7
+    block: csr_matrix | np.ndarray, k: int, *, vectors: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The k lowest eigenpairs of one sector (CSR) or momentum (dense) block,
-    ascending.
-
-    Dense (symmetrized) when the block has at most ``DENSE_BLOCK_DIM`` rows or
-    nearly all levels are wanted; restarted Lanczos otherwise, followed by a
-    residual check on every returned pair.  Eigenvectors are the columns of
-    the second result, which is None for a dense solve without ``vectors``.
+    ascending, by dense ``eigh`` of the symmetrized block.  Eigenvectors are
+    the columns of the second result, which is None without ``vectors``.
     """
-    dim = block.shape[0]
-    k = min(k, dim)
-    if dim <= DENSE_BLOCK_DIM or k >= dim - 1:
-        h = block.toarray() if issparse(block) else block
-        h = (h + h.conj().T) / 2.0
-        if not vectors:
-            return eigh(h, eigvals_only=True, subset_by_index=(0, k - 1)), None
-        return eigh(h, subset_by_index=(0, k - 1))
-    v0 = np.random.default_rng(seed).standard_normal(dim)
-    v0 /= np.linalg.norm(v0)
-    try:
-        vals, vecs = eigsh(
-            block, k=k, which="SA", v0=v0.astype(block.dtype), tol=0.0,
-            ncv=min(dim - 1, max(4 * k + 1, 40)), maxiter=20000,
-        )
-    except ArpackNoConvergence as exc:
-        best = float(np.min(exc.eigenvalues)) if len(exc.eigenvalues) else None
-        raise ConvergenceError(
-            f"Lanczos did not converge on a sector of dimension {dim}, k={k}",
-            best_energy=best,
-        ) from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    vecs /= np.linalg.norm(vecs, axis=0)
-    _check_residual(block, vals, vecs)
-    return vals, vecs
+    k = min(k, block.shape[0])
+    h = block.toarray() if issparse(block) else block
+    h = (h + h.conj().T) / 2.0
+    if not vectors:
+        return eigh(h, eigvals_only=True, subset_by_index=(0, k - 1)), None
+    return eigh(h, subset_by_index=(0, k - 1))
 
 
 def _check_residual(block: csr_matrix, vals: np.ndarray, vecs: np.ndarray) -> None:
@@ -656,21 +619,27 @@ def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
 
 
 def lowest_eigenvalues(spec: SpinChainSpec, k: int = 2, seed: int = 7) -> np.ndarray:
-    """The k lowest levels of each sector, merged, the k smallest returned.
+    """The k lowest levels over all Z-parity sectors, ascending, every
+    degenerate copy included.
 
-    Its one caller is ``trispin spectrum`` above n = 12, the only path left
-    on ARPACK.  Only dense solves are exact: sectors of at most
-    ``DENSE_BLOCK_DIM`` rows, or with nearly all their levels wanted.  Other
-    sectors go through ``eigsh`` (restarted Lanczos), which can miss an
-    exactly degenerate copy of a level; the result then skips that copy and
-    lists a higher level in its place.
+    Sectors of at most ``DENSE_BLOCK_DIM`` rows give their k lowest levels by
+    dense ``eigh``.  Each larger sector, taken in ascending order of its
+    lowest level, gives its levels one at a time from the deflation loop of
+    :func:`spectral_gap` (``_lanczos_levels``).  It stops after k levels, or
+    once its latest level lies at or above the k-th lowest level found so
+    far over all sectors, since its later levels lie higher still.
     """
     _check_iterative_cap(spec.n_sites)
-    vals = [
-        _solve_block(sector.block, k, vectors=False, seed=seed)[0]
-        for sector in spec.operator().sectors
-    ]
-    return np.sort(np.concatenate(vals))[:k]
+    sectors = spec.operator().sectors
+    lows, dense, lanczos = _lowest_levels(sectors, seed, k, vectors=False)
+    found = [float(v) for vals, _ in dense.values() for v in vals]
+    for i in sorted(lanczos, key=lows.__getitem__):
+        levels = _lanczos_levels(spec, i, lanczos[i], seed)
+        for level in islice(levels, min(k, sectors[i].basis.size)):
+            found.append(level)
+            if len(found) >= k and level >= sorted(found)[k - 1]:
+                break
+    return np.sort(found)[:k]
 
 
 def _lowest_levels(sectors, seed: int, k: int, vectors: bool):
@@ -689,6 +658,33 @@ def _lowest_levels(sectors, seed: int, k: int, vectors: bool):
         dense[i][0][0] if i in dense else lanczos[i][0] for i in range(len(sectors))
     ])
     return lows, dense, lanczos
+
+
+def _lanczos_levels(spec: SpinChainSpec, i: int, first, seed: int):
+    """Yield the levels of Lanczos sector i in ascending order, every
+    degenerate copy included, from ``first = (theta, ritz_vector)``, the
+    sector's energy-only pass from ``_lowest_levels``.
+
+    Before it moves past a level, the level's vector is replayed and
+    residual-checked, and the next level is the lowest of H + c Psi Psi^H
+    from the start vector of ``seed + len(Psi)``, Psi the vectors found so
+    far.  The shift c = 2 sum_t |coeff_t| + 1 exceeds the spectral width, so
+    the deflated minimum is the next level and never a found level plus c.
+    It never stops by itself, and only its first dim(sector) levels are
+    levels of H; the caller stops it.
+    """
+    block = spec.operator().sectors[i].block
+    shift = 2.0 * sum(abs(t.coeff) for t in spec.terms) + 1.0
+    theta, ritz_vector = first
+    found = []
+    while True:
+        yield theta
+        psi = ritz_vector()
+        _check_residual(block, np.array([theta]), psi[:, None])
+        found.append(psi)
+        theta, ritz_vector = _lanczos(
+            block, seed + len(found), deflate=np.stack(found, axis=1), shift=shift
+        )
 
 
 def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector]:
@@ -758,14 +754,10 @@ def spectral_gap(spec: SpinChainSpec, seed: int = 7) -> float:
 
     Method: every sector's lowest level as in :func:`ground_state` (dense up
     to ``DENSE_BLOCK_DIM`` rows, with its ``GAP_LEVELS`` lowest levels; else
-    one energy-only ``_lanczos`` pass), and E0 the lowest of them.  In each
-    Lanczos sector whose lowest level lies within ``DEGENERACY_TOL`` of E0,
-    that level's vector is replayed and residual-checked, and the next level
-    is the lowest of H + c Psi Psi^H from the next seed, Psi the vectors found
-    so far; this repeats until the level lies above E0 + ``DEGENERACY_TOL``.
-    The shift c = 2 sum_t |coeff_t| + 1 exceeds the spectral width, so the
-    deflated minimum is the next level and never E0 + c.  The gap is the
-    lowest level above the manifold over all sectors, minus E0.
+    one energy-only ``_lanczos`` pass), and E0 the lowest of them.  Each
+    Lanczos sector gives its levels in turn from the deflation loop
+    ``_lanczos_levels`` until one lies above E0 + ``DEGENERACY_TOL``.  The
+    gap is the lowest level above the manifold over all sectors, minus E0.
 
     Raises :class:`ConvergenceError` when the ground manifold has
     ``GAP_LEVELS`` or more copies over all sectors, or no level above it.
@@ -774,23 +766,19 @@ def spectral_gap(spec: SpinChainSpec, seed: int = 7) -> float:
     sectors = spec.operator().sectors
     lows, dense, lanczos = _lowest_levels(sectors, seed, GAP_LEVELS, vectors=False)
     e0 = float(lows.min())
-    shift = 2.0 * sum(abs(t.coeff) for t in spec.terms) + 1.0
     copies, above = 0, []
     for vals, _ in dense.values():
         manifold = int(np.count_nonzero(vals - e0 < DEGENERACY_TOL))
         copies += manifold
         above.extend(vals[manifold:manifold + 1])
-    for i, (theta, ritz_vector) in lanczos.items():
-        block, found = sectors[i].block, []
-        while theta - e0 < DEGENERACY_TOL and copies < GAP_LEVELS:
-            psi = ritz_vector()
-            _check_residual(block, np.array([theta]), psi[:, None])
-            found.append(psi)
+    for i, first in lanczos.items():
+        for level in _lanczos_levels(spec, i, first, seed):
+            if level - e0 >= DEGENERACY_TOL:
+                above.append(level)
+                break
             copies += 1
-            theta, ritz_vector = _lanczos(
-                block, seed + len(found), deflate=np.stack(found, axis=1), shift=shift
-            )
-        above.append(theta)
+            if copies >= GAP_LEVELS:
+                break
     if copies >= GAP_LEVELS or not above:
         raise ConvergenceError(
             f"no level found above a ground manifold of {copies} copies "

@@ -153,7 +153,7 @@ def test_criterion_09_three_point_selectivity():
         if combo == (0, 0, 0):
             continue
         factors = tuple((site + 2, ops[c]) for site, c in enumerate(combo) if c != 0)
-        val = ts.n_point(gs, ts.PauliString(1.0, factors))
+        val = ts.expectation(gs, ts.PauliString(1.0, factors))
         if combo == (1, 3, 1):
             ok = ok and abs(val - 1.0) < 1e-10
         else:

@@ -77,9 +77,10 @@ class TestSpectrum:
         code, out = run(tmp_path, "spectrum", "--n", "13", "--b", "0.5")
         assert code == 0
         payload = json.loads((out / "spectrum.json").read_text())
-        expected = ts.spectral_gap(ts.cluster_hamiltonian(13, 0.5))
+        levels = ts.dense_spectrum(ts.cluster_hamiltonian(13, 0.5))
         assert payload["dense"] is False
-        assert payload["gap"] == pytest.approx(expected, abs=1e-9)
+        assert payload["gap"] == pytest.approx(spin_core._gap_above_ground(levels), abs=1e-9)
+        assert np.max(np.abs(np.array(payload["energies"]) - levels[:16])) < 1e-10
 
     def test_triangle_matches_kronecker_oracle(self, tmp_path):
         # bx, by != 0: one complex sector, translation step 1

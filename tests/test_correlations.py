@@ -77,7 +77,7 @@ class TestTwoPoint:
             gs = cluster_ground(8, b)
             for i in (0, 3):
                 for axis in ("X", "Y"):
-                    val = ts.n_point(gs, ts.PauliString(1.0, ((i, axis),)))
+                    val = ts.expectation(gs, ts.PauliString(1.0, ((i, axis),)))
                     assert abs(val) < 1e-9
 
 
@@ -89,7 +89,7 @@ class TestNPoint:
             if combo == (0, 0, 0):
                 continue
             factors = tuple((site + 1, ops[c]) for site, c in enumerate(combo) if c != 0)
-            val = ts.n_point(gs, ts.PauliString(1.0, factors))
+            val = ts.expectation(gs, ts.PauliString(1.0, factors))
             if combo == (1, 3, 1):  # X Z X
                 assert abs(val - 1.0) < 1e-10
             else:
@@ -97,7 +97,7 @@ class TestNPoint:
 
     def test_finite_field_zz_nonzero(self, cluster_ground):
         gs = cluster_ground(10, 0.5)
-        val = ts.n_point(gs, ts.PauliString(1.0, ((1, "Z"), (2, "Z"))))
+        val = ts.expectation(gs, ts.PauliString(1.0, ((1, "Z"), (2, "Z"))))
         assert abs(val) > 1e-3
 
 

@@ -114,14 +114,6 @@ class TestCorrelationLength:
 
 
 class TestSerialization:
-    def test_series_csv_round_trip(self):
-        series = CorrelationSeries([2, 4, 6], [0.5, 0.125, 0.03125], "zz_ed")
-        text = series.to_csv()
-        assert text.splitlines()[0] == "L,value"
-        again = CorrelationSeries.from_csv(text, "zz_ed")
-        assert again.lengths == series.lengths
-        assert np.allclose(again.values, series.values)
-
     def test_length_estimate_json(self):
         est = correlation_length(synthetic_series(lambda L: L**-2.0, range(1, 21)))
         payload = json.loads(est.to_json())

@@ -1,5 +1,4 @@
 import functools
-import json
 
 import numpy as np
 import pytest
@@ -124,14 +123,6 @@ class TestBuilders:
         spec = ts.triangle_chain_hamiltonian(coup, (0.0, 0.0, 0.0), 6)
         vals = ts.dense_spectrum(spec)
         assert np.allclose(vals, -vals[::-1], atol=1e-9)
-
-    def test_json_round_trip(self):
-        spec = ts.cluster_hamiltonian(5, 0.3)
-        again = ts.SpinChainSpec.from_json(spec.to_json())
-        assert again.n_sites == 5
-        assert again.boundary == "periodic"
-        assert again.terms == spec.terms
-        assert json.loads(spec.to_json())["boundary"] == "periodic"
 
 
 class TestApply:
@@ -431,17 +422,11 @@ class TestDegenerateGroundState:
 
 class TestResidualCheck:
     def test_perturbed_eigenvector_raises(self, monkeypatch):
-        # lowest_eigenvalues goes through eigsh; ground_state and spectral_gap
-        # through _lanczos
+        # every iterative solver sums its vectors in _lanczos's replay
         spec = ts.cluster_hamiltonian(12, 0.5)
         exact, _ = ts.ground_state(spec)
-        real_eigsh = spin_core.eigsh
         real_lanczos = spin_core._lanczos
         rng = np.random.default_rng(0)
-
-        def perturbed_eigsh(*args, **kwargs):
-            vals, vecs = real_eigsh(*args, **kwargs)
-            return vals, vecs + 1e-4 * rng.standard_normal(vecs.shape)
 
         def perturbed_lanczos(*args, **kwargs):
             energy, ritz_vector = real_lanczos(*args, **kwargs)
@@ -452,12 +437,17 @@ class TestResidualCheck:
 
             return energy, perturbed_vector
 
-        monkeypatch.setattr(spin_core, "eigsh", perturbed_eigsh)
         monkeypatch.setattr(spin_core, "_lanczos", perturbed_lanczos)
         for solve in (ts.lowest_eigenvalues, ts.ground_state, ts.spectral_gap):
             with pytest.raises(ConvergenceError) as info:
                 solve(ts.cluster_hamiltonian(12, 0.5))
             assert abs(info.value.best_energy - exact) < 1e-9
+
+
+@functools.cache
+def ring_spectrum(n, b):
+    """dense_spectrum of the cluster ring, shared by the tests that need it."""
+    return ts.dense_spectrum(ts.cluster_hamiltonian(n, b))
 
 
 @functools.cache
@@ -602,14 +592,6 @@ class TestLanczosGap:
         oracle = spin_core._gap_above_ground(ts.dense_spectrum(oracle_spec or spec))
         assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
 
-    @pytest.mark.parametrize("n", [12, 13, 14])
-    def test_no_arpack(self, n, monkeypatch):
-        def no_eigsh(*args, **kwargs):
-            raise AssertionError("spectral_gap called eigsh")
-
-        monkeypatch.setattr(spin_core, "eigsh", no_eigsh)
-        assert ts.spectral_gap(ts.cluster_hamiltonian(n, 1.0)) > 0.1
-
     def test_zero_mode_ring_matches_arpack(self):
         # n = 14 at B = 1: the ground manifold spans two sectors
         spec = ts.cluster_hamiltonian(14, 1.0)
@@ -617,10 +599,8 @@ class TestLanczosGap:
             spec.operator().sectors, 7, spin_core.GAP_LEVELS, vectors=False
         )
         assert np.count_nonzero(lows - lows.min() < spin_core.DEGENERACY_TOL) == 2
-        arpack = spin_core._gap_above_ground(
-            ts.lowest_eigenvalues(spec, k=spin_core.GAP_LEVELS)
-        )
-        assert abs(ts.spectral_gap(spec) - arpack) < 1e-10
+        oracle = spin_core._gap_above_ground(ring_spectrum(14, 1.0))
+        assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
 
     @pytest.mark.parametrize("n", [9, 10])  # one sector: dense at n=9, Lanczos at n=10
     def test_manifold_at_the_cap_raises(self, n, monkeypatch):
@@ -633,3 +613,29 @@ class TestLanczosGap:
             ts.dense_spectrum(ts.SpinChainSpec(n - 3, "open", spec.terms))
         )
         assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
+
+
+class TestLowestEigenvalues:
+    """lowest_eigenvalues: dense sectors plus the gap's deflation loop."""
+
+    @pytest.mark.parametrize("n, free, k", [(12, 1, 2), (12, 2, 4), (13, 1, 2)])
+    def test_lists_every_copy_of_a_degenerate_level(self, n, free, k):
+        spec = free_site_chain(n, free)
+        assert all(s.basis.size > spin_core.DENSE_BLOCK_DIM for s in spec.operator().sectors)
+        # the chain without its free sites has the same levels, each 2^free
+        # times fewer; written in the X basis (ZZ -> XX, X -> Z), it conserves
+        # the Z-parity of all sites, which halves each dense solve
+        swap = {"X": "Z", "Z": "X"}
+        terms = [ts.PauliString(t.coeff, tuple((s, swap[op]) for s, op in t.factors))
+                 for t in spec.terms]
+        levels = ts.dense_spectrum(ts.SpinChainSpec(n - free, "open", terms))
+        oracle = np.repeat(levels, 1 << free)[:k]
+        assert oracle[-1] == oracle[0]  # the k lowest are copies of one level
+        assert np.max(np.abs(ts.lowest_eigenvalues(spec, k) - oracle)) < 1e-10
+
+    @pytest.mark.parametrize("n, b", [(13, 0.5), (13, 1.0), (14, 0.5), (14, 1.0)])
+    def test_cluster_rings_match_dense_spectrum(self, n, b):
+        spec = ts.cluster_hamiltonian(n, b)
+        assert all(s.basis.size > spin_core.DENSE_BLOCK_DIM for s in spec.operator().sectors)
+        oracle = ring_spectrum(n, b)[:16]
+        assert np.max(np.abs(ts.lowest_eigenvalues(spec, 16) - oracle)) < 1e-10
