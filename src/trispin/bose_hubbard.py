@@ -52,17 +52,6 @@ class BoseHubbardParams:
         """Parameters with the two species exchanged."""
         return BoseHubbardParams(self.j_b, self.j_a, self.u_bb, self.u_aa, self.u_ab)
 
-    @classmethod
-    def from_json(cls, text: str) -> "BoseHubbardParams":
-        d = json.loads(text)
-        return cls(d["j_a"], d["j_b"], d["u_aa"], d["u_bb"], d["u_ab"])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"j_a": self.j_a, "j_b": self.j_b, "u_aa": self.u_aa,
-             "u_bb": self.u_bb, "u_ab": self.u_ab}
-        )
-
 
 @dataclass(frozen=True)
 class EffectiveCouplings:

@@ -21,6 +21,7 @@ from . import __version__
 from .bose_hubbard import BoseHubbardParams, effective_couplings, validate_perturbation
 from .correlations import two_point_connected
 from .free_fermion import (
+    MIN_POINTS,
     NOISE_FLOOR,
     CorrelationSeries,
     QuadratureError,
@@ -145,6 +146,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _figure2_ring(text: str) -> int:
+    """``figure2 --n``: the separations 2..n//2 must give the length fit its
+    ``MIN_POINTS`` points, so n >= 2 (MIN_POINTS + 1)."""
+    value = int(text)
+    smallest = 2 * (MIN_POINTS + 1)
+    if value < smallest:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {smallest}, so that separations 2..n//2 give the "
+            f"length fit its {MIN_POINTS} points; got {value}"
+        )
+    return value
+
+
 def _add_bh_flags(p) -> None:
     p.add_argument("--j", type=float, default=None, help="tunneling for both species")
     p.add_argument("--ja", type=float, default=None)
@@ -194,7 +208,7 @@ def _cmd_spectrum(args) -> int:
     if args.n <= 12:
         energies = dense_spectrum(spec)
     else:
-        energies = lowest_eigenvalues(spec, k=min(16, (1 << args.n) - 2), seed=args.seed)
+        energies = lowest_eigenvalues(spec, k=16, seed=args.seed)
     e0 = float(energies[0])
     gap = _gap_above_ground(energies)
     out = _run_dir(args, "spectrum")
@@ -417,8 +431,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("figure2", help="correlation vs entanglement length over a field grid")
     p.add_argument("--b-grid", default="0:2:0.1", help="start:stop:step")
-    p.add_argument("--n", type=int, default=13,
-                   help="ring for the entanglement channel (odd recommended)")
+    p.add_argument("--n", type=_figure2_ring, default=13,
+                   help="ring for the entanglement channel (odd recommended, at "
+                   f"least {2 * (MIN_POINTS + 1)})")
     p.add_argument("--large", action="store_true", help="use the large ring (n=17)")
     p.add_argument("--no-anneal", action="store_true",
                    help="scheme ensemble only (skip basis annealing)")

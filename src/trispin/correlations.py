@@ -5,7 +5,6 @@ of non-vanishing random operator strings; a plain n-point expectation is
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +28,6 @@ class SurveyReport:
     nonvanishing: int
     fraction: float
     threshold: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_sites_window": self.n_sites_window,
-                "b_field": self.b_field,
-                "mode": self.mode,
-                "total": self.total,
-                "nonvanishing": self.nonvanishing,
-                "fraction": self.fraction,
-                "threshold": self.threshold,
-            }
-        )
 
 
 def two_point_connected(

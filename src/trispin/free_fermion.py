@@ -5,7 +5,6 @@ correlators, and decay-length extraction from correlation series.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -157,17 +156,6 @@ class LengthEstimate:
     @property
     def diverges(self) -> bool:
         return math.isinf(self.xi)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "xi": None if self.diverges else self.xi,
-                "model": self.model,
-                "residual": self.fit_residual,
-                "window": list(self.window),
-                "diverges": self.diverges,
-            }
-        )
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

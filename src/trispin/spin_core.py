@@ -14,12 +14,13 @@ Conventions shared by every module in this package:
   into the joint eigenspaces ("sectors") of the products of Z over the
   conserved sublattice masks; :func:`dense_spectrum` alone splits each
   sector further into lattice-momentum blocks.
-* Sectors of at most :data:`DENSE_BLOCK_DIM` rows are solved by dense
-  ``eigh``.  Larger ones have one iterative eigensolver, a three-term
+* Every sector, whatever its size, has one eigensolver, a three-term
   Lanczos (``_lanczos``): :func:`ground_state`, :func:`spectral_gap` and
   :func:`lowest_eigenvalues` each start from one energy-only pass per
-  sector, and each level after a sector's lowest comes from a solve
-  deflated against the vectors of the levels below it.
+  sector, every eigenpair they use is residual-checked, and each level
+  after a sector's lowest comes from a solve deflated against the vectors
+  of the levels below it.  Dense ``eigh`` serves only
+  :func:`dense_spectrum`, the independent oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
-from scipy.sparse import csr_matrix, issparse
+from scipy.sparse import csr_matrix
 from scipy.sparse._sparsetools import csr_matvec
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -43,8 +44,6 @@ PAULI_OPS = ("X", "Y", "Z")
 DENSE_SITE_CAP = 14
 #: Largest chain for which the iterative ground-state solver is permitted.
 GROUND_SITE_CAP = 20
-#: Largest sector block solved densely; larger blocks go to Lanczos.
-DENSE_BLOCK_DIM = 512
 #: Levels closer than this count as one degenerate level.
 DEGENERACY_TOL = 1e-8
 #: Bound on the residual |H psi - E psi| of an iterative eigenpair, in units
@@ -57,13 +56,9 @@ GROUND_TOL = 1e-10
 #: and steps between its Ritz checks.
 LANCZOS_STEP_CAP = 4000
 LANCZOS_CHECK_EVERY = 8
-#: Shift c of the deflated operator H + c psi psi^H in ``ground_state``'s
-#: in-sector tie check; far above ``DEGENERACY_TOL``.
-TIE_SHIFT = 1.0
 #: Cap on the ground-manifold copies, over all sectors, that ``spectral_gap``
-#: deflates before it gives up; also the levels it solves in each dense
-#: sector.  ``lowest_eigenvalues`` has no such cap: it deflates every level
-#: it lists but the last of each sector.
+#: deflates before it gives up.  ``lowest_eigenvalues`` has no such cap: it
+#: deflates every level it lists but the last of each sector.
 GAP_LEVELS = 8
 
 
@@ -396,19 +391,10 @@ def dense_matrix(spec: SpinChainSpec) -> np.ndarray:
     return h
 
 
-def _solve_block(
-    block: csr_matrix | np.ndarray, k: int, *, vectors: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The k lowest eigenpairs of one sector (CSR) or momentum (dense) block,
-    ascending, by dense ``eigh`` of the symmetrized block.  Eigenvectors are
-    the columns of the second result, which is None without ``vectors``.
-    """
-    k = min(k, block.shape[0])
-    h = block.toarray() if issparse(block) else block
-    h = (h + h.conj().T) / 2.0
-    if not vectors:
-        return eigh(h, eigvals_only=True, subset_by_index=(0, k - 1)), None
-    return eigh(h, subset_by_index=(0, k - 1))
+def _solve_block(block: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of one dense momentum block, ascending, by ``eigh``
+    of the symmetrized block."""
+    return eigh((block + block.conj().T) / 2.0, eigvals_only=True)
 
 
 def _check_residual(block: csr_matrix, vals: np.ndarray, vecs: np.ndarray) -> None:
@@ -429,11 +415,12 @@ def _lanczos(
     block: csr_matrix,
     seed: int,
     deflate: np.ndarray | None = None,
-    shift: float = TIE_SHIFT,
+    shift: float | None = None,
 ):
     """Lowest eigenvalue of ``block``, or of ``block + shift Psi Psi^H`` for
-    ``deflate=Psi``, a normalized vector or a matrix of orthonormal columns,
-    by plain three-term Lanczos from the start vector drawn from ``seed``.
+    ``deflate=Psi``, a normalized vector or a matrix of orthonormal columns
+    (``shift`` is then required; see ``_deflation_shift``), by plain
+    three-term Lanczos from the start vector drawn from ``seed``.
 
     Returns ``(theta, ritz_vector)``.  Only three Krylov vectors are kept and
     none is reorthogonalized: lost orthogonality adds spurious copies of
@@ -612,7 +599,7 @@ def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
     _check_dense_cap(spec.n_sites)
     d = _translation_step(spec)
     return np.sort(np.concatenate([
-        _solve_block(block, block.shape[0], vectors=False)[0]
+        _solve_block(block)
         for sector in spec.operator().sectors
         for _, block in _momentum_blocks(sector, spec.n_sites, d)
     ]))
@@ -622,19 +609,18 @@ def lowest_eigenvalues(spec: SpinChainSpec, k: int = 2, seed: int = 7) -> np.nda
     """The k lowest levels over all Z-parity sectors, ascending, every
     degenerate copy included.
 
-    Sectors of at most ``DENSE_BLOCK_DIM`` rows give their k lowest levels by
-    dense ``eigh``.  Each larger sector, taken in ascending order of its
-    lowest level, gives its levels one at a time from the deflation loop of
-    :func:`spectral_gap` (``_lanczos_levels``).  It stops after k levels, or
-    once its latest level lies at or above the k-th lowest level found so
-    far over all sectors, since its later levels lie higher still.
+    Each sector, taken in ascending order of its lowest level, gives its
+    levels one at a time from the deflation loop of :func:`spectral_gap`
+    (``_lanczos_levels``).  It stops after min(k, dim) levels, or once its
+    latest level lies at or above the k-th lowest level found so far over
+    all sectors, since its later levels lie higher still.
     """
     _check_iterative_cap(spec.n_sites)
     sectors = spec.operator().sectors
-    lows, dense, lanczos = _lowest_levels(sectors, seed, k, vectors=False)
-    found = [float(v) for vals, _ in dense.values() for v in vals]
-    for i in sorted(lanczos, key=lows.__getitem__):
-        levels = _lanczos_levels(spec, i, lanczos[i], seed)
+    firsts = [_lanczos(sector.block, seed) for sector in sectors]
+    found: list[float] = []
+    for i in sorted(range(len(sectors)), key=lambda i: firsts[i][0]):
+        levels = _lanczos_levels(spec, i, firsts[i], seed)
         for level in islice(levels, min(k, sectors[i].basis.size)):
             found.append(level)
             if len(found) >= k and level >= sorted(found)[k - 1]:
@@ -642,39 +628,28 @@ def lowest_eigenvalues(spec: SpinChainSpec, k: int = 2, seed: int = 7) -> np.nda
     return np.sort(found)[:k]
 
 
-def _lowest_levels(sectors, seed: int, k: int, vectors: bool):
-    """Each sector's lowest level: dense ``_solve_block`` (the k lowest
-    levels) up to ``DENSE_BLOCK_DIM`` rows, else one energy-only ``_lanczos``
-    pass.  Returns ``(lows, dense, lanczos)``: the lowest levels in sector
-    order, and by sector index the dense ``(vals, vecs)`` and the Lanczos
-    ``(theta, ritz_vector)``."""
-    dense, lanczos = {}, {}
-    for i, sector in enumerate(sectors):
-        if sector.basis.size <= DENSE_BLOCK_DIM:
-            dense[i] = _solve_block(sector.block, k, vectors=vectors)
-        else:
-            lanczos[i] = _lanczos(sector.block, seed)
-    lows = np.array([
-        dense[i][0][0] if i in dense else lanczos[i][0] for i in range(len(sectors))
-    ])
-    return lows, dense, lanczos
+def _deflation_shift(spec: SpinChainSpec) -> float:
+    """Shift c of every deflated solve H + c Psi Psi^H: c = 2 sum_t |coeff_t|
+    + 1 exceeds the spectral width, so the deflated minimum is the next level
+    of H and never a found level plus c.  Once Psi spans a whole sector the
+    minimum is at least E_min + c, above every level of H."""
+    return 2.0 * sum(abs(t.coeff) for t in spec.terms) + 1.0
 
 
 def _lanczos_levels(spec: SpinChainSpec, i: int, first, seed: int):
-    """Yield the levels of Lanczos sector i in ascending order, every
-    degenerate copy included, from ``first = (theta, ritz_vector)``, the
-    sector's energy-only pass from ``_lowest_levels``.
+    """Yield the levels of sector i in ascending order, every degenerate
+    copy included, from ``first = (theta, ritz_vector)``, the sector's
+    energy-only ``_lanczos`` pass.
 
     Before it moves past a level, the level's vector is replayed and
     residual-checked, and the next level is the lowest of H + c Psi Psi^H
-    from the start vector of ``seed + len(Psi)``, Psi the vectors found so
-    far.  The shift c = 2 sum_t |coeff_t| + 1 exceeds the spectral width, so
-    the deflated minimum is the next level and never a found level plus c.
-    It never stops by itself, and only its first dim(sector) levels are
-    levels of H; the caller stops it.
+    (c from ``_deflation_shift``) from the start vector of
+    ``seed + len(Psi)``, Psi the vectors found so far.  It never stops by
+    itself, and only its first dim(sector) levels are levels of H; the
+    caller stops it.
     """
     block = spec.operator().sectors[i].block
-    shift = 2.0 * sum(abs(t.coeff) for t in spec.terms) + 1.0
+    shift = _deflation_shift(spec)
     theta, ritz_vector = first
     found = []
     while True:
@@ -690,10 +665,9 @@ def _lanczos_levels(spec: SpinChainSpec, i: int, first, seed: int):
 def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector]:
     """Lowest eigenpair over all Z-parity sectors.
 
-    Sectors of at most ``DENSE_BLOCK_DIM`` rows are solved dense.  Larger
-    sectors get one energy-only Lanczos pass each (``_lanczos``); the ground
-    vector is then summed on a second, replaying pass in the chosen sector
-    only and residual-checked.
+    Every sector gets one energy-only Lanczos pass (``_lanczos``); the
+    ground vector is then summed on a second, replaying pass in the chosen
+    sector only and residual-checked.
 
     Degeneracy rule: when the lowest levels of two or more sectors agree
     within ``DEGENERACY_TOL``, the ground state of the first tied sector in
@@ -702,26 +676,23 @@ def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector
     returned at a cross-sector degeneracy therefore does not depend on
     ``seed``.  A tie between the two lowest levels inside the returned
     sector warns the same way; any normalized minimizer is then returned.
-    That in-sector check is reliable on both paths: a dense sector compares
-    its two lowest levels, and a Lanczos sector solves H + ``TIE_SHIFT``
-    psi psi^H from a second start vector, whose lowest level is
-    min(E1, E0 + ``TIE_SHIFT``), so it lies within ``DEGENERACY_TOL`` of E0
-    exactly when the ground level has a second copy.
+    That in-sector check solves H + c psi psi^H from a second start vector
+    with the shift c of ``_deflation_shift``: its lowest level is the
+    sector's second level E1 (E0 + c, above every level, in a one-row
+    sector), so it lies within ``DEGENERACY_TOL`` of E0 exactly when the
+    ground level has a second copy.
     """
     n = spec.n_sites
     _check_iterative_cap(n)
     sectors = spec.operator().sectors
-    lows, dense, lanczos = _lowest_levels(sectors, seed, 2, vectors=True)
+    firsts = [_lanczos(sector.block, seed) for sector in sectors]
+    lows = np.array([theta for theta, _ in firsts])
     tied = np.flatnonzero(lows - lows.min() < DEGENERACY_TOL)
     first = int(tied[0])
     block = sectors[first].block
-    if first in dense:
-        vals, vecs = dense[first]
-        energy, psi = float(vals[0]), vecs[:, 0]
-    else:
-        energy, ritz_vector = lanczos[first]
-        psi = ritz_vector()
-        _check_residual(block, np.array([energy]), psi[:, None])
+    energy, ritz_vector = firsts[first]
+    psi = ritz_vector()
+    _check_residual(block, np.array([energy]), psi[:, None])
     if tied.size > 1:
         names = ", ".join(sectors[i].label for i in tied)
         warnings.warn(
@@ -730,10 +701,7 @@ def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector
             DegenerateGroundStateWarning,
         )
     else:
-        if first in dense:
-            second = vals[1] if vals.size > 1 else np.inf
-        else:
-            second = _lanczos(block, seed + 1, deflate=psi)[0]
+        second, _ = _lanczos(block, seed + 1, deflate=psi, shift=_deflation_shift(spec))
         if second - energy < DEGENERACY_TOL:
             warnings.warn(
                 f"ground level degenerate within {DEGENERACY_TOL:g} inside Z-parity "
@@ -752,26 +720,23 @@ def spectral_gap(spec: SpinChainSpec, seed: int = 7) -> float:
     literal E1 - E0 vanishes there; the gap above the ground manifold is the
     quantity that closes smoothly with 1/n and is what this returns.
 
-    Method: every sector's lowest level as in :func:`ground_state` (dense up
-    to ``DENSE_BLOCK_DIM`` rows, with its ``GAP_LEVELS`` lowest levels; else
-    one energy-only ``_lanczos`` pass), and E0 the lowest of them.  Each
-    Lanczos sector gives its levels in turn from the deflation loop
+    Method: every sector's lowest level from one energy-only ``_lanczos``
+    pass, as in :func:`ground_state`, and E0 the lowest of them.  Each
+    sector gives its levels in turn from the deflation loop
     ``_lanczos_levels`` until one lies above E0 + ``DEGENERACY_TOL``.  The
     gap is the lowest level above the manifold over all sectors, minus E0.
+    A sector whose levels all lie in the manifold next yields a value of at
+    least E0 + c, above every level of H, so it never sets the gap.
 
     Raises :class:`ConvergenceError` when the ground manifold has
-    ``GAP_LEVELS`` or more copies over all sectors, or no level above it.
+    ``GAP_LEVELS`` or more copies over all sectors.
     """
     _check_iterative_cap(spec.n_sites)
     sectors = spec.operator().sectors
-    lows, dense, lanczos = _lowest_levels(sectors, seed, GAP_LEVELS, vectors=False)
-    e0 = float(lows.min())
+    firsts = [_lanczos(sector.block, seed) for sector in sectors]
+    e0 = min(theta for theta, _ in firsts)
     copies, above = 0, []
-    for vals, _ in dense.values():
-        manifold = int(np.count_nonzero(vals - e0 < DEGENERACY_TOL))
-        copies += manifold
-        above.extend(vals[manifold:manifold + 1])
-    for i, first in lanczos.items():
+    for i, first in enumerate(firsts):
         for level in _lanczos_levels(spec, i, first, seed):
             if level - e0 >= DEGENERACY_TOL:
                 above.append(level)
@@ -779,7 +744,7 @@ def spectral_gap(spec: SpinChainSpec, seed: int = 7) -> float:
             copies += 1
             if copies >= GAP_LEVELS:
                 break
-    if copies >= GAP_LEVELS or not above:
+    if copies >= GAP_LEVELS:
         raise ConvergenceError(
             f"no level found above a ground manifold of {copies} copies "
             f"(cap {GAP_LEVELS})"

@@ -37,10 +37,6 @@ class TestParams:
         with pytest.warns(UserWarning, match="unreliable"):
             ts.effective_couplings(ts.BoseHubbardParams(0.5, 0.5, 1.0, 1.0, 1.0))
 
-    def test_json_round_trip(self):
-        p = ts.BoseHubbardParams(**GOLDEN_PARAMS)
-        assert ts.BoseHubbardParams.from_json(p.to_json()) == p
-
 
 class TestEffectiveCouplings:
     def test_symmetric_species_kills_odd_channels(self):

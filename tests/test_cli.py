@@ -119,6 +119,16 @@ class TestUsage:
                 run(tmp_path, "figure2", "--threads", threads)
             assert excinfo.value.code == 64
 
+    def test_figure2_ring_too_small_to_fit_exits_64(self, tmp_path, capsys):
+        # separations 2..n//2 give the fit its MIN_POINTS = 5 points from n = 12
+        assert free_fermion.MIN_POINTS == 5
+        for n in ("3", "11"):
+            with pytest.raises(SystemExit) as excinfo:
+                run(tmp_path, "figure2", "--n", n, "--no-anneal")
+            assert excinfo.value.code == 64
+            assert "must be at least 12" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_nonpositive_max_levels_exits_64(self, tmp_path):
         for levels in ("0", "-1"):
             with pytest.raises(SystemExit) as excinfo:
@@ -222,6 +232,14 @@ class TestFigure2:
         ]
         assert (out / "correlation_length.csv").read_text() == "B,xi,model,diverges\n"
         assert len((out / "entanglement_length.csv").read_text().splitlines()) == 4
+
+    def test_smallest_ring_runs(self, tmp_path):
+        code, out = run(tmp_path, "figure2", "--n", "12", "--no-anneal", "--b-grid", "0.5:0.5:1")
+        assert code == 0
+        assert not (out / "failures.log").exists()
+        rows = (out / "e_loc_series.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["2", "3", "4", "5", "6"]
+        assert (out / "entanglement_length.csv").read_text().splitlines()[1].startswith("0.5,")
 
     def test_exit_and_files(self, small_run):
         code, out = small_run

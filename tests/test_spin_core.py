@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -380,9 +381,9 @@ class TestMomentumBlocks:
         solved = []
         real_solve = spin_core._solve_block
 
-        def recording_solve(block, k, **kwargs):
+        def recording_solve(block):
             solved.append(block.shape[0])
-            return real_solve(block, k, **kwargs)
+            return real_solve(block)
 
         monkeypatch.setattr(spin_core, "_solve_block", recording_solve)
         ts.dense_spectrum(spec)
@@ -479,7 +480,7 @@ def zz_ring(n):
 
 
 class TestLanczosGroundState:
-    """Sectors above DENSE_BLOCK_DIM rows: ground_state's Lanczos path."""
+    """ground_state's Lanczos path on sectors of 1,024 rows and more."""
 
     @pytest.mark.parametrize("case", [
         (11, 0.0), (11, 0.5), (11, 1.5), (12, 0.0), (12, 0.5), (12, 1.5), "triangle",
@@ -496,7 +497,6 @@ class TestLanczosGroundState:
             spec = ts.cluster_hamiltonian(*case)
             levels = dense_sector_levels(*case)
         sectors = spec.operator().sectors
-        assert all(s.basis.size > spin_core.DENSE_BLOCK_DIM for s in sectors)
         lows = np.sort(np.concatenate([vals for vals, _ in levels]))
         assert lows[1] - lows[0] > 1e-3  # a unique ground state to compare with
         best = int(np.argmin([vals[0] for vals, _ in levels]))
@@ -543,7 +543,10 @@ class TestLanczosGroundState:
                 for sector, (vals, _) in zip(spec.operator().sectors, dense_sector_levels(n, b)):
                     assert sector.basis.size == 1024
                     energy, ritz_vector = spin_core._lanczos(sector.block, 7)
-                    shifted, _ = spin_core._lanczos(sector.block, 8, deflate=ritz_vector())
+                    shifted, _ = spin_core._lanczos(
+                        sector.block, 8, deflate=ritz_vector(),
+                        shift=spin_core._deflation_shift(spec),
+                    )
                     assert abs(energy - vals[0]) < 1e-10
                     is_tied = vals[1] - vals[0] < spin_core.DEGENERACY_TOL
                     tied += is_tied
@@ -554,7 +557,7 @@ class TestLanczosGroundState:
 
 
 class TestLanczosGap:
-    """spectral_gap: deflated Lanczos above the ground manifold, no ARPACK."""
+    """spectral_gap: deflated Lanczos above the ground manifold."""
 
     def test_cluster_rings_match_dense_oracle(self):
         # every sector has 1,024 rows; the sweep holds the 20 in-sector ties
@@ -588,21 +591,18 @@ class TestLanczosGap:
                 ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.2, 0.4), 10
             )
             assert spec.operator().sectors[0].block.dtype.kind == "c"
-        assert all(s.basis.size > spin_core.DENSE_BLOCK_DIM for s in spec.operator().sectors)
         oracle = spin_core._gap_above_ground(ts.dense_spectrum(oracle_spec or spec))
         assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
 
-    def test_zero_mode_ring_matches_arpack(self):
+    def test_zero_mode_ring_matches_dense_spectrum(self):
         # n = 14 at B = 1: the ground manifold spans two sectors
         spec = ts.cluster_hamiltonian(14, 1.0)
-        lows, _, _ = spin_core._lowest_levels(
-            spec.operator().sectors, 7, spin_core.GAP_LEVELS, vectors=False
-        )
+        lows = np.array([spin_core._lanczos(s.block, 7)[0] for s in spec.operator().sectors])
         assert np.count_nonzero(lows - lows.min() < spin_core.DEGENERACY_TOL) == 2
         oracle = spin_core._gap_above_ground(ring_spectrum(14, 1.0))
         assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
 
-    @pytest.mark.parametrize("n", [9, 10])  # one sector: dense at n=9, Lanczos at n=10
+    @pytest.mark.parametrize("n", [9, 10])  # one sector of 512 or 1,024 rows
     def test_manifold_at_the_cap_raises(self, n, monkeypatch):
         spec = free_site_chain(n, free=3)  # every level eightfold
         assert spin_core.GAP_LEVELS == 8
@@ -616,12 +616,11 @@ class TestLanczosGap:
 
 
 class TestLowestEigenvalues:
-    """lowest_eigenvalues: dense sectors plus the gap's deflation loop."""
+    """lowest_eigenvalues: the gap's deflation loop on every sector."""
 
     @pytest.mark.parametrize("n, free, k", [(12, 1, 2), (12, 2, 4), (13, 1, 2)])
     def test_lists_every_copy_of_a_degenerate_level(self, n, free, k):
         spec = free_site_chain(n, free)
-        assert all(s.basis.size > spin_core.DENSE_BLOCK_DIM for s in spec.operator().sectors)
         # the chain without its free sites has the same levels, each 2^free
         # times fewer; written in the X basis (ZZ -> XX, X -> Z), it conserves
         # the Z-parity of all sites, which halves each dense solve
@@ -636,6 +635,76 @@ class TestLowestEigenvalues:
     @pytest.mark.parametrize("n, b", [(13, 0.5), (13, 1.0), (14, 0.5), (14, 1.0)])
     def test_cluster_rings_match_dense_spectrum(self, n, b):
         spec = ts.cluster_hamiltonian(n, b)
-        assert all(s.basis.size > spin_core.DENSE_BLOCK_DIM for s in spec.operator().sectors)
         oracle = ring_spectrum(n, b)[:16]
         assert np.max(np.abs(ts.lowest_eigenvalues(spec, 16) - oracle)) < 1e-10
+
+
+def small_spec(family, n, arg):
+    """A chain of TestSmallSectors."""
+    if family == "random":
+        return random_spec(n, arg)
+    if family == "invariant":
+        return invariant_spec(n, arg)
+    if family == "free":
+        return free_site_chain(n, arg)
+    if family == "zz":
+        return zz_ring(n)
+    return ts.cluster_hamiltonian(n, arg)
+
+
+SMALL_CASES = (
+    [(family, n, seed) for family in ("random", "invariant")
+     for n in range(3, 9) for seed in (n, n + 20)]
+    + [("free", n, free) for n in range(4, 11) for free in (1, 2)]
+    + [("zz", n, 0) for n in range(4, 11)]
+    + [("cluster", n, b) for n in range(4, 11) for b in (0.0, 0.5, 1.0, 1.5)]
+)
+
+
+def dense_warning_kind(spec):
+    """ground_state's degeneracy rule applied to each sector's dense
+    eigenvalues: "across", "inside" or None."""
+    levels = [np.linalg.eigvalsh(s.block.toarray()) for s in spec.operator().sectors]
+    lows = np.array([vals[0] for vals in levels])
+    tied = np.flatnonzero(lows - lows.min() < spin_core.DEGENERACY_TOL)
+    if tied.size > 1:
+        return "across"
+    vals = levels[tied[0]]
+    return "inside" if vals.size > 1 and vals[1] - vals[0] < spin_core.DEGENERACY_TOL else None
+
+
+class TestSmallSectors:
+    """Chains of 3 to 10 sites, whose sectors of 4 to 1,024 rows all take
+    the one Lanczos path, against dense eigenvalues."""
+
+    @pytest.mark.parametrize("case", SMALL_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_matches_dense_spectrum(self, case):
+        spec = small_spec(*case)
+        levels = ts.dense_spectrum(spec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            energy, state = ts.ground_state(spec)
+        kinds = [kind for w in caught if issubclass(w.category, ts.DegenerateGroundStateWarning)
+                 for kind in ("across", "inside") if kind in str(w.message)]
+        expected = dense_warning_kind(spec)
+        assert kinds == ([expected] if expected else [])
+        assert abs(energy - levels[0]) < 1e-10
+        residual = ts.apply(spec, state).amplitudes - energy * state.amplitudes
+        assert np.linalg.norm(residual) < 1e-8
+        for k in (1, 2, 5, 16):
+            lowest = ts.lowest_eigenvalues(spec, k)
+            assert lowest.shape == levels[:k].shape
+            assert np.max(np.abs(lowest - levels[:k])) < 1e-10
+        if np.count_nonzero(levels - levels[0] < spin_core.DEGENERACY_TOL) >= spin_core.GAP_LEVELS:
+            with pytest.raises(ConvergenceError):
+                ts.spectral_gap(spec)
+        else:
+            oracle = spin_core._gap_above_ground(levels)
+            assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
+
+    def test_cases_cover_every_warning_kind_and_the_gap_cap(self):
+        specs = [small_spec(*case) for case in SMALL_CASES]
+        assert {dense_warning_kind(spec) for spec in specs} == {"across", "inside", None}
+        capped = [np.count_nonzero(levels - levels[0] < spin_core.DEGENERACY_TOL)
+                  >= spin_core.GAP_LEVELS for levels in map(ts.dense_spectrum, specs)]
+        assert 0 < sum(capped) < len(specs)
