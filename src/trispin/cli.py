@@ -111,7 +111,7 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(tok) for tok in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"bad grid {text!r}; expected start:stop:step") from exc
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValueError(f"bad grid {text!r}")
     # floor never passes stop; the guard keeps a stop that rounding leaves
     # just short of a whole number of steps

@@ -202,7 +202,9 @@ def _check_state(state: StateVector) -> None:
     n = state.n_sites
     if n - 2 > MEASURED_CAP:
         raise ResourceLimitError(f"{n - 2} measured spins exceed the cap {MEASURED_CAP}")
-    if abs(state.norm() - 1.0) > 1e-10:
+    # the squared norm is the branch-probability sum that _read checks
+    amps = state.amplitudes
+    if abs(np.vdot(amps, amps).real - 1.0) > 1e-10:
         raise ValueError("input state must be normalized")
 
 

@@ -15,19 +15,23 @@ Conventions shared by every module in this package:
   conserved sublattice masks; :func:`dense_spectrum` alone splits each
   sector further into lattice-momentum blocks.
 * Every sector, whatever its size, has one eigensolver, a three-term
-  Lanczos (``_lanczos``): :func:`ground_state`, :func:`spectral_gap` and
-  :func:`lowest_eigenvalues` each start from one energy-only pass per
-  sector, every eigenpair they use is residual-checked, and each level
-  after a sector's lowest comes from a solve deflated against the vectors
-  of the levels below it.  Dense ``eigh`` serves only
-  :func:`dense_spectrum`, the independent oracle.
+  Lanczos (``_lanczos``), and one stream of levels, ``_lanczos_levels``:
+  an energy-only pass for the sector's lowest level, then for each next
+  level a solve deflated against the residual-checked vectors of the
+  levels below it.  :func:`lowest_eigenvalues` and :func:`spectral_gap`
+  read the sectors' streams merged in ascending order (``_levels``);
+  :func:`ground_state` reads each sector's first level and one more from
+  the chosen sector.  Dense ``eigh`` serves only :func:`dense_spectrum`,
+  the independent oracle.
 """
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -57,8 +61,8 @@ GROUND_TOL = 1e-10
 LANCZOS_STEP_CAP = 4000
 LANCZOS_CHECK_EVERY = 8
 #: Cap on the ground-manifold copies, over all sectors, that ``spectral_gap``
-#: deflates before it gives up.  ``lowest_eigenvalues`` has no such cap: it
-#: deflates every level it lists but the last of each sector.
+#: reads before it gives up.  ``lowest_eigenvalues`` has no such cap: it
+#: reads k levels, so it deflates k - 1 of them.
 GAP_LEVELS = 8
 
 
@@ -607,25 +611,12 @@ def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
 
 def lowest_eigenvalues(spec: SpinChainSpec, k: int = 2, seed: int = 7) -> np.ndarray:
     """The k lowest levels over all Z-parity sectors, ascending, every
-    degenerate copy included.
-
-    Each sector, taken in ascending order of its lowest level, gives its
-    levels one at a time from the deflation loop of :func:`spectral_gap`
-    (``_lanczos_levels``).  It stops after min(k, dim) levels, or once its
-    latest level lies at or above the k-th lowest level found so far over
-    all sectors, since its later levels lie higher still.
-    """
+    degenerate copy included: the first k of the merged level stream
+    ``_levels``, so a sector solves its next level only once its latest
+    one is among them."""
     _check_iterative_cap(spec.n_sites)
-    sectors = spec.operator().sectors
-    firsts = [_lanczos(sector.block, seed) for sector in sectors]
-    found: list[float] = []
-    for i in sorted(range(len(sectors)), key=lambda i: firsts[i][0]):
-        levels = _lanczos_levels(spec, i, firsts[i], seed)
-        for level in islice(levels, min(k, sectors[i].basis.size)):
-            found.append(level)
-            if len(found) >= k and level >= sorted(found)[k - 1]:
-                break
-    return np.sort(found)[:k]
+    # a stream may step down by rounding inside a degenerate level
+    return np.sort([level for level, _ in islice(_levels(spec, seed), k)])
 
 
 def _deflation_shift(spec: SpinChainSpec) -> float:
@@ -636,63 +627,69 @@ def _deflation_shift(spec: SpinChainSpec) -> float:
     return 2.0 * sum(abs(t.coeff) for t in spec.terms) + 1.0
 
 
-def _lanczos_levels(spec: SpinChainSpec, i: int, first, seed: int):
-    """Yield the levels of sector i in ascending order, every degenerate
-    copy included, from ``first = (theta, ritz_vector)``, the sector's
-    energy-only ``_lanczos`` pass.
+def _lanczos_levels(block: csr_matrix, seed: int, shift: float):
+    """Yield ``(level, below)`` for the levels of ``block`` in ascending
+    order, every degenerate copy included; the columns of ``below``, a new
+    array each time, are the normalized vectors of the levels yielded
+    before this one.
 
-    Before it moves past a level, the level's vector is replayed and
-    residual-checked, and the next level is the lowest of H + c Psi Psi^H
-    (c from ``_deflation_shift``) from the start vector of
-    ``seed + len(Psi)``, Psi the vectors found so far.  It never stops by
-    itself, and only its first dim(sector) levels are levels of H; the
-    caller stops it.
+    The first level is the energy-only ``_lanczos`` pass from ``seed``.
+    Before it moves past a level, the level's vector is replayed, appended
+    to ``below`` and residual-checked, and the next level is the lowest of
+    H + ``shift`` Psi Psi^H (Psi = ``below``; see ``_deflation_shift``) from
+    the start vector of ``seed`` plus the number of columns of ``below``.
+    It never stops by itself, and only its first dim(block) levels are
+    levels of H; the caller stops it.
     """
-    block = spec.operator().sectors[i].block
-    shift = _deflation_shift(spec)
-    theta, ritz_vector = first
-    found = []
+    theta, ritz_vector = _lanczos(block, seed)
+    below = np.empty((block.shape[0], 0), dtype=block.dtype)
     while True:
-        yield theta
-        psi = ritz_vector()
-        _check_residual(block, np.array([theta]), psi[:, None])
-        found.append(psi)
-        theta, ritz_vector = _lanczos(
-            block, seed + len(found), deflate=np.stack(found, axis=1), shift=shift
-        )
+        yield theta, below
+        below = np.column_stack([below, ritz_vector()])
+        _check_residual(block, np.array([theta]), below[:, -1:])
+        theta, ritz_vector = _lanczos(block, seed + below.shape[1], deflate=below, shift=shift)
+
+
+def _levels(spec: SpinChainSpec, seed: int):
+    """Every sector's ``_lanczos_levels`` stream, cut at the sector's
+    dimension, merged in ascending order of level: a sector solves its next
+    level only after its latest level has been read."""
+    shift = _deflation_shift(spec)
+    return heapq.merge(
+        *(islice(_lanczos_levels(sector.block, seed, shift), sector.basis.size)
+          for sector in spec.operator().sectors),
+        key=itemgetter(0),
+    )
 
 
 def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector]:
     """Lowest eigenpair over all Z-parity sectors.
 
-    Every sector gets one energy-only Lanczos pass (``_lanczos``); the
-    ground vector is then summed on a second, replaying pass in the chosen
-    sector only and residual-checked.
+    Every sector's stream ``_lanczos_levels`` gives its lowest level; one
+    more level read from the chosen sector gives the residual-checked
+    ground vector and the sector's second level.
 
     Degeneracy rule: when the lowest levels of two or more sectors agree
     within ``DEGENERACY_TOL``, the ground state of the first tied sector in
     the fixed order of ``spec.operator().sectors`` is returned, and a
     :class:`DegenerateGroundStateWarning` names the tied sectors.  The state
     returned at a cross-sector degeneracy therefore does not depend on
-    ``seed``.  A tie between the two lowest levels inside the returned
-    sector warns the same way; any normalized minimizer is then returned.
-    That in-sector check solves H + c psi psi^H from a second start vector
-    with the shift c of ``_deflation_shift``: its lowest level is the
-    sector's second level E1 (E0 + c, above every level, in a one-row
-    sector), so it lies within ``DEGENERACY_TOL`` of E0 exactly when the
-    ground level has a second copy.
+    ``seed``.  Otherwise, a second level of the returned sector within
+    ``DEGENERACY_TOL`` of its lowest warns the same way, and any normalized
+    minimizer is returned.  That second level is the lowest of H + c psi
+    psi^H from a second start vector, with the shift c of
+    ``_deflation_shift`` (E0 + c, above every level, in a one-row sector).
     """
     n = spec.n_sites
     _check_iterative_cap(n)
     sectors = spec.operator().sectors
-    firsts = [_lanczos(sector.block, seed) for sector in sectors]
-    lows = np.array([theta for theta, _ in firsts])
+    shift = _deflation_shift(spec)
+    streams = [_lanczos_levels(sector.block, seed, shift) for sector in sectors]
+    lows = np.array([next(stream)[0] for stream in streams])
     tied = np.flatnonzero(lows - lows.min() < DEGENERACY_TOL)
     first = int(tied[0])
-    block = sectors[first].block
-    energy, ritz_vector = firsts[first]
-    psi = ritz_vector()
-    _check_residual(block, np.array([energy]), psi[:, None])
+    second, below = next(streams[first])
+    energy = float(lows[first])
     if tied.size > 1:
         names = ", ".join(sectors[i].label for i in tied)
         warnings.warn(
@@ -700,16 +697,14 @@ def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector
             f"sectors {names}; returning the state of sector {sectors[first].label}",
             DegenerateGroundStateWarning,
         )
-    else:
-        second, _ = _lanczos(block, seed + 1, deflate=psi, shift=_deflation_shift(spec))
-        if second - energy < DEGENERACY_TOL:
-            warnings.warn(
-                f"ground level degenerate within {DEGENERACY_TOL:g} inside Z-parity "
-                f"sector {sectors[first].label}; returning one minimizer",
-                DegenerateGroundStateWarning,
-            )
+    elif second - energy < DEGENERACY_TOL:
+        warnings.warn(
+            f"ground level degenerate within {DEGENERACY_TOL:g} inside Z-parity "
+            f"sector {sectors[first].label}; returning one minimizer",
+            DegenerateGroundStateWarning,
+        )
     amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[sectors[first].basis] = psi
+    amps[sectors[first].basis] = below[:, 0]
     return energy, StateVector(n, amps)
 
 
@@ -720,36 +715,21 @@ def spectral_gap(spec: SpinChainSpec, seed: int = 7) -> float:
     literal E1 - E0 vanishes there; the gap above the ground manifold is the
     quantity that closes smoothly with 1/n and is what this returns.
 
-    Method: every sector's lowest level from one energy-only ``_lanczos``
-    pass, as in :func:`ground_state`, and E0 the lowest of them.  Each
-    sector gives its levels in turn from the deflation loop
-    ``_lanczos_levels`` until one lies above E0 + ``DEGENERACY_TOL``.  The
-    gap is the lowest level above the manifold over all sectors, minus E0.
-    A sector whose levels all lie in the manifold next yields a value of at
-    least E0 + c, above every level of H, so it never sets the gap.
-
-    Raises :class:`ConvergenceError` when the ground manifold has
-    ``GAP_LEVELS`` or more copies over all sectors.
+    Method: the merged level stream ``_levels`` is read until a level lies
+    at or above E0 + ``DEGENERACY_TOL``, E0 its first level; the gap is that
+    level minus E0.  Raises :class:`ConvergenceError` when the ground
+    manifold has ``GAP_LEVELS`` or more copies over all sectors.
     """
     _check_iterative_cap(spec.n_sites)
-    sectors = spec.operator().sectors
-    firsts = [_lanczos(sector.block, seed) for sector in sectors]
-    e0 = min(theta for theta, _ in firsts)
-    copies, above = 0, []
-    for i, first in enumerate(firsts):
-        for level in _lanczos_levels(spec, i, first, seed):
-            if level - e0 >= DEGENERACY_TOL:
-                above.append(level)
-                break
-            copies += 1
-            if copies >= GAP_LEVELS:
-                break
-    if copies >= GAP_LEVELS:
-        raise ConvergenceError(
-            f"no level found above a ground manifold of {copies} copies "
-            f"(cap {GAP_LEVELS})"
-        )
-    return float(min(above) - e0)
+    levels = _levels(spec, seed)
+    e0, _ = next(levels)
+    for level, _ in islice(levels, GAP_LEVELS - 1):
+        if level - e0 >= DEGENERACY_TOL:
+            return float(level - e0)
+    raise ConvergenceError(
+        f"no level above the ground manifold among the lowest {GAP_LEVELS} "
+        "(the GAP_LEVELS cap)"
+    )
 
 
 def _gap_above_ground(energies: np.ndarray) -> float:

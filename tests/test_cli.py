@@ -155,6 +155,13 @@ class TestGrid:
         assert len(grid) == 21 and grid[-1] == 2.0
         assert cli._parse_grid("0.5:1.5:1.0") == [0.5, 1.5]
 
+    @pytest.mark.parametrize("text", ["0:inf:0.1", "0:1:inf", "0:nan:0.1"])
+    def test_non_finite_grids_are_bad(self, tmp_path, text):
+        with pytest.raises(ValueError, match="bad grid"):
+            cli._parse_grid(text)
+        code, _ = run(tmp_path, "figure2", "--b-grid", text)
+        assert code == 1
+
 
 class TestCorr:
     def test_ed_channel_csv(self, tmp_path):

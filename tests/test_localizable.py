@@ -202,6 +202,23 @@ class TestBranchAverage:
         with pytest.raises(ValueError, match="normalized"):
             branch_average(st, random_plan(6, (0, 3), 1))
 
+    @pytest.mark.parametrize("search", ["branch_average", "optimize_plan"])
+    def test_input_check_is_the_probability_sum(self, search):
+        # a norm within 1e-10 of 1 whose square, the probability sum that
+        # _read checks, is not: rejected at the input, never by _read
+        state = random_state(6, 3)
+        pair = (0, 3)
+
+        def run(scale):
+            st = ts.StateVector(6, scale * state.amplitudes)
+            if search == "branch_average":
+                return branch_average(st, random_plan(6, pair, 1))
+            return optimize_plan(st, pair, ts.AnnealConfig(n_temps=1, proposals_per_temp=1))
+
+        with pytest.raises(ValueError, match="normalized"):
+            run(1.0 + 8e-11)
+        run(1.0 + 4e-11)
+
     @pytest.mark.parametrize("n", [6, 7])
     def test_matches_kronecker_oracle(self, n):
         rng = np.random.default_rng(n)

@@ -636,7 +636,26 @@ class TestLowestEigenvalues:
     def test_cluster_rings_match_dense_spectrum(self, n, b):
         spec = ts.cluster_hamiltonian(n, b)
         oracle = ring_spectrum(n, b)[:16]
-        assert np.max(np.abs(ts.lowest_eigenvalues(spec, 16) - oracle)) < 1e-10
+        lowest = ts.lowest_eigenvalues(spec, 16)
+        assert np.all(np.diff(lowest) >= 0)
+        assert np.max(np.abs(lowest - oracle)) < 1e-10
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_one_solve_per_level_read(self, n, monkeypatch):
+        # the merged stream solves each sector's lowest level, then one more
+        # level per level read, from the sector of the level just read
+        spec = ts.cluster_hamiltonian(n, 0.5)
+        calls = []
+        real_lanczos = spin_core._lanczos
+
+        def counted_lanczos(*args, **kwargs):
+            calls.append(args)
+            return real_lanczos(*args, **kwargs)
+
+        monkeypatch.setattr(spin_core, "_lanczos", counted_lanczos)
+        k = 16
+        ts.lowest_eigenvalues(spec, k)
+        assert len(calls) == len(spec.operator().sectors) + k - 1
 
 
 def small_spec(family, n, arg):
@@ -694,6 +713,7 @@ class TestSmallSectors:
         for k in (1, 2, 5, 16):
             lowest = ts.lowest_eigenvalues(spec, k)
             assert lowest.shape == levels[:k].shape
+            assert np.all(np.diff(lowest) >= 0)
             assert np.max(np.abs(lowest - levels[:k])) < 1e-10
         if np.count_nonzero(levels - levels[0] < spin_core.DEGENERACY_TOL) >= spin_core.GAP_LEVELS:
             with pytest.raises(ConvergenceError):
