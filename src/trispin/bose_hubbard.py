@@ -6,6 +6,7 @@ model, and validation of the truncation against the effective spin model.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +34,9 @@ class BoseHubbardParams:
     u_ab: float
 
     def __post_init__(self):
+        for name in ("j_a", "j_b", "u_aa", "u_bb", "u_ab"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"coupling {name} must be finite")
         for name in ("u_aa", "u_bb", "u_ab"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"collisional coupling {name} must be strictly positive")
@@ -72,23 +76,20 @@ class EffectiveCouplings:
         )
 
 
-def _warn_if_nonperturbative(params: BoseHubbardParams) -> None:
+def effective_couplings(params: BoseHubbardParams) -> EffectiveCouplings:
+    """Closed-form third-order couplings.
+
+    Terms are grouped so the species-exchange symmetry is exact in floating
+    point: lambda1 and lambda2 are symmetric under a<->b, while lambda3,
+    lambda4 and the compensation field flip sign.  Warns when
+    max(J)/min(U) >= ``PERTURBATIVE_WARN_RATIO``.
+    """
     ratio = params.perturbative_ratio
     if ratio >= PERTURBATIVE_WARN_RATIO:
         warnings.warn(
             f"max(J)/min(U) = {ratio:.3f} >= {PERTURBATIVE_WARN_RATIO}; "
             "third-order couplings are unreliable here"
         )
-
-
-def effective_couplings(params: BoseHubbardParams) -> EffectiveCouplings:
-    """Closed-form third-order couplings.
-
-    Terms are grouped so the species-exchange symmetry is exact in floating
-    point: lambda1 and lambda2 are symmetric under a<->b, while lambda3,
-    lambda4 and the compensation field flip sign.
-    """
-    _warn_if_nonperturbative(params)
     ja, jb = params.j_a, params.j_b
     uaa, ubb, uab = params.u_aa, params.u_bb, params.u_ab
 
@@ -305,7 +306,6 @@ def validate_perturbation(params: BoseHubbardParams) -> TruncationReport:
     Relative deviations are normalized by the spread (max - min) of the
     mean-shifted full manifold.
     """
-    _warn_if_nonperturbative(params)
     couplings = effective_couplings(params)
     eff_blocks = _effective_sector_energies(couplings)
 

@@ -1,5 +1,7 @@
 """Command-line driver: every computation is a subcommand writing CSV/JSON
 artifacts into a run directory (config echo + manifest + data files).
+The library does the computing; this module parses arguments, calls it and
+writes files.
 
 Exit codes: 0 success, 1 error, 2 validation-threshold failure, 64 usage.
 """
@@ -12,6 +14,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +25,7 @@ from .bose_hubbard import BoseHubbardParams, effective_couplings, validate_pertu
 from .correlations import two_point_connected
 from .free_fermion import (
     MIN_POINTS,
-    NOISE_FLOOR,
     CorrelationSeries,
-    QuadratureError,
     ZeroSeriesError,
     correlation_length,
     czz_analytic,
@@ -53,6 +54,12 @@ EXIT_VALIDATION = 2
 EXIT_USAGE = 64
 
 _ANALYTIC_L_RANGE = (4, 40)
+#: figure2 tables per channel: summary file and its length column, detail
+#: file and its value columns.
+_FIGURE2_TABLES = {
+    "correlation": ("correlation_length", "xi", "czz_series", ("value",)),
+    "entanglement": ("entanglement_length", "xi_E", "e_loc_series", ("E_loc", "xi_flag")),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,28 +89,6 @@ def _write_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _run_dir(args, name: str) -> Path:
-    out = Path(args.out) if args.out else Path(f"{name}_out")
-    out.mkdir(parents=True, exist_ok=True)
-    resolved = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_json(out / "config.json", resolved)
-    return out
-
-
-def _manifest(out: Path, timings: dict, seeds: dict) -> None:
-    _write_json(
-        out / "manifest.json",
-        {
-            "package": "trispin",
-            "version": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "seeds": seeds,
-            "timings_s": {k: round(v, 3) for k, v in timings.items()},
-        },
-    )
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -171,33 +156,26 @@ def _add_bh_flags(p) -> None:
 
 # --- subcommands -----------------------------------------------------------------
 
-def _cmd_couplings(args) -> int:
-    t0 = time.time()
+def _cmd_couplings(args, out: Path, timings: dict) -> int:
     params = _params_from_args(args)
     coup = effective_couplings(params)
-    out = _run_dir(args, "couplings")
     payload = json.loads(coup.to_json())
     payload["perturbative_ratio"] = params.perturbative_ratio
     payload["perturbative_ok"] = params.perturbative_ok
     _write_json(out / "couplings.json", payload)
-    _manifest(out, {"total": time.time() - t0}, {})
     print(json.dumps(payload))
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    t0 = time.time()
+def _cmd_validate(args, out: Path, timings: dict) -> int:
     params = _params_from_args(args)
     report = validate_perturbation(params)
-    out = _run_dir(args, "validate")
     (out / "validation.json").write_text(report.to_json() + "\n")
-    _manifest(out, {"total": time.time() - t0}, {})
     print(f"max relative deviation: {report.max_rel_dev:.6g} (threshold {args.max_rel_dev})")
     return EXIT_OK if report.max_rel_dev <= args.max_rel_dev else EXIT_VALIDATION
 
 
-def _cmd_spectrum(args) -> int:
-    t0 = time.time()
+def _cmd_spectrum(args, out: Path, timings: dict) -> int:
     if args.model == "cluster":
         spec = cluster_hamiltonian(args.n, args.b)
     else:
@@ -211,7 +189,6 @@ def _cmd_spectrum(args) -> int:
         energies = lowest_eigenvalues(spec, k=16, seed=args.seed)
     e0 = float(energies[0])
     gap = _gap_above_ground(energies)
-    out = _run_dir(args, "spectrum")
     _write_json(
         out / "spectrum.json",
         {
@@ -224,14 +201,11 @@ def _cmd_spectrum(args) -> int:
             "energies": [float(e) for e in energies[: args.max_levels]],
         },
     )
-    _manifest(out, {"total": time.time() - t0}, {"solver": args.seed})
     print(f"ground energy {e0:.12g}, min gap {gap:.12g}")
     return EXIT_OK
 
 
-def _cmd_corr(args) -> int:
-    t0 = time.time()
-    out = _run_dir(args, "corr")
+def _cmd_corr(args, out: Path, timings: dict) -> int:
     rows = []
     if args.channel == "analytic":
         if (args.alpha, args.beta) != ("z", "z"):
@@ -244,13 +218,11 @@ def _cmd_corr(args) -> int:
             val = two_point_connected(gs, args.alpha, args.beta, 0, L - 1)
             rows.append([args.b, L, args.alpha, args.beta, val])
     _write_csv(out / "corr.csv", ["B", "L", "alpha", "beta", "value"], rows)
-    _manifest(out, {"total": time.time() - t0}, {"solver": args.seed})
     print(f"wrote {len(rows)} correlator rows to {out / 'corr.csv'}")
     return EXIT_OK
 
 
-def _cmd_locent(args) -> int:
-    t0 = time.time()
+def _cmd_locent(args, out: Path, timings: dict) -> int:
     p, q = (int(tok) for tok in args.pair.split(","))
     _, gs = ground_state(cluster_hamiltonian(args.n, args.b), seed=args.seed)
     if args.scheme == "cluster":
@@ -261,40 +233,20 @@ def _cmd_locent(args) -> int:
         result = branch_average(gs, lower_bound_plan(args.n, q + 1))
     else:
         result = optimize_plan(gs, (p, q), _anneal_config(args))
-    out = _run_dir(args, "locent")
     (out / "locent.json").write_text(result.to_json(b_field=args.b) + "\n")
-    _manifest(out, {"total": time.time() - t0}, {"solver": args.seed, "anneal": args.seed})
     print(f"E_loc = {result.value:.12g} over {result.branch_count} branches")
     return EXIT_OK
 
 
-def _correlation_row(b: float) -> tuple[list, list[list]]:
+def _czz_series(b: float) -> tuple[list[int], list[float]]:
     lo, hi = _ANALYTIC_L_RANGE
-    lengths, values = [], []
-    for L in range(lo, hi + 1):
-        values.append(czz_analytic(b, L))
-        lengths.append(L)
-    series = CorrelationSeries(lengths, values, kind="zz_analytic")
-    detail = [[b, L, v] for L, v in zip(lengths, values)]
-    try:
-        est = correlation_length(series)
-        return [b, est.xi, est.model, int(est.diverges)], detail
-    except ZeroSeriesError:
-        return [b, 0.0, "zero", 0], detail
-    except ValueError:
-        # too few points above the noise floor: two-point fallback slope
-        pts = [(L, abs(v)) for L, v in zip(lengths, values) if abs(v) > NOISE_FLOOR]
-        if len(pts) >= 2:
-            (l1, v1), (l2, v2) = pts[-2], pts[-1]
-            slope = (np.log(v2) - np.log(v1)) / (l2 - l1)
-            xi = -1.0 / slope if slope < 0 else float("inf")
-            return [b, xi, "short_range", int(np.isinf(xi))], detail
-        return [b, 0.0, "zero", 0], detail
+    lengths = list(range(lo, hi + 1))
+    return lengths, [czz_analytic(b, L) for L in lengths]
 
 
-def _entanglement_row(
+def _e_loc_series(
     b: float, n: int, seed: int, anneal: AnnealConfig | None
-) -> tuple[list, list[list]]:
+) -> tuple[list[int], list[float]]:
     _, gs = ground_state(cluster_hamiltonian(n, b), seed=seed)
     seps = list(range(2, n // 2 + 1))
     vals = []
@@ -304,69 +256,60 @@ def _entanglement_row(
             vals.append(optimize_plan(gs, pair, anneal).value)
         else:
             vals.append(max(branch_average(gs, pl).value for pl in scheme_seed_plans(n, pair)))
-    series = CorrelationSeries(seps, vals, kind="generic")
+    return seps, vals
+
+
+def _length_rows(b: float, lengths, values, fit) -> tuple[list, list[list]]:
+    """figure2 summary row ``[B, xi, model, diverges]`` and detail rows
+    ``[B, L, value, diverges]`` of one channel at field ``b``."""
     try:
-        est = entanglement_length(series)
+        est = fit(CorrelationSeries(lengths, values))
         row = [b, est.xi, est.model, int(est.diverges)]
     except ZeroSeriesError:
         row = [b, 0.0, "zero", 0]
-    detail = [[b, s, v, row[3]] for s, v in zip(seps, vals)]
-    return row, detail
+    return row, [[b, L, v, row[3]] for L, v in zip(lengths, values)]
 
 
-def _cmd_figure2(args) -> int:
-    t0 = time.time()
+def _cmd_figure2(args, out: Path, timings: dict) -> int:
     grid = _parse_grid(args.b_grid)
     n = 17 if args.large else args.n
     anneal = None if args.no_anneal else _anneal_config(args)
-    out = _run_dir(args, "figure2")
+    channels = {
+        "correlation": (_czz_series, correlation_length),
+        "entanglement": (
+            partial(_e_loc_series, n=n, seed=args.seed, anneal=anneal),
+            entanglement_length,
+        ),
+    }
     failures: list[str] = []
 
-    def corr_point(b):
+    def point(channel: str, b: float):
+        series, fit = channels[channel]
         try:
-            return _correlation_row(b)
-        except (QuadratureError, ValueError) as exc:
-            failures.append(f"correlation B={b}: {exc}")
-            return None, []
-
-    def ent_point(b):
-        try:
-            return _entanglement_row(b, n, args.seed, anneal)
-        except Exception as exc:  # partial failures logged, run continues
-            failures.append(f"entanglement B={b}: {exc}")
-            return None, []
+            return _length_rows(b, *series(b), fit)
+        except (ValueError, RuntimeError) as exc:  # logged, the run continues
+            failures.append(f"{channel} B={b}: {exc}")
+            return None
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         # With one thread the map runs here: a worker thread's own malloc
         # arena raises the peak memory of an n=17 run by about 14%.
         mapper = pool.map if args.threads > 1 else map
-        t_corr = time.time()
-        corr_results = list(mapper(corr_point, grid))
-        t_corr = time.time() - t_corr
-        t_ent = time.time()
-        ent_results = list(mapper(ent_point, grid))
-        t_ent = time.time() - t_ent
-
-    corr_rows = [row for row, _ in corr_results if row is not None]
-    corr_detail = [r for _, d in corr_results for r in d]
-    ent_rows = [row for row, _ in ent_results if row is not None]
-    ent_detail = [r for _, d in ent_results for r in d]
-
-    _write_csv(out / "correlation_length.csv", ["B", "xi", "model", "diverges"], corr_rows)
-    _write_csv(out / "entanglement_length.csv", ["B", "xi_E", "model", "diverges"], ent_rows)
-    _write_csv(out / "czz_series.csv", ["B", "L", "value"], corr_detail)
-    _write_csv(out / "e_loc_series.csv", ["B", "L", "E_loc", "xi_flag"], ent_detail)
+        for channel, (summary, xi, detail, columns) in _FIGURE2_TABLES.items():
+            t0 = time.time()
+            points = [p for p in mapper(partial(point, channel), grid) if p is not None]
+            timings[channel] = time.time() - t0
+            _write_csv(out / f"{summary}.csv", ["B", xi, "model", "diverges"],
+                       [row for row, _ in points])
+            # czz_series has no flag column
+            _write_csv(out / f"{detail}.csv", ["B", "L", *columns],
+                       [r[: 2 + len(columns)] for _, rows in points for r in rows])
     if failures:
         (out / "failures.log").write_text("\n".join(failures) + "\n")
         for msg in failures:
             print(f"warning: {msg}", file=sys.stderr)
-    _manifest(
-        out,
-        {"correlation": t_corr, "entanglement": t_ent, "total": time.time() - t0},
-        {"solver": args.seed, "anneal": args.seed},
-    )
     print(
-        f"figure2 grid of {len(grid)} fields done in {time.time() - t0:.1f}s "
+        f"figure2 grid of {len(grid)} fields done in {sum(timings.values()):.1f}s "
         f"({len(failures)} partial failures); outputs in {out}"
     )
     return EXIT_OK
@@ -422,9 +365,9 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--pair", default="0,4", help="comma-separated 0-based sites")
     p.add_argument("--scheme", choices=("cluster", "lower-bound", "anneal"), default="cluster")
-    p.add_argument("--anneal-temps", type=int, default=200)
-    p.add_argument("--anneal-proposals", type=int, default=50)
-    p.add_argument("--anneal-restarts", type=int, default=2)
+    p.add_argument("--anneal-temps", type=_positive_int, default=200)
+    p.add_argument("--anneal-proposals", type=_positive_int, default=50)
+    p.add_argument("--anneal-restarts", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_locent)
@@ -437,9 +380,9 @@ def build_parser() -> _Parser:
     p.add_argument("--large", action="store_true", help="use the large ring (n=17)")
     p.add_argument("--no-anneal", action="store_true",
                    help="scheme ensemble only (skip basis annealing)")
-    p.add_argument("--anneal-temps", type=int, default=50)
-    p.add_argument("--anneal-proposals", type=int, default=16)
-    p.add_argument("--anneal-restarts", type=int, default=1)
+    p.add_argument("--anneal-temps", type=_positive_int, default=50)
+    p.add_argument("--anneal-proposals", type=_positive_int, default=16)
+    p.add_argument("--anneal-restarts", type=_positive_int, default=1)
     p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None)
@@ -449,13 +392,35 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse ``argv``, make the run directory with its ``config.json``, run
+    the subcommand and, once it returns, write ``manifest.json``.
+
+    Each subcommand writes its data files into the run directory and may
+    add the seconds of its phases to the manifest's timings.
+    """
+    args = build_parser().parse_args(argv)
+    out = Path(args.out or f"{args.command}_out")
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "config.json", {k: v for k, v in vars(args).items() if k != "func"})
+    timings: dict[str, float] = {}
+    t0 = time.time()
     try:
-        return args.func(args)
+        code = args.func(args, out, timings)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    timings["total"] = time.time() - t0
+    _write_json(
+        out / "manifest.json",
+        {
+            "package": "trispin",
+            "version": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "timings_s": {k: round(v, 3) for k, v in timings.items()},
+        },
+    )
+    return code
 
 
 def entry() -> None:  # console-script hook

@@ -91,6 +91,8 @@ def czz_analytic(b_field: float, L: int) -> float:
     if L < 2:
         raise ValueError("separation index L must be >= 2")
     b = float(b_field)
+    if not math.isfinite(b):
+        raise ValueError(f"field B must be finite, got {b}")
     m = 0.5 * (L - 1)
     lam = Dispersion(b)
 
@@ -128,7 +130,6 @@ class CorrelationSeries:
 
     lengths: list[int]
     values: list[float]
-    kind: str = "generic"
 
     def __post_init__(self):
         self.lengths = [int(x) for x in self.lengths]
@@ -145,7 +146,10 @@ class LengthEstimate:
 
     ``model == "exponential"`` always carries a finite positive ``xi``;
     ``model == "power_law"`` is the divergence flag (``xi`` is ``inf``),
-    covering both genuine power-law decay and non-decaying series.
+    covering both genuine power-law decay and non-decaying series;
+    ``model == "short_range"`` is the two-point estimate from the last two
+    values above the noise floor, taken when fewer than ``MIN_POINTS``
+    survive (``xi`` is ``inf`` when those two do not decay).
     """
 
     xi: float
@@ -168,9 +172,12 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def correlation_length(series: CorrelationSeries) -> LengthEstimate:
     """Fit the decay length of a correlation series.
 
-    Procedure: drop values below ``NOISE_FLOOR``; keep the largest-L window
-    L >= max(4, L_max/2), extended downward if that leaves fewer than
-    ``MIN_POINTS`` points; fit log|C| against L and against log L.
+    Procedure: drop values below ``NOISE_FLOOR``.  Fewer than two survivors
+    raise :class:`ZeroSeriesError`; two to ``MIN_POINTS - 1`` survivors give
+    model ``short_range`` with xi = -1/slope of log|C| through the last two
+    (infinite when that slope is non-negative).  Otherwise keep the
+    largest-L window L >= max(4, L_max/2), extended downward if that leaves
+    fewer than ``MIN_POINTS`` points; fit log|C| against L and against log L.
     The series is flagged divergent (model ``power_law``, xi infinite) when
 
       * the surviving values saturate: max/min <= ``SATURATION_RATIO`` while
@@ -190,12 +197,15 @@ def correlation_length(series: CorrelationSeries) -> LengthEstimate:
         for sep, val in zip(series.lengths, series.values)
         if abs(val) > NOISE_FLOOR
     ]
-    if not pairs:
-        raise ZeroSeriesError("correlations numerically zero: all values below noise floor")
-    if len(pairs) < MIN_POINTS:
-        raise ValueError(
-            f"need at least {MIN_POINTS} points above the noise floor, got {len(pairs)}"
+    if len(pairs) < 2:
+        raise ZeroSeriesError(
+            f"correlations numerically zero: {len(pairs)} values above the noise floor"
         )
+    if len(pairs) < MIN_POINTS:
+        (l1, v1), (l2, v2) = pairs[-2:]
+        slope = (np.log(v2) - np.log(v1)) / (l2 - l1)
+        xi = -1.0 / slope if slope < 0 else math.inf
+        return LengthEstimate(xi, 0.0, (l1, l2), "short_range")
     l_max = pairs[-1][0]
     lo = max(4, l_max // 2)
     window = [(sep, val) for sep, val in pairs if sep >= lo]

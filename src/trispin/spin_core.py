@@ -28,6 +28,7 @@ Conventions shared by every module in this package:
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import islice
@@ -95,6 +96,8 @@ class PauliString:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", float(self.coeff))
+        if not math.isfinite(self.coeff):
+            raise ValueError(f"Pauli string coefficient must be finite, got {self.coeff}")
         factors = tuple((int(s), str(op)) for s, op in self.factors)
         object.__setattr__(self, "factors", factors)
         sites = [s for s, _ in factors]

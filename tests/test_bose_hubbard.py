@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,14 @@ class TestParams:
     def test_negative_tunneling_rejected(self):
         with pytest.raises(ValueError):
             ts.BoseHubbardParams(-0.1, 0.1, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        for i in range(5):
+            values = [0.1, 0.1, 1.0, 1.0, 1.0]
+            values[i] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ts.BoseHubbardParams(*values)
 
     def test_perturbative_flag(self):
         ok = ts.BoseHubbardParams(0.1, 0.1, 1.0, 1.0, 1.0)
@@ -146,6 +156,13 @@ class TestValidatePerturbation:
         big_abs = max(lv.abs_dev for lv in big.levels)
         small_abs = max(lv.abs_dev for lv in small.levels)
         assert big_abs / small_abs > 8.0
+
+    def test_nonperturbative_warns_once(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            validate_perturbation(ts.BoseHubbardParams(0.5, 0.5, 1.0, 1.0, 1.0))
+        assert len(caught) == 1
+        assert "unreliable" in str(caught[0].message)
 
     def test_report_json_fields(self):
         report = validate_perturbation(ts.BoseHubbardParams(0.05, 0.05, 1.0, 1.0, 1.0))

@@ -6,6 +6,7 @@ import pytest
 
 import trispin as ts
 from trispin import cli, free_fermion, spin_core
+from trispin.spin_core import ConvergenceError
 from test_spin_core import kron_oracle
 
 
@@ -49,6 +50,14 @@ class TestCouplings:
         code, _ = run(tmp_path, "couplings", "--j", "0.1", "--u", "-1.0")
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [["--j", "nan", "--u", "1"], ["--j", "0.1", "--u", "inf"]])
+    def test_non_finite_parameters(self, tmp_path, flags, capsys):
+        code, out = run(tmp_path, "couplings", *flags)
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        # a failed run keeps its config echo and writes no data and no manifest
+        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+
 
 class TestValidate:
     def test_perturbative_regime_passes(self, tmp_path):
@@ -72,6 +81,11 @@ class TestSpectrum:
         assert payload["gap"] == pytest.approx(2.0, abs=1e-9)
         assert payload["ground_energy"] == pytest.approx(-6.0, abs=1e-9)
         assert "min gap 2" in capsys.readouterr().out
+
+    def test_non_finite_field_is_an_error(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "spectrum", "--n", "6", "--b", "nan")
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_iterative_gap_matches_spectral_gap(self, tmp_path):
         code, out = run(tmp_path, "spectrum", "--n", "13", "--b", "0.5")
@@ -118,6 +132,14 @@ class TestUsage:
             with pytest.raises(SystemExit) as excinfo:
                 run(tmp_path, "figure2", "--threads", threads)
             assert excinfo.value.code == 64
+
+    @pytest.mark.parametrize("command", [["locent", "--b", "0.5", "--scheme", "anneal"], ["figure2"]])
+    def test_nonpositive_anneal_schedule_exits_64(self, tmp_path, command):
+        for flag in ("--anneal-temps", "--anneal-proposals", "--anneal-restarts"):
+            for value in ("0", "-5"):
+                with pytest.raises(SystemExit) as excinfo:
+                    run(tmp_path, *command, flag, value)
+                assert excinfo.value.code == 64
 
     def test_figure2_ring_too_small_to_fit_exits_64(self, tmp_path, capsys):
         # separations 2..n//2 give the fit its MIN_POINTS = 5 points from n = 12
@@ -177,6 +199,11 @@ class TestCorr:
         assert code == 0
         rows = (out / "corr.csv").read_text().splitlines()[1:]
         assert len(rows) == 7
+
+    def test_analytic_channel_non_finite_field(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "corr", "--b", "inf", "--channel", "analytic")
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_analytic_channel_zz_only(self, tmp_path):
         code, _ = run(tmp_path, "corr", "--b", "0.5", "--channel", "analytic",
@@ -239,6 +266,33 @@ class TestFigure2:
         ]
         assert (out / "correlation_length.csv").read_text() == "B,xi,model,diverges\n"
         assert len((out / "entanglement_length.csv").read_text().splitlines()) == 4
+
+    def test_typed_channel_failure_is_logged(self, tmp_path, monkeypatch):
+        real = cli.ground_state
+
+        def stalls_at_half(spec, **kwargs):
+            if spec.terms[-1].coeff == 0.5:
+                raise ConvergenceError("Lanczos stalled")
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(cli, "ground_state", stalls_at_half)
+        code, out = run(tmp_path, "figure2", "--no-anneal", "--b-grid", "0.5:1.5:1.0")
+        assert code == 0
+        assert (out / "failures.log").read_text() == "entanglement B=0.5: Lanczos stalled\n"
+        rows = (out / "entanglement_length.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1.5"]
+        assert len((out / "correlation_length.csv").read_text().splitlines()) == 3
+        assert (out / "manifest.json").exists()
+
+    def test_untyped_channel_failure_propagates(self, tmp_path, monkeypatch):
+        def broken(spec, **kwargs):
+            raise TypeError("not a solver failure")
+
+        monkeypatch.setattr(cli, "ground_state", broken)
+        with pytest.raises(TypeError, match="not a solver failure"):
+            run(tmp_path, "figure2", "--no-anneal", "--b-grid", "0.5:1.5:1.0")
+        assert (tmp_path / "run" / "config.json").exists()
+        assert not (tmp_path / "run" / "manifest.json").exists()
 
     def test_smallest_ring_runs(self, tmp_path):
         code, out = run(tmp_path, "figure2", "--n", "12", "--no-anneal", "--b-grid", "0.5:0.5:1")

@@ -50,6 +50,11 @@ class TestCzzAnalytic:
         with pytest.raises(ValueError):
             ts.czz_analytic(0.5, 1)
 
+    @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan])
+    def test_non_finite_field_rejected(self, b):
+        with pytest.raises(ValueError, match="finite"):
+            ts.czz_analytic(b, 4)
+
     def test_zero_field_vanishes(self):
         # at B=0 the sin and cos quadratures cancel exactly (both 1/2 at L=3,
         # both 0 elsewhere), matching the stabilizer ground state
@@ -95,8 +100,25 @@ class TestCorrelationLength:
             correlation_length(synthetic_series(lambda L: 1e-15, range(1, 11)))
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError, match="at least"):
-            correlation_length(CorrelationSeries([1, 2, 3], [0.5, 0.25, 0.125]))
+        # fewer than MIN_POINTS: two-point slope through the last two values
+        est = correlation_length(CorrelationSeries([1, 2, 3], [0.5, 0.25, 0.125]))
+        assert est.model == "short_range"
+        assert est.xi == pytest.approx(1.0 / math.log(2.0), rel=1e-12)
+        assert est.window == (2, 3)
+        est = correlation_length(CorrelationSeries([1, 2, 3, 4], [1e-15, 0.1, 0.3, 1e-14]))
+        assert est.model == "short_range" and est.diverges
+
+    def test_one_point_is_zero(self):
+        with pytest.raises(ts.ZeroSeriesError, match="numerically zero"):
+            correlation_length(CorrelationSeries([1, 2, 3], [1e-15, 0.5, 1e-14]))
+
+    def test_analytic_short_range_at_small_field(self):
+        # the B=0.1 row of figure2's correlation_length.csv
+        lengths = list(range(4, 41))
+        series = CorrelationSeries(lengths, [ts.czz_analytic(0.1, L) for L in lengths])
+        est = correlation_length(series)
+        assert est.model == "short_range"
+        assert f"{est.xi:.12g}" == "0.397904638538"
 
     def test_strictly_increasing_lengths_enforced(self):
         with pytest.raises(ValueError):
@@ -105,7 +127,7 @@ class TestCorrelationLength:
     @pytest.mark.parametrize("b,expect", [(0.5, "exponential"), (2.0, "exponential"), (1.0, "power_law")])
     def test_analytic_sweep_classification(self, b, expect):
         lengths = list(range(4, 41))
-        series = CorrelationSeries(lengths, [ts.czz_analytic(b, L) for L in lengths], "zz_analytic")
+        series = CorrelationSeries(lengths, [ts.czz_analytic(b, L) for L in lengths])
         est = correlation_length(series)
         assert est.model == expect
         if expect == "exponential":

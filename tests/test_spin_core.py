@@ -73,6 +73,15 @@ class TestPauliString:
         with pytest.raises(TypeError):
             ts.PauliString(1.0j, ((0, "X"),))
 
+    @pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="finite"):
+            ts.PauliString(coeff, ((0, "X"),))
+        with pytest.raises(ValueError, match="finite"):
+            ts.cluster_hamiltonian(6, coeff)
+        with pytest.raises(ValueError, match="finite"):
+            ts.triangle_chain_hamiltonian(ts.EffectiveCouplings(coeff, 0, 0, 0, 0), (0, 0, 0), 4)
+
 
 class TestStateVector:
     def test_wrong_length_rejected(self):
