@@ -13,8 +13,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,21 +21,14 @@ import scipy
 from . import __version__
 from .bose_hubbard import BoseHubbardParams, effective_couplings, validate_perturbation
 from .correlations import two_point_connected
-from .free_fermion import (
-    MIN_POINTS,
-    CorrelationSeries,
-    ZeroSeriesError,
-    correlation_length,
-    czz_analytic,
-)
+from .free_fermion import MIN_POINTS, czz_analytic
 from .localizable import (
     AnnealConfig,
     branch_average,
     cluster_scheme_plan,
-    entanglement_length,
-    optimize_plan,
+    length_sweep,
     lower_bound_plan,
-    scheme_seed_plans,
+    optimize_plan,
 )
 from .spin_core import (
     _gap_above_ground,
@@ -53,7 +44,6 @@ EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 EXIT_USAGE = 64
 
-_ANALYTIC_L_RANGE = (4, 40)
 #: figure2 tables per channel: summary file and its length column, detail
 #: file and its value columns.
 _FIGURE2_TABLES = {
@@ -128,6 +118,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _threshold(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
     return value
 
 
@@ -238,72 +235,16 @@ def _cmd_locent(args, out: Path, timings: dict) -> int:
     return EXIT_OK
 
 
-def _czz_series(b: float) -> tuple[list[int], list[float]]:
-    lo, hi = _ANALYTIC_L_RANGE
-    lengths = list(range(lo, hi + 1))
-    return lengths, [czz_analytic(b, L) for L in lengths]
-
-
-def _e_loc_series(
-    b: float, n: int, seed: int, anneal: AnnealConfig | None
-) -> tuple[list[int], list[float]]:
-    _, gs = ground_state(cluster_hamiltonian(n, b), seed=seed)
-    seps = list(range(2, n // 2 + 1))
-    vals = []
-    for s in seps:
-        pair = (0, s)
-        if anneal is not None:
-            vals.append(optimize_plan(gs, pair, anneal).value)
-        else:
-            vals.append(max(branch_average(gs, pl).value for pl in scheme_seed_plans(n, pair)))
-    return seps, vals
-
-
-def _length_rows(b: float, lengths, values, fit) -> tuple[list, list[list]]:
-    """figure2 summary row ``[B, xi, model, diverges]`` and detail rows
-    ``[B, L, value, diverges]`` of one channel at field ``b``."""
-    try:
-        est = fit(CorrelationSeries(lengths, values))
-        row = [b, est.xi, est.model, int(est.diverges)]
-    except ZeroSeriesError:
-        row = [b, 0.0, "zero", 0]
-    return row, [[b, L, v, row[3]] for L, v in zip(lengths, values)]
-
-
 def _cmd_figure2(args, out: Path, timings: dict) -> int:
     grid = _parse_grid(args.b_grid)
-    n = 17 if args.large else args.n
     anneal = None if args.no_anneal else _anneal_config(args)
-    channels = {
-        "correlation": (_czz_series, correlation_length),
-        "entanglement": (
-            partial(_e_loc_series, n=n, seed=args.seed, anneal=anneal),
-            entanglement_length,
-        ),
-    }
-    failures: list[str] = []
-
-    def point(channel: str, b: float):
-        series, fit = channels[channel]
-        try:
-            return _length_rows(b, *series(b), fit)
-        except (ValueError, RuntimeError) as exc:  # logged, the run continues
-            failures.append(f"{channel} B={b}: {exc}")
-            return None
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        # With one thread the map runs here: a worker thread's own malloc
-        # arena raises the peak memory of an n=17 run by about 14%.
-        mapper = pool.map if args.threads > 1 else map
-        for channel, (summary, xi, detail, columns) in _FIGURE2_TABLES.items():
-            t0 = time.time()
-            points = [p for p in mapper(partial(point, channel), grid) if p is not None]
-            timings[channel] = time.time() - t0
-            _write_csv(out / f"{summary}.csv", ["B", xi, "model", "diverges"],
-                       [row for row, _ in points])
-            # czz_series has no flag column
-            _write_csv(out / f"{detail}.csv", ["B", "L", *columns],
-                       [r[: 2 + len(columns)] for _, rows in points for r in rows])
+    channels, failures = length_sweep(grid, 17 if args.large else args.n, args.seed, anneal)
+    for channel, (summary, xi, detail, columns) in _FIGURE2_TABLES.items():
+        rows, series, timings[channel] = channels[channel]
+        _write_csv(out / f"{summary}.csv", ["B", xi, "model", "diverges"], rows)
+        # czz_series has no flag column
+        _write_csv(out / f"{detail}.csv", ["B", "L", *columns],
+                   [r[: 2 + len(columns)] for r in series])
     if failures:
         (out / "failures.log").write_text("\n".join(failures) + "\n")
         for msg in failures:
@@ -329,7 +270,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="third-order truncation check against the full triangle")
     _add_bh_flags(p)
-    p.add_argument("--max-rel-dev", type=float, default=0.08)
+    p.add_argument("--max-rel-dev", type=_threshold, default=0.08)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_validate)
 
@@ -383,7 +324,8 @@ def build_parser() -> _Parser:
     p.add_argument("--anneal-temps", type=_positive_int, default=50)
     p.add_argument("--anneal-proposals", type=_positive_int, default=16)
     p.add_argument("--anneal-restarts", type=_positive_int, default=1)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=int, choices=(1,), default=1,
+                   help="accepted for existing command lines; the sweep is serial")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_figure2)
@@ -398,7 +340,10 @@ def main(argv=None) -> int:
     Each subcommand writes its data files into the run directory and may
     add the seconds of its phases to the manifest's timings.
     """
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "corr" and args.l_min > args.l_max:
+        parser.error(f"--l-min {args.l_min} exceeds --l-max {args.l_max}")
     out = Path(args.out or f"{args.command}_out")
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", {k: v for k, v in vars(args).items() if k != "func"})

@@ -1,18 +1,26 @@
 """Localizable entanglement on exact chain states: exhaustive enumeration of
 product-basis measurement branches, the prescribed measurement schemes, a
-simulated-annealing basis optimizer, and entanglement-length extraction.
+simulated-annealing basis optimizer, entanglement-length extraction, and the
+field sweep of correlation against entanglement length.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .free_fermion import CorrelationSeries, LengthEstimate, correlation_length
-from .spin_core import ResourceLimitError, StateVector
+from .free_fermion import (
+    CorrelationSeries,
+    LengthEstimate,
+    ZeroSeriesError,
+    correlation_length,
+    czz_analytic,
+)
+from .spin_core import ResourceLimitError, StateVector, cluster_hamiltonian, ground_state
 
 #: Branches with joint probability below this are dropped from the average.
 PROB_CUTOFF = 1e-14
@@ -421,3 +429,57 @@ def entanglement_length(series: CorrelationSeries) -> LengthEstimate:
     saturate at a nonzero constant are flagged divergent.
     """
     return correlation_length(series)
+
+
+def length_sweep(fields: list[float], n: int, seed: int,
+                 anneal: AnnealConfig | None) -> tuple[dict, list[str]]:
+    """Correlation length against entanglement length over ``fields``, serially.
+
+    The "correlation" channel fits ``czz_analytic`` at separations 4..40 with
+    ``correlation_length``.  The "entanglement" channel solves the ``n``-site
+    cluster ring with solver ``seed`` and fits, with ``entanglement_length``,
+    the E_loc of the pairs (0, s), s = 2..n//2: the ``optimize_plan`` optimum
+    under ``anneal``, or with ``None`` the best ``scheme_seed_plans`` plan.
+
+    Returns ``(channels, failures)``.  ``channels`` maps each channel, in that
+    order, to ``(summary, detail, seconds)``: a summary row ``[B, xi, model,
+    diverges]`` per field (``[B, 0.0, "zero", 0]`` for a numerically zero
+    series), detail rows ``[B, L, value, diverges]``, and the channel's
+    wall-clock seconds.  A field whose series or fit raises ``ValueError`` or
+    ``RuntimeError`` adds no rows and the line ``"<channel> B=<b>: <error>"``
+    to ``failures``; any other exception propagates.
+    """
+
+    def czz_series(b):
+        lengths = list(range(4, 41))
+        return lengths, [czz_analytic(b, L) for L in lengths]
+
+    def e_loc_series(b):
+        _, gs = ground_state(cluster_hamiltonian(n, b), seed=seed)
+        seps = list(range(2, n // 2 + 1))
+        if anneal is not None:
+            return seps, [optimize_plan(gs, (0, s), anneal).value for s in seps]
+        return seps, [max(branch_average(gs, plan).value for plan in scheme_seed_plans(n, (0, s)))
+                      for s in seps]
+
+    channels, failures = {}, []
+    for channel, series, fit in (
+        ("correlation", czz_series, correlation_length),
+        ("entanglement", e_loc_series, entanglement_length),
+    ):
+        t0 = time.time()
+        summary, detail = [], []
+        for b in fields:
+            try:
+                lengths, values = series(b)
+                est = fit(CorrelationSeries(lengths, values))
+                row = [b, est.xi, est.model, int(est.diverges)]
+            except ZeroSeriesError:  # raised by the fit alone
+                row = [b, 0.0, "zero", 0]
+            except (ValueError, RuntimeError) as exc:  # logged, the sweep continues
+                failures.append(f"{channel} B={b}: {exc}")
+                continue
+            summary.append(row)
+            detail += [[b, L, v, row[3]] for L, v in zip(lengths, values)]
+        channels[channel] = (summary, detail, time.time() - t0)
+    return channels, failures

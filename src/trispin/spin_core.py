@@ -718,33 +718,26 @@ def spectral_gap(spec: SpinChainSpec, seed: int = 7) -> float:
     literal E1 - E0 vanishes there; the gap above the ground manifold is the
     quantity that closes smoothly with 1/n and is what this returns.
 
-    Method: the merged level stream ``_levels`` is read until a level lies
-    at or above E0 + ``DEGENERACY_TOL``, E0 its first level; the gap is that
-    level minus E0.  Raises :class:`ConvergenceError` when the ground
-    manifold has ``GAP_LEVELS`` or more copies over all sectors.
+    Method: ``_gap_above_ground`` reads at most the first ``GAP_LEVELS``
+    levels of the merged level stream ``_levels``.  Raises
+    :class:`ConvergenceError` when the ground manifold has ``GAP_LEVELS`` or
+    more copies over all sectors.
     """
     _check_iterative_cap(spec.n_sites)
-    levels = _levels(spec, seed)
-    e0, _ = next(levels)
-    for level, _ in islice(levels, GAP_LEVELS - 1):
+    return _gap_above_ground(level for level, _ in islice(_levels(spec, seed), GAP_LEVELS))
+
+
+def _gap_above_ground(levels) -> float:
+    """Distance from the first of the ascending ``levels``, any iterable, to
+    the first level at or above it plus ``DEGENERACY_TOL``, the one rule for
+    "above the ground manifold"; no level after that one is read.  Raises
+    :class:`ConvergenceError` when no level lies that far above the first."""
+    levels = iter(levels)
+    e0 = next(levels)
+    for level in levels:
         if level - e0 >= DEGENERACY_TOL:
             return float(level - e0)
-    raise ConvergenceError(
-        f"no level above the ground manifold among the lowest {GAP_LEVELS} "
-        "(the GAP_LEVELS cap)"
-    )
-
-
-def _gap_above_ground(energies: np.ndarray) -> float:
-    """Distance from the lowest of the ascending ``energies`` to the first
-    level more than ``DEGENERACY_TOL`` above it."""
-    above = energies[energies - energies[0] > DEGENERACY_TOL]
-    if above.size == 0:
-        raise ConvergenceError(
-            f"no level above the ground manifold among the lowest {energies.size}; "
-            "solve more levels"
-        )
-    return float(above[0] - energies[0])
+    raise ConvergenceError("no level above the ground manifold among the levels read")
 
 
 def expectation(state: StateVector, op: PauliString) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import trispin as ts
-from trispin import cli, free_fermion, spin_core
+from trispin import cli, free_fermion, localizable, spin_core
 from trispin.spin_core import ConvergenceError
 from test_spin_core import kron_oracle
 
@@ -72,6 +72,14 @@ class TestValidate:
                       "--max-rel-dev", "0.001")
         assert code == 2
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+    def test_bad_threshold_exits_64(self, tmp_path, threshold, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, "validate", "--j", "0.1", "--u", "1", "--max-rel-dev", threshold)
+        assert excinfo.value.code == 64
+        assert "--max-rel-dev" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestSpectrum:
     def test_cluster_gap(self, tmp_path, capsys):
@@ -128,7 +136,8 @@ class TestUsage:
         assert excinfo.value.code == 64
 
     def test_nonpositive_threads_exits_64(self, tmp_path):
-        for threads in ("0", "-2"):
+        # the sweep is serial: 1 is the only accepted value
+        for threads in ("0", "-2", "2"):
             with pytest.raises(SystemExit) as excinfo:
                 run(tmp_path, "figure2", "--threads", threads)
             assert excinfo.value.code == 64
@@ -160,6 +169,15 @@ class TestUsage:
     def test_bad_grid_is_an_error(self, tmp_path):
         code, _ = run(tmp_path, "figure2", "--b-grid", "nonsense")
         assert code == 1
+
+    def test_corr_empty_separation_range_exits_64(self, tmp_path, capsys):
+        for channel in ("ed", "analytic"):
+            with pytest.raises(SystemExit) as excinfo:
+                run(tmp_path, "corr", "--b", "0.5", "--channel", channel,
+                    "--l-min", "9", "--l-max", "3")
+            assert excinfo.value.code == 64
+            assert "--l-min 9 exceeds --l-max 3" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_bad_axis_exits_64(self, tmp_path):
         for flag in ("--alpha", "--beta"):
@@ -268,14 +286,14 @@ class TestFigure2:
         assert len((out / "entanglement_length.csv").read_text().splitlines()) == 4
 
     def test_typed_channel_failure_is_logged(self, tmp_path, monkeypatch):
-        real = cli.ground_state
+        real = localizable.ground_state
 
         def stalls_at_half(spec, **kwargs):
             if spec.terms[-1].coeff == 0.5:
                 raise ConvergenceError("Lanczos stalled")
             return real(spec, **kwargs)
 
-        monkeypatch.setattr(cli, "ground_state", stalls_at_half)
+        monkeypatch.setattr(localizable, "ground_state", stalls_at_half)
         code, out = run(tmp_path, "figure2", "--no-anneal", "--b-grid", "0.5:1.5:1.0")
         assert code == 0
         assert (out / "failures.log").read_text() == "entanglement B=0.5: Lanczos stalled\n"
@@ -288,7 +306,7 @@ class TestFigure2:
         def broken(spec, **kwargs):
             raise TypeError("not a solver failure")
 
-        monkeypatch.setattr(cli, "ground_state", broken)
+        monkeypatch.setattr(localizable, "ground_state", broken)
         with pytest.raises(TypeError, match="not a solver failure"):
             run(tmp_path, "figure2", "--no-anneal", "--b-grid", "0.5:1.5:1.0")
         assert (tmp_path / "run" / "config.json").exists()
@@ -334,13 +352,42 @@ class TestFigure2:
                       "czz_series.csv", "e_loc_series.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    def test_threads_do_not_change_values(self, small_run, tmp_path):
-        _, first = small_run
-        threaded = tmp_path / "threaded"
-        code = cli.main([
-            "figure2", "--b-grid", "0.5:1.5:0.5", "--no-anneal",
-            "--seed", "7", "--threads", "4", "--out", str(threaded),
-        ])
-        assert code == 0
-        assert (first / "entanglement_length.csv").read_bytes() == \
-            (threaded / "entanglement_length.csv").read_bytes()
+
+def csv_lines(table: list[list], header: str) -> list[str]:
+    """Leading entries of the ``length_sweep`` rows ``table`` as figure2
+    writes them under ``header``."""
+    width = len(header.split(","))
+    return [",".join(cli._fmt(v) for v in row[:width]) for row in table]
+
+
+class TestLengthSweep:
+    def test_rows_are_the_csv_rows(self, small_run):
+        _, out = small_run
+        channels, failures = localizable.length_sweep(cli._parse_grid("0.5:1.5:0.5"), 13, 7, None)
+        assert failures == []
+        assert list(channels) == ["correlation", "entanglement"]
+        for channel, (summary, _, detail, _) in cli._FIGURE2_TABLES.items():
+            rows, series, seconds = channels[channel]
+            assert seconds >= 0.0
+            for name, table in ((summary, rows), (detail, series)):
+                header, *lines = (out / f"{name}.csv").read_text().splitlines()
+                assert lines == csv_lines(table, header)
+
+    def test_typed_failure_keeps_the_other_field(self, small_run, monkeypatch):
+        _, out = small_run
+        real = localizable.ground_state
+
+        def stalls_at_half(spec, **kwargs):
+            if spec.terms[-1].coeff == 0.5:
+                raise ConvergenceError("Lanczos stalled")
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(localizable, "ground_state", stalls_at_half)
+        channels, failures = localizable.length_sweep([0.5, 1.5], 13, 7, None)
+        assert failures == ["entanglement B=0.5: Lanczos stalled"]
+        assert [row[0] for row in channels["correlation"][0]] == [0.5, 1.5]
+        # the field that solved keeps the rows of the unpatched sweep
+        rows, series, _ = channels["entanglement"]
+        for name, table in (("entanglement_length", rows), ("e_loc_series", series)):
+            header, *lines = (out / f"{name}.csv").read_text().splitlines()
+            assert csv_lines(table, header) == [line for line in lines if line.startswith("1.5,")]

@@ -624,6 +624,28 @@ class TestLanczosGap:
         assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
 
 
+class TestGapAboveGround:
+    """_gap_above_ground: the one rule for a level above the ground manifold."""
+
+    def test_level_at_the_tolerance_is_above(self, monkeypatch):
+        levels = [0.0, spin_core.DEGENERACY_TOL, 1.0]
+        assert spin_core._gap_above_ground(np.array(levels)) == spin_core.DEGENERACY_TOL
+        # spectral_gap reads its merged stream through the same rule
+        monkeypatch.setattr(spin_core, "_levels", lambda spec, seed: ((e, None) for e in levels))
+        assert ts.spectral_gap(ts.cluster_hamiltonian(6, 0.0)) == spin_core.DEGENERACY_TOL
+
+    def test_stops_at_the_first_level_above(self):
+        def stream():
+            yield from (-1.0, -1.0 + 1e-9, 0.5)
+            raise AssertionError("read past the first level above the ground manifold")
+
+        assert spin_core._gap_above_ground(stream()) == 1.5
+
+    def test_no_level_above_raises(self):
+        with pytest.raises(ConvergenceError):
+            spin_core._gap_above_ground([0.0, 0.5 * spin_core.DEGENERACY_TOL])
+
+
 class TestLowestEigenvalues:
     """lowest_eigenvalues: the gap's deflation loop on every sector."""
 
