@@ -203,17 +203,15 @@ def _cmd_spectrum(args, out: Path, timings: dict) -> int:
 
 
 def _cmd_corr(args, out: Path, timings: dict) -> int:
-    rows = []
+    lengths = range(args.l_min, args.l_max + 1)
     if args.channel == "analytic":
         if (args.alpha, args.beta) != ("z", "z"):
             raise ValueError("the analytic channel provides zz correlators only")
-        for L in range(args.l_min, args.l_max + 1):
-            rows.append([args.b, L, "z", "z", czz_analytic(args.b, L)])
+        values = czz_analytic(args.b, lengths).tolist()
     else:
         _, gs = ground_state(cluster_hamiltonian(args.n, args.b), seed=args.seed)
-        for L in range(args.l_min, args.l_max + 1):
-            val = two_point_connected(gs, args.alpha, args.beta, 0, L - 1)
-            rows.append([args.b, L, args.alpha, args.beta, val])
+        values = [two_point_connected(gs, args.alpha, args.beta, 0, L - 1) for L in lengths]
+    rows = [[args.b, L, args.alpha, args.beta, v] for L, v in zip(lengths, values)]
     _write_csv(out / "corr.csv", ["B", "L", "alpha", "beta", "value"], rows)
     print(f"wrote {len(rows)} correlator rows to {out / 'corr.csv'}")
     return EXIT_OK
@@ -342,8 +340,13 @@ def main(argv=None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "corr" and args.l_min > args.l_max:
-        parser.error(f"--l-min {args.l_min} exceeds --l-max {args.l_max}")
+    if args.command == "corr":
+        if args.l_min < 2:
+            parser.error(f"--l-min {args.l_min} is below 2")
+        if args.l_min > args.l_max:
+            parser.error(f"--l-min {args.l_min} exceeds --l-max {args.l_max}")
+        if args.channel == "ed" and args.l_max > args.n:
+            parser.error(f"--l-max {args.l_max} exceeds the ring of --n {args.n} sites")
     out = Path(args.out or f"{args.command}_out")
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", {k: v for k, v in vars(args).items() if k != "func"})

@@ -6,6 +6,7 @@ correlators, and decay-length extraction from correlation series.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,20 +63,27 @@ def energy_gap(b_field: float) -> float:
 
 _GAUSS_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = leggauss(_GAUSS_ORDER)
+#: Panel splits: r = +/- pi, where the square root vanishes at |B| = 1.
+_SPLITS = np.array([-2.0 * np.pi, -np.pi, 0.0, np.pi, 2.0 * np.pi])
 
 
-def _gauss_on_panels(f, edges: np.ndarray) -> float:
-    """Fixed-order Gauss-Legendre on each [edges[i], edges[i+1]] panel."""
+def _panel_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on 2^level equal panels between each pair of
+    ``_SPLITS``: the ``(panels, _GAUSS_ORDER)`` nodes and the ``(panels, 1)``
+    panel half-widths."""
+    splits = 1 << level
+    edges = np.concatenate(
+        [np.linspace(_SPLITS[i], _SPLITS[i + 1], splits + 1)[:-1] for i in range(4)]
+        + [_SPLITS[-1:]]
+    )
     a = edges[:-1]
     b = edges[1:]
     mid = 0.5 * (a + b)[:, None]
     half = 0.5 * (b - a)[:, None]
-    x = mid + half * _GL_NODES[None, :]
-    vals = f(x)
-    return float(np.sum(vals * _GL_WEIGHTS[None, :] * half))
+    return mid + half * _GL_NODES[None, :], half
 
 
-def czz_analytic(b_field: float, L: int) -> float:
+def czz_analytic(b_field: float, L):
     """Thermodynamic-limit connected <Z_1 Z_L> from the closed-form quadratures.
 
     Evaluates, with Lambda(r) = sqrt(B^2 + 1 + 2 B cos r) and prefactor
@@ -84,42 +92,51 @@ def czz_analytic(b_field: float, L: int) -> float:
       I1 = (1/4pi) Int sin(r)/Lambda(r) * sin((L-1) r / 2) dr
       I2 = (1/4pi) Int (B + cos r)/Lambda(r) * cos((L-1) r / 2) dr
 
-    and returns I1^2 - I2^2.  Panels are split at r = +/- pi where the
-    square root vanishes at |B| = 1; panel counts are doubled until two
-    successive estimates agree within ``QUAD_TOL`` absolutely.
+    and returns I1^2 - I2^2.  ``L`` is an integer separation (a float is
+    returned) or a sequence of them (an array is returned, in that order).
+    Panels are split at r = +/- pi where the square root vanishes at
+    |B| = 1; panel counts are doubled until two successive estimates of a
+    separation agree within ``QUAD_TOL`` absolutely, each separation
+    stopping at its own level.  The nodes and the L-independent factors of
+    both integrands are built once per level for all separations.
     """
-    if L < 2:
+    scalar = np.ndim(L) == 0
+    try:
+        seps = [operator.index(sep) for sep in ([L] if scalar else L)]
+    except TypeError:
+        raise ValueError(f"separation index L must be an integer, got {L!r}") from None
+    if any(sep < 2 for sep in seps):
         raise ValueError("separation index L must be >= 2")
     b = float(b_field)
     if not math.isfinite(b):
         raise ValueError(f"field B must be finite, got {b}")
-    m = 0.5 * (L - 1)
     lam = Dispersion(b)
-
-    def f_sin(r):
-        return np.sin(r) / lam(r) * np.sin(m * r)
-
-    def f_cos(r):
-        return (b + np.cos(r)) / lam(r) * np.cos(m * r)
-
-    base = np.array([-2.0 * np.pi, -np.pi, 0.0, np.pi, 2.0 * np.pi])
-    prev = None
     pref = 1.0 / (4.0 * np.pi)
+    out = np.empty(len(seps))
+    prev = {j: None for j in range(len(seps))}  # unconverged: last (I1, I2)
     for level in range(MAX_REFINE + 1):
-        splits = 1 << level
-        edges = np.concatenate(
-            [np.linspace(base[i], base[i + 1], splits + 1)[:-1] for i in range(4)]
-            + [base[-1:]]
+        if not prev:
+            break
+        x, half = _panel_nodes(level)
+        lam_x = lam(x)
+        sin_lam = np.sin(x) / lam_x
+        cos_lam = (b + np.cos(x)) / lam_x
+        for j, last in list(prev.items()):
+            mx = 0.5 * (seps[j] - 1) * x
+            i1 = pref * float(np.sum(sin_lam * np.sin(mx) * _GL_WEIGHTS[None, :] * half))
+            i2 = pref * float(np.sum(cos_lam * np.cos(mx) * _GL_WEIGHTS[None, :] * half))
+            if last is not None and abs(i1 - last[0]) < QUAD_TOL and abs(i2 - last[1]) < QUAD_TOL:
+                out[j] = i1 * i1 - i2 * i2
+                del prev[j]
+            else:
+                prev[j] = (i1, i2)
+    if prev:
+        missing = ", ".join(str(seps[j]) for j in prev)
+        raise QuadratureError(
+            f"correlator quadrature did not converge to {QUAD_TOL} at B={b}, L={missing} "
+            f"within {MAX_REFINE} refinements"
         )
-        i1 = pref * _gauss_on_panels(f_sin, edges)
-        i2 = pref * _gauss_on_panels(f_cos, edges)
-        if prev is not None and abs(i1 - prev[0]) < QUAD_TOL and abs(i2 - prev[1]) < QUAD_TOL:
-            return i1 * i1 - i2 * i2
-        prev = (i1, i2)
-    raise QuadratureError(
-        f"correlator quadrature did not converge to {QUAD_TOL} at B={b}, L={L} "
-        f"within {MAX_REFINE} refinements"
-    )
+    return float(out[0]) if scalar else out
 
 
 # --- series containers and length fitting ------------------------------------

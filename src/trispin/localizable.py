@@ -79,7 +79,10 @@ class BranchResult:
     ``outcome`` lists the measured sites' results (0 for +n, 1 for -n) in
     ascending site order.  ``amplitudes[2 * bit(larger site) + bit(smaller
     site)]`` is the normalized residual amplitude, the package's basis
-    convention restricted to the target pair.
+    convention restricted to the target pair.  Its global phase is that of
+    the measured bras, (cos(theta/2), e^{-i phi} sin(theta/2)) for +n and
+    (-sin(theta/2), e^{-i phi} cos(theta/2)) for -n; it moves neither the
+    probability nor the concurrence.
     """
 
     outcome: tuple[int, ...]
@@ -121,11 +124,17 @@ def concurrence_pure(amplitudes) -> float:
     return float(2.0 * abs(amps[0] * amps[3] - amps[1] * amps[2]))
 
 
+#: The Z bras, ``_measurement_matrix(0, 0)``, which ``_rotated`` skips.
+_IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+
+
 def _measurement_matrix(theta: float, phi: float) -> np.ndarray:
-    """Rows are the bras <+n| and <-n| in the computational basis."""
+    """Rows are the bras <+n| = (cos(theta/2), e^{-i phi} sin(theta/2)) and
+    <-n| = (-sin(theta/2), e^{-i phi} cos(theta/2)) in the computational
+    basis, so the Z bras (theta = phi = 0) are exactly the identity."""
     ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
     e = np.exp(-1j * phi)  # conjugate phase: the rows are bras
-    return np.array([[ct, e * st], [st, -e * ct]])
+    return np.array([[ct, e * st], [-st, e * ct]])
 
 
 def _rotate_site(a: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
@@ -171,15 +180,17 @@ def _rotated(state: StateVector, pair: tuple[int, int], bras: list[np.ndarray]) 
     four amplitudes (larger site first) for the outcome whose bits are the
     measured sites in descending order, the largest site most significant.
     Measured site s is therefore the middle axis of ``a.reshape(2**k, 2, -1)``,
-    with k the number of measured sites above s.
+    with k the number of measured sites above s.  Identity bras (Z
+    measurements) are skipped; the result never shares memory with the state.
     """
     n = state.n_sites
     lo, hi = sorted(pair)
     # Axis k of the state tensor is site n-1-k; one copy moves the pair last.
     psi = state.amplitudes.reshape((2,) * n)
-    a = np.moveaxis(psi, (n - 1 - hi, n - 1 - lo), (-2, -1)).reshape(-1, 4)
+    a = np.array(np.moveaxis(psi, (n - 1 - hi, n - 1 - lo), (-2, -1)), order="C").reshape(-1, 4)
     for k, u in enumerate(reversed(bras)):
-        a = _rotate_site(a, u, k)
+        if u.tolist() != _IDENTITY:
+            a = _rotate_site(a, u, k)
     return a
 
 
@@ -452,7 +463,7 @@ def length_sweep(fields: list[float], n: int, seed: int,
 
     def czz_series(b):
         lengths = list(range(4, 41))
-        return lengths, [czz_analytic(b, L) for L in lengths]
+        return lengths, czz_analytic(b, lengths).tolist()
 
     def e_loc_series(b):
         _, gs = ground_state(cluster_hamiltonian(n, b), seed=seed)

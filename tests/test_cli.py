@@ -179,6 +179,19 @@ class TestUsage:
             assert "--l-min 9 exceeds --l-max 3" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--l-min", "0"), "--l-min 0 is below 2"),
+        (("--l-min", "1", "--channel", "analytic"), "--l-min 1 is below 2"),
+        (("--l-max", "9"), "--l-max 9 exceeds the ring of --n 8 sites"),
+    ])
+    def test_corr_separation_outside_ring_exits_64(self, tmp_path, capsys, flags, message):
+        # rejected before the run directory is made and before any solve
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, "corr", "--b", "0.5", "--n", "8", *flags)
+        assert excinfo.value.code == 64
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_bad_axis_exits_64(self, tmp_path):
         for flag in ("--alpha", "--beta"):
             with pytest.raises(SystemExit) as excinfo:
@@ -212,11 +225,14 @@ class TestCorr:
         assert len(lines) == 5  # L = 3..6
 
     def test_analytic_channel(self, tmp_path):
+        # the analytic channel is not bounded by the ring size --n
         code, out = run(tmp_path, "corr", "--b", "0.5", "--channel", "analytic",
-                        "--l-min", "2", "--l-max", "8")
+                        "--n", "8", "--l-min", "2", "--l-max", "40")
         assert code == 0
         rows = (out / "corr.csv").read_text().splitlines()[1:]
-        assert len(rows) == 7
+        assert len(rows) == 39
+        values = free_fermion.czz_analytic(0.5, range(2, 41))
+        assert rows == [f"0.5,{L},z,z,{v:.12g}" for L, v in zip(range(2, 41), values)]
 
     def test_analytic_channel_non_finite_field(self, tmp_path, capsys):
         code, _ = run(tmp_path, "corr", "--b", "inf", "--channel", "analytic")

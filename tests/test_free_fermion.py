@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import trispin as ts
+from trispin import free_fermion
 from trispin.correlations import two_point_connected
 from trispin.free_fermion import CorrelationSeries, correlation_length
 
@@ -54,6 +56,67 @@ class TestCzzAnalytic:
     def test_non_finite_field_rejected(self, b):
         with pytest.raises(ValueError, match="finite"):
             ts.czz_analytic(b, 4)
+
+    @pytest.mark.parametrize("L", [4.5, 4.0, "4", [4, 4.5], [[4, 5]]])
+    def test_non_integer_separation_rejected(self, L):
+        with pytest.raises(ValueError, match="integer"):
+            ts.czz_analytic(0.5, L)
+
+    def test_numpy_integer_separations(self):
+        assert ts.czz_analytic(0.5, np.int64(5)) == ts.czz_analytic(0.5, 5)
+        values = ts.czz_analytic(0.5, np.arange(4, 8))
+        assert values.tolist() == [ts.czz_analytic(0.5, L) for L in range(4, 8)]
+        assert ts.czz_analytic(0.5, []).shape == (0,)
+
+    def test_sequence_rejects_short_separation(self):
+        with pytest.raises(ValueError, match=">= 2"):
+            ts.czz_analytic(0.5, [4, 1, 5])
+
+    @pytest.mark.parametrize("b", [round(0.1 * i, 10) for i in range(21)] + [0.99, 1.01, 0.999])
+    def test_sequence_matches_scalar_calls(self, b):
+        # one shared refinement per field, each separation stopping at its
+        # own level: bit for bit the scalar values
+        lengths = range(4, 41)
+        values = ts.czz_analytic(b, lengths)
+        scalars = [ts.czz_analytic(b, L) for L in lengths]
+        assert all(type(v) is float for v in scalars)
+        assert isinstance(values, np.ndarray) and values.shape == (len(lengths),)
+        assert values.tobytes() == np.array(scalars).tobytes()
+
+    @pytest.mark.parametrize("b,L,written", [
+        (0.3, 5, "0.000251633667671"),
+        (0.5, 11, "5.38091906978e-06"),
+        (0.9, 39, "7.21429900097e-06"),
+        (1.0, 21, "0.00101575121446"),
+        (1.5, 9, "0.000390620343375"),
+        (2.0, 23, "3.16928356623e-10"),
+    ])
+    def test_pinned_figure2_values(self, b, L, written):
+        # rows of the default figure2 czz_series.csv, as written (12 digits)
+        assert f"{ts.czz_analytic(b, range(4, 41))[L - 4]:.12g}" == written
+        assert f"{ts.czz_analytic(b, L):.12g}" == written
+
+    def test_quadrature_error_names_unconverged_separations(self, monkeypatch):
+        # at B=0.5 three refinement levels separate L <= 35 from L = 37, 39
+        monkeypatch.setattr(free_fermion, "MAX_REFINE", 2)
+        with pytest.raises(ts.QuadratureError, match=r"B=0\.5, L=37, 39 within 2") as excinfo:
+            ts.czz_analytic(0.5, range(4, 41))
+        assert "35" not in str(excinfo.value)
+        with pytest.raises(ts.QuadratureError, match=r"B=0\.5, L=39 within 2"):
+            ts.czz_analytic(0.5, 39)
+
+    def test_sequence_memory_is_one_separation_wide(self):
+        # B=0.999 refines to 2048 panels; the arrays stay one separation wide
+        def peak(L):
+            tracemalloc.start()
+            try:
+                ts.czz_analytic(0.999, L)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(5)  # warm up lazily allocated module state
+        assert peak(range(4, 41)) <= 1.5 * peak(5)
 
     def test_zero_field_vanishes(self):
         # at B=0 the sin and cos quadratures cancel exactly (both 1/2 at L=3,

@@ -12,6 +12,7 @@ from trispin.localizable import (
     SIGMA0,
     T_START,
     MeasurementPlan,
+    _measurement_matrix,
     _plan_bras,
     _read,
     _rotate_site,
@@ -273,6 +274,54 @@ class TestKernels:
             assert got.shape == a.shape
             assert np.max(np.abs(got - ref)) <= 1e-15
         assert np.array_equal(a, before)
+
+    def test_z_bras_are_the_identity(self):
+        assert np.array_equal(_measurement_matrix(0.0, 0.0), np.eye(2))
+
+    def test_measurement_rows_are_eigenbras(self):
+        # row 0 is <+n|, row 1 is <-n|: orthonormal, eigenvalues +1 and -1
+        paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+        rng = np.random.default_rng(3)
+        for theta, phi in rng.uniform((0.0, 0.0), (math.pi, 2.0 * math.pi), size=(20, 2)):
+            u = _measurement_matrix(theta, phi)
+            axis = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+            n_sigma = sum(c * pauli for c, pauli in zip(axis, paulis))
+            assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-15
+            assert np.max(np.abs(u @ n_sigma - np.diag([1, -1]) @ u)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
+    def test_skipped_z_bras_change_no_bit(self, n):
+        # half the measured sites in Z, skipped by _rotated; the reference
+        # rotates every site, Z included
+        rng = np.random.default_rng(70 + n)
+        for trial in range(4):
+            state = random_state(n, 700 + 10 * n + trial)
+            pair = tuple(int(s) for s in rng.choice(n, size=2, replace=False))
+            angles = random_plan(n, pair, seed=70 * n + trial).angles
+            for site in rng.choice(sorted(angles), size=(n - 2) // 2, replace=False):
+                angles[int(site)] = Z
+            bras = _plan_bras(MeasurementPlan(n, pair, angles))
+            lo, hi = sorted(pair)
+            psi = state.amplitudes.reshape((2,) * n)
+            a = np.moveaxis(psi, (n - 1 - hi, n - 1 - lo), (-2, -1)).reshape(-1, 4)
+            for k, u in enumerate(reversed(bras)):
+                a = _rotate_site(a, u, k)
+            value, probs, keep, dets = _read(_rotated(state, pair, bras))
+            want = _read(a)
+            assert value == want[0]
+            assert np.array_equal(probs, want[1])
+            assert np.array_equal(keep, want[2])
+            assert np.array_equal(dets, want[3])
+
+    def test_all_z_plan_is_a_fresh_c_contiguous_tensor(self):
+        # no site is rotated, so the pair-last copy is the result
+        n = 7
+        state = random_state(n, 8)
+        for pair in itertools.permutations(range(n), 2):
+            plan = MeasurementPlan(n, pair, {s: Z for s in range(n) if s not in pair})
+            a = _rotated(state, pair, _plan_bras(plan))
+            assert a.flags.c_contiguous
+            assert not np.shares_memory(a, state.amplitudes)
 
     def test_read_rejects_unnormalized_tensor(self):
         state = random_state(7, 5)
