@@ -51,6 +51,8 @@ class TestCzzAnalytic:
     def test_separation_validation(self):
         with pytest.raises(ValueError):
             ts.czz_analytic(0.5, 1)
+        with pytest.raises(ValueError, match=">= 2"):
+            ts.czz_analytic(0.5, [4, 1, 5])
 
     @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan])
     def test_non_finite_field_rejected(self, b):
@@ -67,10 +69,6 @@ class TestCzzAnalytic:
         values = ts.czz_analytic(0.5, np.arange(4, 8))
         assert values.tolist() == [ts.czz_analytic(0.5, L) for L in range(4, 8)]
         assert ts.czz_analytic(0.5, []).shape == (0,)
-
-    def test_sequence_rejects_short_separation(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            ts.czz_analytic(0.5, [4, 1, 5])
 
     @pytest.mark.parametrize("b", [round(0.1 * i, 10) for i in range(21)] + [0.99, 1.01, 0.999])
     def test_sequence_matches_scalar_calls(self, b):
@@ -97,7 +95,7 @@ class TestCzzAnalytic:
         assert f"{ts.czz_analytic(b, L):.12g}" == written
 
     def test_quadrature_error_names_unconverged_separations(self, monkeypatch):
-        # at B=0.5 three refinement levels separate L <= 35 from L = 37, 39
+        # at B=0.5 levels 0..2 converge every L <= 35 but not L = 37, 39
         monkeypatch.setattr(free_fermion, "MAX_REFINE", 2)
         with pytest.raises(ts.QuadratureError, match=r"B=0\.5, L=37, 39 within 2") as excinfo:
             ts.czz_analytic(0.5, range(4, 41))
