@@ -5,7 +5,6 @@ model, and validation of the truncation against the effective spin model.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -67,13 +66,6 @@ class EffectiveCouplings:
     lambda3: float
     lambda4: float
     b_z_comp: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"lambda1": self.lambda1, "lambda2": self.lambda2,
-             "lambda3": self.lambda3, "lambda4": self.lambda4,
-             "b_z_comp": self.b_z_comp}
-        )
 
 
 def effective_couplings(params: BoseHubbardParams) -> EffectiveCouplings:
@@ -231,25 +223,6 @@ class TruncationReport:
     max_rel_dev: float
     spread: float
     ambiguous: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "levels": [
-                    {
-                        "sector": list(lv.sector),
-                        "full": lv.full,
-                        "effective": lv.effective,
-                        "abs_dev": lv.abs_dev,
-                        "rel_dev": lv.rel_dev,
-                    }
-                    for lv in self.levels
-                ],
-                "max_rel_dev": self.max_rel_dev,
-                "spread": self.spread,
-                "ambiguous": bool(self.ambiguous),
-            }
-        )
 
 
 #: Overlap-score margins below which manifold identification is flagged.

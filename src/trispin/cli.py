@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 error, 2 validation-threshold failure, 64 usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -31,6 +32,7 @@ from .localizable import (
     optimize_plan,
 )
 from .spin_core import (
+    GAP_LEVELS,
     _gap_above_ground,
     cluster_hamiltonian,
     dense_spectrum,
@@ -156,7 +158,7 @@ def _add_bh_flags(p) -> None:
 def _cmd_couplings(args, out: Path, timings: dict) -> int:
     params = _params_from_args(args)
     coup = effective_couplings(params)
-    payload = json.loads(coup.to_json())
+    payload = dataclasses.asdict(coup)
     payload["perturbative_ratio"] = params.perturbative_ratio
     payload["perturbative_ok"] = params.perturbative_ok
     _write_json(out / "couplings.json", payload)
@@ -167,7 +169,7 @@ def _cmd_couplings(args, out: Path, timings: dict) -> int:
 def _cmd_validate(args, out: Path, timings: dict) -> int:
     params = _params_from_args(args)
     report = validate_perturbation(params)
-    (out / "validation.json").write_text(report.to_json() + "\n")
+    _write_json(out / "validation.json", dataclasses.asdict(report))
     print(f"max relative deviation: {report.max_rel_dev:.6g} (threshold {args.max_rel_dev})")
     return EXIT_OK if report.max_rel_dev <= args.max_rel_dev else EXIT_VALIDATION
 
@@ -183,7 +185,8 @@ def _cmd_spectrum(args, out: Path, timings: dict) -> int:
     if args.n <= 12:
         energies = dense_spectrum(spec)
     else:
-        energies = lowest_eigenvalues(spec, k=16, seed=args.seed)
+        # the gap reads at least GAP_LEVELS levels whatever --max-levels asks
+        energies = lowest_eigenvalues(spec, k=min(max(args.max_levels, GAP_LEVELS), 2**args.n))
     e0 = float(energies[0])
     gap = _gap_above_ground(energies)
     _write_json(
@@ -209,7 +212,7 @@ def _cmd_corr(args, out: Path, timings: dict) -> int:
             raise ValueError("the analytic channel provides zz correlators only")
         values = czz_analytic(args.b, lengths).tolist()
     else:
-        _, gs = ground_state(cluster_hamiltonian(args.n, args.b), seed=args.seed)
+        _, gs = ground_state(cluster_hamiltonian(args.n, args.b))
         values = [two_point_connected(gs, args.alpha, args.beta, 0, L - 1) for L in lengths]
     rows = [[args.b, L, args.alpha, args.beta, v] for L, v in zip(lengths, values)]
     _write_csv(out / "corr.csv", ["B", "L", "alpha", "beta", "value"], rows)
@@ -228,7 +231,18 @@ def _cmd_locent(args, out: Path, timings: dict) -> int:
         result = branch_average(gs, lower_bound_plan(args.n, q + 1))
     else:
         result = optimize_plan(gs, (p, q), _anneal_config(args))
-    (out / "locent.json").write_text(result.to_json(b_field=args.b) + "\n")
+    plan = result.plan
+    _write_json(
+        out / "locent.json",
+        {
+            "B": args.b,
+            "n": plan.n_sites,
+            "pair": list(plan.target_pair),
+            "value": result.value,
+            "plan": {str(site): list(angles) for site, angles in plan.angles.items()},
+            "branches": result.branch_count,
+        },
+    )
     print(f"E_loc = {result.value:.12g} over {result.branch_count} branches")
     return EXIT_OK
 
@@ -283,7 +297,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda3", type=float, default=0.0)
     p.add_argument("--lambda4", type=float, default=0.0)
     p.add_argument("--max-levels", type=_positive_int, default=64)
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -295,7 +308,6 @@ def build_parser() -> _Parser:
     p.add_argument("--l-min", type=int, default=3)
     p.add_argument("--l-max", type=int, default=8)
     p.add_argument("--channel", choices=("ed", "analytic"), default="ed")
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_corr)
 
@@ -340,6 +352,10 @@ def main(argv=None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    on_chain = args.command in ("spectrum", "locent") or (
+        args.command == "corr" and args.channel == "ed")
+    if on_chain and args.n < 3:
+        parser.error(f"--n {args.n} is below 3, the smallest chain")
     if args.command == "corr":
         if args.l_min < 2:
             parser.error(f"--l-min {args.l_min} is below 2")

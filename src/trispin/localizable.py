@@ -6,7 +6,6 @@ field sweep of correlation against entanglement length.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -68,9 +67,6 @@ class MeasurementPlan:
             cleaned[int(site)] = (theta, phi % (2.0 * math.pi))
         object.__setattr__(self, "angles", cleaned)
 
-    def angles_json(self) -> dict:
-        return {str(site): [t, p] for site, (t, p) in sorted(self.angles.items())}
-
 
 @dataclass
 class BranchResult:
@@ -99,18 +95,6 @@ class LocEntResult:
     plan: MeasurementPlan
     branch_count: int
     branches: list[BranchResult] | None = None
-
-    def to_json(self, b_field: float | None = None) -> str:
-        return json.dumps(
-            {
-                "B": b_field,
-                "n": self.plan.n_sites,
-                "pair": list(self.plan.target_pair),
-                "value": self.value,
-                "plan": self.plan.angles_json(),
-                "branches": self.branch_count,
-            }
-        )
 
 
 def concurrence_pure(amplitudes) -> float:

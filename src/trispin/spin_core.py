@@ -152,14 +152,14 @@ class StateVector:
 
 @dataclass
 class SpinChainSpec:
-    """Symbolic chain Hamiltonian: a list of weighted Pauli strings.
+    """Symbolic chain Hamiltonian: a list of weighted Pauli strings.  The
+    terms alone fix the boundary: a ring's terms wrap around from n-1 to 0.
 
     Treated as immutable after construction; the :class:`BlockedOperator`
     behind :func:`apply` and the solvers is built lazily and cached.
     """
 
     n_sites: int
-    boundary: str
     terms: list[PauliString]
     _operator: "BlockedOperator | None" = field(
         default=None, init=False, repr=False, compare=False
@@ -168,8 +168,6 @@ class SpinChainSpec:
     def __post_init__(self):
         if self.n_sites < 3:
             raise ValueError("chain needs at least 3 sites")
-        if self.boundary not in ("periodic", "open"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
         self.terms = list(self.terms)
         for t in self.terms:
             if not isinstance(t, PauliString):
@@ -307,7 +305,7 @@ def cluster_hamiltonian(n: int, b_field: float) -> SpinChainSpec:
     ]
     if b_field != 0.0:
         terms.extend(PauliString(float(b_field), ((i, "Z"),)) for i in range(n))
-    return SpinChainSpec(n, "periodic", terms)
+    return SpinChainSpec(n, terms)
 
 
 def triangle_chain_hamiltonian(
@@ -348,7 +346,7 @@ def triangle_chain_hamiltonian(
         if l4 != 0.0:
             terms.append(PauliString(l4, ((i, "X"), (j, "Z"), (k, "X"))))
             terms.append(PauliString(l4, ((i, "Y"), (j, "Z"), (k, "Y"))))
-    return SpinChainSpec(n, "periodic", terms)
+    return SpinChainSpec(n, terms)
 
 
 # --- application and solvers ------------------------------------------------
@@ -520,10 +518,8 @@ def _rotate_sites(x, d: int, n: int):
 def _translation_step(spec: SpinChainSpec) -> int:
     """Smallest divisor d of n such that shifting every site by d maps the
     summed Pauli strings and every conserved mask onto themselves, with
-    coefficients compared exactly; n when there is none or the chain is open."""
+    coefficients compared exactly; n when there is none."""
     n = spec.n_sites
-    if spec.boundary != "periodic":
-        return n
     coeffs: dict[tuple[int, int, int], float] = {}
     for term in spec.terms:
         key = _term_masks(term.factors)
@@ -599,7 +595,7 @@ def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
     masks are exactly invariant (``_translation_step``): the sector's
     representatives under T^d span one block per momentum q = 0..n/d-1
     (``_momentum_blocks``), and every block is solved dense.  A chain that
-    is open or not exactly invariant has d = n, so M = n/d = 1 and its one
+    is not exactly invariant (an open one, say) has d = n, so M = 1 and its one
     block per sector is the sector block itself.  Only this solver uses
     momentum blocks; the others work on the parity sectors alone.
     """

@@ -179,9 +179,9 @@ def test_criterion_11_raising_operator():
         spec = ts.cluster_hamiltonian(n, 0.0)
         energy, gs = ts.ground_state(spec)
         k = 2
-        x_k = ts.SpinChainSpec(n, "periodic", [ts.PauliString(1.0, ((k, "X"),))])
+        x_k = ts.SpinChainSpec(n, [ts.PauliString(1.0, ((k, "X"),))])
         xyx = ts.SpinChainSpec(
-            n, "periodic", [ts.PauliString(1.0, ((k - 1, "X"), (k, "Y"), (k + 1, "X")))]
+            n, [ts.PauliString(1.0, ((k - 1, "X"), (k, "Y"), (k + 1, "X")))]
         )
         raised = ts.apply(x_k, gs).amplitudes - 1j * ts.apply(xyx, gs).amplitudes
         raised /= np.linalg.norm(raised)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import trispin as ts
+from trispin import cli
 from trispin.bose_hubbard import FockBasis, validate_perturbation
 from trispin.spin_core import ResourceLimitError
 
@@ -164,9 +165,13 @@ class TestValidatePerturbation:
         assert len(caught) == 1
         assert "unreliable" in str(caught[0].message)
 
-    def test_report_json_fields(self):
-        report = validate_perturbation(ts.BoseHubbardParams(0.05, 0.05, 1.0, 1.0, 1.0))
-        payload = json.loads(report.to_json())
+    def test_report_json_fields(self, tmp_path):
+        # the report as ``trispin validate`` writes it
+        assert cli.main(["validate", "--j", "0.05", "--u", "1.0", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "validation.json").read_text())
         assert set(payload) == {"levels", "max_rel_dev", "spread", "ambiguous"}
         assert len(payload["levels"]) == 8
         assert {"full", "effective", "abs_dev", "rel_dev", "sector"} <= set(payload["levels"][0])
+        report = validate_perturbation(ts.BoseHubbardParams(0.05, 0.05, 1.0, 1.0, 1.0))
+        assert payload["max_rel_dev"] == report.max_rel_dev
+        assert [lv["sector"] for lv in payload["levels"]] == [list(lv.sector) for lv in report.levels]

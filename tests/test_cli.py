@@ -96,13 +96,18 @@ class TestSpectrum:
         assert "finite" in capsys.readouterr().err
 
     def test_iterative_gap_matches_spectral_gap(self, tmp_path):
-        code, out = run(tmp_path, "spectrum", "--n", "13", "--b", "0.5")
-        assert code == 0
-        payload = json.loads((out / "spectrum.json").read_text())
+        # --max-levels counts on the iterative path too; the gap does not depend on it
         levels = ts.dense_spectrum(ts.cluster_hamiltonian(13, 0.5))
-        assert payload["dense"] is False
-        assert payload["gap"] == pytest.approx(spin_core._gap_above_ground(levels), abs=1e-9)
-        assert np.max(np.abs(np.array(payload["energies"]) - levels[:16])) < 1e-10
+        for max_levels in (20, 1):
+            out = tmp_path / str(max_levels)
+            assert cli.main(["spectrum", "--n", "13", "--b", "0.5",
+                             "--max-levels", str(max_levels), "--out", str(out)]) == 0
+            payload = json.loads((out / "spectrum.json").read_text())
+            assert payload["dense"] is False
+            assert payload["gap"] == pytest.approx(spin_core._gap_above_ground(levels), abs=1e-9)
+            energies = np.array(payload["energies"])
+            assert energies.shape == (max_levels,)
+            assert np.max(np.abs(energies - levels[:max_levels])) < 1e-10
 
     def test_triangle_matches_kronecker_oracle(self, tmp_path):
         # bx, by != 0: one complex sector, translation step 1
@@ -122,6 +127,24 @@ class TestSpectrum:
         assert payload["dense"] is True
         assert np.max(np.abs(np.array(payload["energies"]) - oracle)) < 1e-10
         assert payload["gap"] == pytest.approx(oracle[1] - oracle[0], abs=1e-10)
+
+
+@pytest.mark.parametrize("argv", [
+    ["couplings", "--j", "0.1", "--u", "1.0"],
+    ["validate", "--j", "0.1", "--u", "1.0"],
+    ["spectrum", "--n", "6", "--b", "0.5"],
+    ["corr", "--b", "0.5", "--n", "6", "--l-max", "4"],
+    ["locent", "--b", "0.5", "--n", "9", "--pair", "0,8", "--scheme", "lower-bound"],
+    ["figure2", "--n", "12", "--no-anneal", "--b-grid", "0.5:0.5:1"],
+], ids=lambda argv: argv[0])
+def test_every_json_file_has_one_layout(tmp_path, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 0
+    names = sorted(path.name for path in out.glob("*.json"))
+    assert {"config.json", "manifest.json"} <= set(names)
+    for name in names:
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
 
 
 class TestUsage:
@@ -190,6 +213,18 @@ class TestUsage:
             run(tmp_path, "corr", "--b", "0.5", "--n", "8", *flags)
         assert excinfo.value.code == 64
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["corr", "--b", "0.5", "--l-min", "2", "--l-max", "2"],
+        ["spectrum"],
+        ["locent", "--b", "0.5", "--pair", "0,1"],
+    ])
+    def test_chain_below_three_sites_exits_64(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, *command, "--n", "2")
+        assert excinfo.value.code == 64
+        assert "--n 2 is below 3" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_bad_axis_exits_64(self, tmp_path):

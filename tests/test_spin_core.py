@@ -37,7 +37,7 @@ def random_spec(n, seed):
         sites = rng.choice(n, size=rng.integers(1, min(n, 4) + 1), replace=False)
         ops = rng.choice(list("XYZ"), size=sites.size)
         terms.append(ts.PauliString(rng.normal(), tuple(zip(sites.tolist(), ops.tolist()))))
-    return ts.SpinChainSpec(n, "periodic", terms)
+    return ts.SpinChainSpec(n, terms)
 
 
 def invariant_spec(n, seed):
@@ -47,7 +47,7 @@ def invariant_spec(n, seed):
         for term in random_spec(n, seed).terms
         for shift in range(n)
     ]
-    return ts.SpinChainSpec(n, "periodic", terms)
+    return ts.SpinChainSpec(n, terms)
 
 
 def random_state(n, seed):
@@ -138,16 +138,16 @@ class TestBuilders:
 class TestApply:
     def test_z_on_up(self):
         st = ts.StateVector.basis_state(3, 0)
-        out = ts.apply(ts.SpinChainSpec(3, "periodic", [ts.PauliString(1.0, ((0, "Z"),))]), st)
+        out = ts.apply(ts.SpinChainSpec(3, [ts.PauliString(1.0, ((0, "Z"),))]), st)
         assert out.amplitudes[0] == 1.0
 
     def test_x_flips(self):
         st = ts.StateVector.basis_state(3, 0)
-        out = ts.apply(ts.SpinChainSpec(3, "periodic", [ts.PauliString(1.0, ((1, "X"),))]), st)
+        out = ts.apply(ts.SpinChainSpec(3, [ts.PauliString(1.0, ((1, "X"),))]), st)
         assert out.amplitudes[0b010] == 1.0
 
     def test_y_phases(self):
-        spec = ts.SpinChainSpec(3, "periodic", [ts.PauliString(1.0, ((0, "Y"),))])
+        spec = ts.SpinChainSpec(3, [ts.PauliString(1.0, ((0, "Y"),))])
         up = ts.apply(spec, ts.StateVector.basis_state(3, 0))
         assert up.amplitudes[1] == 1.0j
         down = ts.apply(spec, ts.StateVector.basis_state(3, 1))
@@ -155,7 +155,7 @@ class TestApply:
 
     def test_xzx_on_all_up(self):
         term = ts.PauliString(-1.0, ((0, "X"), (1, "Z"), (2, "X")))
-        out = ts.apply(ts.SpinChainSpec(3, "periodic", [term]), ts.StateVector.basis_state(3, 0))
+        out = ts.apply(ts.SpinChainSpec(3, [term]), ts.StateVector.basis_state(3, 0))
         assert out.amplitudes[0b101] == -1.0
         assert np.count_nonzero(out.amplitudes) == 1
 
@@ -222,7 +222,7 @@ class TestSolvers:
     def test_two_site_field_spectrum(self):
         # Z0 + Z1 contributes {-2, 0, 0, 2}; the free third spin doubles each
         spec = ts.SpinChainSpec(
-            3, "periodic",
+            3,
             [ts.PauliString(1.0, ((0, "Z"),)), ts.PauliString(1.0, ((1, "Z"),))],
         )
         vals = np.round(ts.dense_spectrum(spec), 12)
@@ -264,7 +264,7 @@ class TestExpectation:
         n = 4 + seed % 3
         psi = random_state(n, seed + 200)
         for term in random_spec(n, seed).terms:
-            matrix = kron_oracle(ts.SpinChainSpec(n, "open", [term]))
+            matrix = kron_oracle(ts.SpinChainSpec(n, [term]))
             oracle = np.vdot(psi.amplitudes, matrix @ psi.amplitudes)
             assert abs(ts.expectation(psi, term) - oracle.real) < 1e-12
 
@@ -279,9 +279,9 @@ class TestRaisingOperator:
         spec = ts.cluster_hamiltonian(n, 0.0)
         energy, gs = ts.ground_state(spec)
         k = 2
-        x_k = ts.SpinChainSpec(n, "periodic", [ts.PauliString(1.0, ((k, "X"),))])
+        x_k = ts.SpinChainSpec(n, [ts.PauliString(1.0, ((k, "X"),))])
         xyx = ts.SpinChainSpec(
-            n, "periodic",
+            n,
             [ts.PauliString(1.0, ((k - 1, "X"), (k, "Y"), (k + 1, "X")))],
         )
         raised = ts.apply(x_k, gs).amplitudes - 1j * ts.apply(xyx, gs).amplitudes
@@ -353,23 +353,17 @@ class TestMomentumBlocks:
         assert any(len(sp.operator().sectors) == 1 for sp in specs)
 
     @staticmethod
-    def alternating_ring(n, boundary):
+    def alternating_ring(n):
         """ZZ bonds and X fields 0.7, 0.3 alternating: period 2, no conserved mask."""
         terms = [ts.PauliString(1.0, ((i, "Z"), ((i + 1) % n, "Z"))) for i in range(n)]
         terms += [ts.PauliString(0.7 if i % 2 == 0 else 0.3, ((i, "X"),)) for i in range(n)]
-        return ts.SpinChainSpec(n, boundary, terms)
+        return ts.SpinChainSpec(n, terms)
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_alternating_field_ring_has_step_two(self, n):
-        spec = self.alternating_ring(n, "periodic")
+        spec = self.alternating_ring(n)
         assert spec.operator().masks == ()
         assert spin_core._translation_step(spec) == 2
-        oracle = np.linalg.eigvalsh(kron_oracle(spec))
-        assert np.max(np.abs(ts.dense_spectrum(spec) - oracle)) < 1e-10
-
-    def test_open_chain_falls_back(self):
-        spec = self.alternating_ring(8, "open")
-        assert spin_core._translation_step(spec) == 8
         oracle = np.linalg.eigvalsh(kron_oracle(spec))
         assert np.max(np.abs(ts.dense_spectrum(spec) - oracle)) < 1e-10
 
@@ -422,7 +416,7 @@ class TestDegenerateGroundState:
 
     def test_tie_inside_one_sector_warns(self):
         spec = ts.SpinChainSpec(
-            3, "periodic",
+            3,
             [ts.PauliString(1.0, ((0, "X"),)), ts.PauliString(1.0, ((1, "X"),))],
         )
         with pytest.warns(ts.DegenerateGroundStateWarning, match="inside"):
@@ -477,14 +471,14 @@ def free_site_chain(n, free=1):
     fields = np.linspace(0.3, 1.2, n - free)
     terms = [ts.PauliString(1.0, ((i, "Z"), (i + 1, "Z"))) for i in range(n - free - 1)]
     terms += [ts.PauliString(float(h), ((i, "X"),)) for i, h in enumerate(fields)]
-    return ts.SpinChainSpec(n, "open", terms)
+    return ts.SpinChainSpec(n, terms)
 
 
 def zz_ring(n):
     """Only ZZ bonds: every block is diagonal, so Lanczos breaks down after a
     few steps; the two Neel states tie inside even+,odd+."""
     return ts.SpinChainSpec(
-        n, "periodic", [ts.PauliString(1.0, ((i, "Z"), ((i + 1) % n, "Z"))) for i in range(n)]
+        n, [ts.PauliString(1.0, ((i, "Z"), ((i + 1) % n, "Z"))) for i in range(n)]
     )
 
 
@@ -592,7 +586,7 @@ class TestLanczosGap:
             spec = free_site_chain(int(case[4:6]), free)
             # the same levels without the free sites' 2^free-fold copies: the
             # gap is unchanged, and the dense solve is 2^free times smaller
-            oracle_spec = ts.SpinChainSpec(spec.n_sites - free, "open", spec.terms)
+            oracle_spec = ts.SpinChainSpec(spec.n_sites - free, spec.terms)
         elif case == "zz12":
             spec = zz_ring(12)
         else:  # by != 0: one complex sector of 1,024 rows
@@ -619,7 +613,7 @@ class TestLanczosGap:
             ts.spectral_gap(spec)
         monkeypatch.setattr(spin_core, "GAP_LEVELS", 9)  # one copy more is allowed
         oracle = spin_core._gap_above_ground(
-            ts.dense_spectrum(ts.SpinChainSpec(n - 3, "open", spec.terms))
+            ts.dense_spectrum(ts.SpinChainSpec(n - 3, spec.terms))
         )
         assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
 
@@ -658,7 +652,7 @@ class TestLowestEigenvalues:
         swap = {"X": "Z", "Z": "X"}
         terms = [ts.PauliString(t.coeff, tuple((s, swap[op]) for s, op in t.factors))
                  for t in spec.terms]
-        levels = ts.dense_spectrum(ts.SpinChainSpec(n - free, "open", terms))
+        levels = ts.dense_spectrum(ts.SpinChainSpec(n - free, terms))
         oracle = np.repeat(levels, 1 << free)[:k]
         assert oracle[-1] == oracle[0]  # the k lowest are copies of one level
         assert np.max(np.abs(ts.lowest_eigenvalues(spec, k) - oracle)) < 1e-10
