@@ -62,6 +62,8 @@ class MeasurementPlan:
         for site, (theta, phi) in self.angles.items():
             theta = float(theta)
             phi = float(phi)
+            if not (math.isfinite(theta) and math.isfinite(phi)):
+                raise ValueError(f"non-finite angle ({theta}, {phi}) on site {site}")
             if not (0.0 <= theta <= math.pi + 1e-12):
                 raise ValueError(f"theta out of [0, pi] on site {site}")
             cleaned[int(site)] = (theta, phi % (2.0 * math.pi))
@@ -103,7 +105,7 @@ def concurrence_pure(amplitudes) -> float:
     if amps.shape != (4,):
         raise ValueError("expected 4 amplitudes")
     nrm = np.linalg.norm(amps)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError(f"state not normalized: |psi| = {nrm}")
     return float(2.0 * abs(amps[0] * amps[3] - amps[1] * amps[2]))
 
@@ -189,7 +191,7 @@ def _read(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     re_im = a.view(np.float64)
     probs = np.einsum("bi,bi->b", re_im, re_im)
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:  # NaN fails too
         raise AssertionError(f"branch probabilities sum to {total}, not 1")
     keep = probs > PROB_CUTOFF
     det = a[:, 0] * a[:, 3]
@@ -207,7 +209,7 @@ def _check_state(state: StateVector) -> None:
         raise ResourceLimitError(f"{n - 2} measured spins exceed the cap {MEASURED_CAP}")
     # the squared norm is the branch-probability sum that _read checks
     amps = state.amplitudes
-    if abs(np.vdot(amps, amps).real - 1.0) > 1e-10:
+    if not abs(np.vdot(amps, amps).real - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("input state must be normalized")
 
 

@@ -13,20 +13,26 @@ Conventions shared by every module in this package:
 * Every solver works on :class:`BlockedOperator`, the Hamiltonian split
   into the joint eigenspaces ("sectors") of the products of Z over the
   conserved sublattice masks; :func:`dense_spectrum` alone splits each
-  sector further into lattice-momentum blocks.
+  sector further into lattice-momentum blocks.  Each sector is a real
+  diagonal plus an off-diagonal CSR block; the off-diagonal part depends
+  only on n and the off-diagonal terms, so consecutive specs that differ
+  only in their Z fields (a field sweep) build it once and share it.
 * Every sector, whatever its size, has one eigensolver, a three-term
   Lanczos (``_lanczos``), and one stream of levels, ``_lanczos_levels``:
   an energy-only pass for the sector's lowest level, then for each next
   level a solve deflated against the residual-checked vectors of the
   levels below it.  :func:`lowest_eigenvalues` and :func:`spectral_gap`
   read the sectors' streams merged in ascending order (``_levels``);
-  :func:`ground_state` reads each sector's first level and one more from
-  the chosen sector.  Dense ``eigh`` serves only :func:`dense_spectrum`,
-  the independent oracle.
+  :func:`ground_state` reads each sector's first level and the chosen
+  sector's vector, and solves that sector's second level (the tie check)
+  only when an exact Perron-Frobenius certificate cannot prove the lowest
+  level simple (``_simple_lowest_level``).  Dense ``eigh`` serves only
+  :func:`dense_spectrum`, the independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import warnings
@@ -205,26 +211,37 @@ def _term_masks(factors) -> tuple[int, int, int]:
 class Sector:
     """One joint eigenspace of the conserved Z-parity operators.
 
-    ``basis`` holds the sector's basis-state indices in ascending order;
-    ``block`` is H restricted to them, rows and columns in ``basis`` order.
+    ``basis`` holds the sector's basis-state indices in ascending order.  H
+    restricted to them, rows and columns in ``basis`` order, is
+    ``diag(diag) + offdiag``: ``diag`` is real, and ``offdiag`` holds every
+    off-diagonal entry, one per row and off-diagonal flip mask, in
+    ascending flip order.  ``basis`` and ``offdiag`` depend only on n and
+    the off-diagonal terms, and consecutive specs with those terms share
+    them (``_off_diagonal``).
     """
 
     label: str
     basis: np.ndarray
-    block: csr_matrix
+    diag: np.ndarray
+    offdiag: csr_matrix
 
 
 @dataclass(frozen=True)
 class BlockedOperator:
-    """H as one CSR block per sector of the conserved Z-parity masks.
+    """H as a diagonal plus an off-diagonal CSR block per sector of the
+    conserved Z-parity masks.
 
     A mask M is conserved when every term flips an even number of the sites
     in M, so prod_{i in M} Z_i commutes with H.  ``sectors`` is ordered by
     the parities: sector s has parity bit j of s for ``masks[j]``.
+    ``connected`` says the off-diagonal flip masks span, over GF(2), the
+    n - len(masks) dimensions of every sector, so that a sector's hopping
+    graph is connected wherever no off-diagonal entry vanishes.
     """
 
     masks: tuple[int, ...]
     sectors: tuple[Sector, ...]
+    connected: bool
 
 
 def _conserved_masks(n: int, flips) -> tuple[tuple[str, int], ...]:
@@ -242,22 +259,67 @@ def _conserved_masks(n: int, flips) -> tuple[tuple[str, int], ...]:
     return found
 
 
+def _gf2_rank(masks) -> int:
+    """Rank over GF(2) of integer bit masks."""
+    pivots: dict[int, int] = {}
+    for mask in masks:
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = mask
+                break
+            mask ^= pivots[top]
+    return len(pivots)
+
+
+def _sign(states: np.ndarray, zy: int):
+    """(-1)^{popcount(state & zy)} as float64, formed in float because
+    bitwise_count returns uint8; the scalar 1.0 when zy is 0."""
+    return 1.0 - 2.0 * (np.bitwise_count(states & zy) & 1) if zy else 1.0
+
+
 def _build_operator(spec: SpinChainSpec) -> BlockedOperator:
-    """Sum the terms per flip mask and fill each sector's CSR block row-major.
+    """Sum the terms per flip mask: the flip-0 terms give each sector's
+    diagonal, and the rest the shared off-diagonal blocks of
+    ``_off_diagonal``.
 
     Row b of H holds sum_t coeff_t i^{n_Y,t} (-1)^{popcount((b ^ flip) & zy_t)}
-    at column b ^ flip for each distinct flip, so every row has exactly one
-    entry per flip mask and ``indptr`` is an arange.
+    at column b ^ flip for each distinct flip; flip 0 has no Y factor, so
+    the diagonal is real.
     """
-    n = spec.n_sites
     groups: dict[int, list[tuple[int, complex]]] = {}
     is_complex = False
     for term in spec.terms:
         flip, zy, n_y = _term_masks(term.factors)
         groups.setdefault(flip, []).append((zy, term.coeff * 1j**n_y))
         is_complex = is_complex or n_y % 2 == 1
+    diagonal = groups.pop(0, ())
+    masks, connected, blocks = _off_diagonal(
+        spec.n_sites, tuple((flip, tuple(groups[flip])) for flip in sorted(groups)), is_complex
+    )
+    sectors = []
+    for label, basis, offdiag in blocks:
+        diag = np.zeros(basis.size)
+        for zy, pref in diagonal:
+            diag += pref.real * _sign(basis, zy)
+        sectors.append(Sector(label, basis, diag, offdiag))
+    return BlockedOperator(masks, tuple(sectors), connected)
+
+
+@functools.lru_cache(maxsize=1)
+def _off_diagonal(n: int, groups: tuple, is_complex: bool):
+    """The field-independent part of ``_build_operator``, built once for
+    consecutive specs with the same n and off-diagonal terms ``groups``,
+    ``(flip, ((zy, coeff i^{n_Y}), ...))`` in ascending flip order; the
+    blocks are complex when some term has an odd number of Y factors.
+
+    Returns ``(masks, connected, blocks)`` with one ``(label, basis,
+    offdiag)`` per sector, their arrays read-only.  Every row of ``offdiag``
+    has exactly one entry per flip, so ``indptr`` is an arange; an entry
+    whose terms cancel is stored as an explicit zero.
+    """
     dtype = np.complex128 if is_complex else np.float64
-    flips = sorted(groups) or [0]
+    flips = [flip for flip, _ in groups]
     named = _conserved_masks(n, flips)
 
     states = np.arange(1 << n, dtype=np.int64)
@@ -269,24 +331,33 @@ def _build_operator(spec: SpinChainSpec) -> BlockedOperator:
     for basis in bases:
         position[basis] = np.arange(basis.size, dtype=np.int32)
 
-    sectors = []
+    blocks = []
     for s, basis in enumerate(bases):
         dim, m = basis.size, len(flips)
-        data = np.zeros((dim, m), dtype=dtype)
+        data = np.zeros((m, dim), dtype=dtype)  # one row per flip
         indices = np.empty((dim, m), dtype=np.int32)
-        for j, flip in enumerate(flips):
+        for j, (flip, terms) in enumerate(groups):
             cols = basis ^ flip
             indices[:, j] = position[cols]
-            for zy, pref in groups.get(flip, ()):
-                sign = 1.0 - 2.0 * (np.bitwise_count(cols & zy) & 1) if zy else 1.0
-                data[:, j] += (pref if is_complex else pref.real) * sign
-        indptr = np.arange(0, dim * m + 1, m)
-        block = csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
+            for zy, pref in terms:
+                data[j] += (pref if is_complex else pref.real) * _sign(cols, zy)
+        # CSR wants data row by row, so it is copied transposed.  Freeing the
+        # (m, dim) array raises glibc's dynamic mmap threshold to its size, as
+        # freeing each spec's own operator did before the blocks were shared;
+        # without it the 2^n-sized temporaries of later calls (expectation,
+        # branch_average) were fresh mappings, faulted in on every call.
+        indptr = np.arange(dim + 1) * m
+        offdiag = csr_matrix((data.T.ravel(), indices.ravel(), indptr), shape=(dim, dim))
+        # shared by every spec with these terms: an in-place edit (scipy's
+        # sort_indices, say) would move every later product's bits
+        for array in (basis, offdiag.data, offdiag.indices, offdiag.indptr):
+            array.flags.writeable = False
         label = ",".join(
             f"{name}{'-' if (s >> j) & 1 else '+'}" for j, (name, _) in enumerate(named)
         )
-        sectors.append(Sector(label or "all states", basis, block))
-    return BlockedOperator(tuple(m for _, m in named), tuple(sectors))
+        blocks.append((label or "all states", basis, offdiag))
+    connected = _gf2_rank(flips) == n - len(named)
+    return tuple(m for _, m in named), connected, tuple(blocks)
 
 
 # --- Hamiltonian builders ---------------------------------------------------
@@ -358,19 +429,28 @@ def apply(spec: SpinChainSpec, state: StateVector) -> StateVector:
     amps = state.amplitudes
     out = np.empty_like(amps)
     for sector in spec.operator().sectors:
-        out[sector.basis] = _block_matvec(sector.block, amps[sector.basis])
+        x = amps[sector.basis]
+        if sector.offdiag.dtype.kind == "c":
+            out[sector.basis] = _sector_matvec(sector, x, np.empty_like(x))
+            continue
+        # a real block takes the real and imaginary parts apart, so that its
+        # data is never cast to complex; a real x costs one product
+        re = _sector_matvec(sector, x.real, np.empty(x.size))
+        if x.imag.any():
+            re = re + 1j * _sector_matvec(sector, x.imag, np.empty(x.size))
+        out[sector.basis] = re
     return StateVector(spec.n_sites, out)
 
 
-def _block_matvec(block: csr_matrix, x: np.ndarray) -> np.ndarray:
-    """block @ x for a complex x without casting a real block to complex
-    (scipy would copy its data on every call); a real x costs one product."""
-    if block.dtype.kind == "c":
-        return block @ x
-    re = block @ x.real
-    if not x.imag.any():
-        return re
-    return re + 1j * (block @ x.imag)
+def _sector_matvec(sector: Sector, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- H x on one sector, without allocating: out = diag x first, then
+    scipy's private CSR kernel, the routine behind ``csr_matrix @ x``, adds
+    the off-diagonal part in place.  Each row is summed in the order of one
+    CSR product over the whole sector block with the diagonal first."""
+    np.multiply(sector.diag, x, out=out)
+    off = sector.offdiag
+    csr_matvec(x.size, x.size, off.indptr, off.indices, off.data, x, out)
+    return out
 
 
 def _check_dense_cap(n: int) -> None:
@@ -390,9 +470,10 @@ def dense_matrix(spec: SpinChainSpec) -> np.ndarray:
     _check_dense_cap(spec.n_sites)
     op = spec.operator()
     dim = 1 << spec.n_sites
-    h = np.zeros((dim, dim), dtype=op.sectors[0].block.dtype)
+    h = np.zeros((dim, dim), dtype=op.sectors[0].offdiag.dtype)
     for sector in op.sectors:
-        h[np.ix_(sector.basis, sector.basis)] = sector.block.toarray()
+        h[np.ix_(sector.basis, sector.basis)] = sector.offdiag.toarray()
+        h[sector.basis, sector.basis] = sector.diag
     return h
 
 
@@ -402,27 +483,28 @@ def _solve_block(block: np.ndarray) -> np.ndarray:
     return eigh((block + block.conj().T) / 2.0, eigvals_only=True)
 
 
-def _check_residual(block: csr_matrix, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Raise :class:`ConvergenceError` unless every normalized pair (column j
-    of ``vecs``, ``vals[j]``) has |H v - E v| <= ``RESIDUAL_TOL`` max(1, |E|)."""
-    residual = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
-    bound = RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))
-    if np.any(residual > bound):
-        worst = int(np.argmax(residual / bound))
+def _check_residual(sector: Sector, energy: float, psi: np.ndarray) -> None:
+    """Raise :class:`ConvergenceError` unless the normalized pair (``psi``,
+    ``energy``) has |H psi - E psi| <= ``RESIDUAL_TOL`` max(1, |E|)."""
+    residual = _sector_matvec(sector, psi, np.empty_like(psi))
+    residual -= energy * psi
+    norm = float(np.linalg.norm(residual))
+    bound = RESIDUAL_TOL * max(1.0, abs(energy))
+    if not norm <= bound:  # a NaN residual fails too
         raise ConvergenceError(
-            f"Lanczos eigenpair {worst} on a sector of dimension {block.shape[0]} has "
-            f"residual {residual[worst]:.3g} > {bound[worst]:.3g}",
-            best_energy=float(vals[0]),
+            f"Lanczos eigenpair on a sector of dimension {psi.size} has residual "
+            f"{norm:.3g} > {bound:.3g}",
+            best_energy=energy,
         )
 
 
 def _lanczos(
-    block: csr_matrix,
+    sector: Sector,
     seed: int,
     deflate: np.ndarray | None = None,
     shift: float | None = None,
 ):
-    """Lowest eigenvalue of ``block``, or of ``block + shift Psi Psi^H`` for
+    """Lowest eigenvalue of the sector's block H, or of H + shift Psi Psi^H for
     ``deflate=Psi``, a normalized vector or a matrix of orthonormal columns
     (``shift`` is then required; see ``_deflation_shift``), by plain
     three-term Lanczos from the start vector drawn from ``seed``.
@@ -443,24 +525,21 @@ def _lanczos(
     Each pass works in place in three preallocated vectors (a fourth holds
     the deflation term).
     """
-    dim = block.shape[0]
+    dim, dtype = sector.basis.size, sector.offdiag.dtype
 
     def start_vector() -> np.ndarray:  # drawn again for the replay, not kept
         start = np.random.default_rng(seed).standard_normal(dim)
-        return (start / np.linalg.norm(start)).astype(block.dtype)
+        return (start / np.linalg.norm(start)).astype(dtype)
 
     if deflate is not None:
         deflate = deflate.reshape(dim, -1)
         deflate_h = deflate.conj().T
-        extra = np.empty(dim, dtype=block.dtype)
+        extra = np.empty(dim, dtype=dtype)
 
     def step(v_prev, v, w, beta_prev, alpha=None):
         """w <- H v - alpha v - beta_prev v_prev, unnormalized, with alpha =
         <v|H v> unless given; leaves v_prev as scratch and returns alpha."""
-        w.fill(0)
-        # scipy's private CSR kernel adds block @ v into w without allocating;
-        # it is the routine behind `block @ v`, so the product is bit-equal
-        csr_matvec(dim, dim, block.indptr, block.indices, block.data, v, w)
+        _sector_matvec(sector, v, w)
         if deflate is not None:
             np.dot(deflate, shift * (deflate_h @ v), out=extra)
             w += extra
@@ -549,9 +628,10 @@ def _momentum_blocks(sector: Sector, n: int, d: int):
     with eigenvalue exp(2 pi i q / M).  At q = 0 and q = M/2 the phases are
     real, and a real sector block gives a real momentum block.
 
-    The block is summed entry by entry from the sector block's nonzeros
-    H[s, t], s and t in kept orbits: entry (r_s, r_t) gains
-    exp(2 pi i q (j_t - j_s) / M) H[s, t] / sqrt(p_s p_t), with s = T^(-d j_s) r_s.
+    The block is summed entry by entry from the sector block's stored
+    entries H[s, t], row by row with the diagonal first, s and t in kept
+    orbits: entry (r_s, r_t) gains exp(2 pi i q (j_t - j_s) / M) H[s, t] /
+    sqrt(p_s p_t), with s = T^(-d j_s) r_s.
     """
     basis, period = sector.basis, n // d
     orbit = [basis]  # orbit[j] = T^(dj) applied to every basis state
@@ -562,13 +642,16 @@ def _momentum_blocks(sector: Sector, n: int, d: int):
     rep = np.searchsorted(basis, orbit.min(axis=0))
     length = period // (orbit == basis).sum(axis=0)  # T^(dj) s = s for M/p of the j
     is_rep = rep == np.arange(basis.size)
-    entries = sector.block.tocoo()
-    s, t = entries.row, entries.col
+    rows, off = np.arange(basis.size), sector.offdiag
+    shape = (basis.size, off.indptr[1])  # one entry per row and off-diagonal flip
+    s = np.repeat(rows, shape[1] + 1)
+    t = np.column_stack([rows, off.indices.reshape(shape)]).ravel()
+    data = np.column_stack([sector.diag, off.data.reshape(shape)]).ravel()
     rep_s, rep_t = rep[s], rep[t]
     shift = (back[t] - back[s]) % period
-    weight = entries.data / np.sqrt(length[s] * length[t])
+    weight = data / np.sqrt(length[s] * length[t])
     roots = np.exp(2j * np.pi * np.arange(period) / period)
-    real = sector.block.dtype.kind == "f"
+    real = off.dtype.kind == "f"
     for q in range(period):
         keep = (q * length) % period == 0
         column = np.cumsum(keep & is_rep) - 1  # column of each kept representative
@@ -626,27 +709,40 @@ def _deflation_shift(spec: SpinChainSpec) -> float:
     return 2.0 * sum(abs(t.coeff) for t in spec.terms) + 1.0
 
 
-def _lanczos_levels(block: csr_matrix, seed: int, shift: float):
-    """Yield ``(level, below)`` for the levels of ``block`` in ascending
-    order, every degenerate copy included; the columns of ``below``, a new
-    array each time, are the normalized vectors of the levels yielded
-    before this one.
+def _lanczos_levels(sector: Sector, seed: int, shift: float):
+    """Yield ``(level, vector)`` for the levels of the sector's block in
+    ascending order, every degenerate copy included; ``vector()`` returns
+    the level's normalized vector, replayed and residual-checked on the
+    first call only (``_checked_vector``).
 
     The first level is the energy-only ``_lanczos`` pass from ``seed``.
-    Before it moves past a level, the level's vector is replayed, appended
-    to ``below`` and residual-checked, and the next level is the lowest of
-    H + ``shift`` Psi Psi^H (Psi = ``below``; see ``_deflation_shift``) from
-    the start vector of ``seed`` plus the number of columns of ``below``.
-    It never stops by itself, and only its first dim(block) levels are
-    levels of H; the caller stops it.
+    Reading a level's vector costs its replay alone.  Moving past a level
+    appends its vector to Psi, and the next level is the lowest of H +
+    ``shift`` Psi Psi^H (see ``_deflation_shift``) from the start vector of
+    ``seed`` plus the number of columns of Psi.  It never stops by itself,
+    and only its first dim(block) levels are levels of H; the caller stops
+    it.
     """
-    theta, ritz_vector = _lanczos(block, seed)
-    below = np.empty((block.shape[0], 0), dtype=block.dtype)
+    below = np.empty((sector.basis.size, 0), dtype=sector.offdiag.dtype)
+    theta, ritz_vector = _lanczos(sector, seed)
     while True:
-        yield theta, below
-        below = np.column_stack([below, ritz_vector()])
-        _check_residual(block, np.array([theta]), below[:, -1:])
-        theta, ritz_vector = _lanczos(block, seed + below.shape[1], deflate=below, shift=shift)
+        vector = _checked_vector(sector, theta, ritz_vector)
+        yield theta, vector
+        below = np.column_stack([below, vector()])
+        theta, ritz_vector = _lanczos(sector, seed + below.shape[1], deflate=below, shift=shift)
+
+
+def _checked_vector(sector: Sector, energy: float, ritz_vector):
+    """Memoised thunk of ``ritz_vector()``, residual-checked against
+    ``energy`` (``_check_residual``) when it is first called."""
+
+    @functools.cache
+    def vector() -> np.ndarray:
+        psi = ritz_vector()
+        _check_residual(sector, energy, psi)
+        return psi
+
+    return vector
 
 
 def _levels(spec: SpinChainSpec, seed: int):
@@ -655,40 +751,73 @@ def _levels(spec: SpinChainSpec, seed: int):
     level only after its latest level has been read."""
     shift = _deflation_shift(spec)
     return heapq.merge(
-        *(islice(_lanczos_levels(sector.block, seed, shift), sector.basis.size)
+        *(islice(_lanczos_levels(sector, seed, shift), sector.basis.size)
           for sector in spec.operator().sectors),
         key=itemgetter(0),
     )
 
 
+def _simple_lowest_level(op: BlockedOperator, sector: Sector, psi: np.ndarray) -> bool:
+    """Exact Perron-Frobenius certificate that the lowest level of the
+    sector's block H is simple, from ``psi``, a computed vector of that
+    level.
+
+    With the gauge G = diag(g), g = sign(psi), it holds when H is real, g has
+    no zero, every stored off-diagonal entry has g_r g_c H_rc < 0, and
+    ``op.connected``: the off-diagonal flips then connect the sector through
+    entries that are all negative after the gauge, so c 1 - G H G is a
+    nonnegative irreducible matrix for large c, and its largest eigenvalue
+    is simple (Bravyi, DiVincenzo, Oliveira & Terhal, QIC 8, 361 (2008)).
+    Nothing is compared with a tolerance, and the accuracy of ``psi`` only
+    decides whether the gauge is found.  False means "not proven".
+    """
+    off = sector.offdiag
+    if not op.connected or off.dtype.kind != "f" or not psi.all():
+        return False
+    negative = np.signbit(psi)
+    shape = (psi.size, off.indptr[1])
+    data, cols = off.data.reshape(shape), off.indices.reshape(shape)
+    for j in range(shape[1]):  # one flip at a time keeps the temporaries small
+        entries = data[:, j]
+        if not (entries.all() and np.all(np.signbit(entries) ^ negative ^ negative[cols[:, j]])):
+            return False
+    return True
+
+
 def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector]:
     """Lowest eigenpair over all Z-parity sectors.
 
-    Every sector's stream ``_lanczos_levels`` gives its lowest level; one
-    more level read from the chosen sector gives the residual-checked
-    ground vector and the sector's second level.
+    Every sector's stream ``_lanczos_levels`` gives its lowest level; the
+    chosen sector's stream gives the residual-checked ground vector.
 
     Degeneracy rule: when the lowest levels of two or more sectors agree
     within ``DEGENERACY_TOL``, the ground state of the first tied sector in
     the fixed order of ``spec.operator().sectors`` is returned, and a
     :class:`DegenerateGroundStateWarning` names the tied sectors.  The state
     returned at a cross-sector degeneracy therefore does not depend on
-    ``seed``.  Otherwise, a second level of the returned sector within
-    ``DEGENERACY_TOL`` of its lowest warns the same way, and any normalized
-    minimizer is returned.  That second level is the lowest of H + c psi
-    psi^H from a second start vector, with the shift c of
+    ``seed``.  Otherwise, when the Perron-Frobenius certificate of
+    ``_simple_lowest_level`` holds for the returned vector, the level is
+    proven simple and no second level is solved.  So a certified sector is
+    not searched for a second, simple level closer than ``DEGENERACY_TOL``;
+    an exactly degenerate level never passes the certificate.  When it
+    fails, the sector's second level is read from its stream: the lowest of
+    H + c psi psi^H from a second start vector, with the shift c of
     ``_deflation_shift`` (E0 + c, above every level, in a one-row sector).
+    A second level within ``DEGENERACY_TOL`` of the lowest warns the same
+    way, and any normalized minimizer is returned.
     """
     n = spec.n_sites
     _check_iterative_cap(n)
-    sectors = spec.operator().sectors
+    op = spec.operator()
+    sectors = op.sectors
     shift = _deflation_shift(spec)
-    streams = [_lanczos_levels(sector.block, seed, shift) for sector in sectors]
-    lows = np.array([next(stream)[0] for stream in streams])
+    streams = [_lanczos_levels(sector, seed, shift) for sector in sectors]
+    lows, vectors = zip(*(next(stream) for stream in streams))
+    lows = np.array(lows)
     tied = np.flatnonzero(lows - lows.min() < DEGENERACY_TOL)
     first = int(tied[0])
-    second, below = next(streams[first])
     energy = float(lows[first])
+    psi = vectors[first]()
     if tied.size > 1:
         names = ", ".join(sectors[i].label for i in tied)
         warnings.warn(
@@ -696,14 +825,15 @@ def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector
             f"sectors {names}; returning the state of sector {sectors[first].label}",
             DegenerateGroundStateWarning,
         )
-    elif second - energy < DEGENERACY_TOL:
+    elif (not _simple_lowest_level(op, sectors[first], psi)
+          and next(streams[first])[0] - energy < DEGENERACY_TOL):
         warnings.warn(
             f"ground level degenerate within {DEGENERACY_TOL:g} inside Z-parity "
             f"sector {sectors[first].label}; returning one minimizer",
             DegenerateGroundStateWarning,
         )
     amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[sectors[first].basis] = below[:, 0]
+    amps[sectors[first].basis] = psi
     return energy, StateVector(n, amps)
 
 
@@ -743,11 +873,12 @@ def expectation(state: StateVector, op: PauliString) -> float:
         raise ValueError("operator acts outside the state's sites")
     flip, zy, n_y = _term_masks(op.factors)
     b = np.arange(1 << n)
-    # P|b> = coeff i^{n_Y} (-1)^{popcount(b & zy)} |b ^ flip>; the sign is
-    # formed in float because bitwise_count returns uint8
+    # P|b> = coeff i^{n_Y} (-1)^{popcount(b & zy)} |b ^ flip>; a Z string
+    # flips nothing, so its bra is the state itself
     sign = 1.0 - 2.0 * (np.bitwise_count(b & zy) & 1)
     amps = state.amplitudes
-    val = op.coeff * 1j**n_y * np.vdot(amps[b ^ flip], sign * amps)
+    bra = amps[b ^ flip] if flip else amps
+    val = op.coeff * 1j**n_y * np.vdot(bra, sign * amps)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise ValueError(f"expectation of Hermitian string came out complex: {val}")
     return float(val.real)

@@ -121,7 +121,7 @@ class TestSpectrum:
         spec = ts.triangle_chain_hamiltonian(
             ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.2, 0.4), 8
         )
-        assert [s.block.dtype.kind for s in spec.operator().sectors] == ["c"]
+        assert [s.offdiag.dtype.kind for s in spec.operator().sectors] == ["c"]
         assert spin_core._translation_step(spec) == 1
         oracle = np.linalg.eigvalsh(kron_oracle(spec))
         assert payload["dense"] is True
@@ -423,6 +423,24 @@ class TestLengthSweep:
             for name, table in ((summary, rows), (detail, series)):
                 header, *lines = (out / f"{name}.csv").read_text().splitlines()
                 assert lines == csv_lines(table, header)
+
+    def test_rows_do_not_depend_on_the_certificate(self, monkeypatch):
+        # the Perron-Frobenius certificate only skips ground_state's tie check
+        fields = cli._parse_grid("0.5:1.5:0.5")
+        proofs = []
+        real = spin_core._simple_lowest_level
+
+        def recorded(*args):
+            proofs.append(real(*args))
+            return proofs[-1]
+
+        monkeypatch.setattr(spin_core, "_simple_lowest_level", recorded)
+        channels, _ = localizable.length_sweep(fields, 13, 7, None)
+        assert proofs == [True] * len(fields)
+        monkeypatch.setattr(spin_core, "_simple_lowest_level", lambda *args: False)
+        unproven, _ = localizable.length_sweep(fields, 13, 7, None)
+        for channel, (rows, series, _) in channels.items():
+            assert (rows, series) == unproven[channel][:2]
 
     def test_typed_failure_keeps_the_other_field(self, small_run, monkeypatch):
         _, out = small_run

@@ -140,6 +140,10 @@ class TestConcurrence:
         with pytest.raises(ValueError):
             concurrence_pure([1.0, 0.0])
 
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            concurrence_pure([math.nan, 0.0, 0.0, 0.0])
+
 
 class TestMeasurementPlan:
     def test_identical_pair_rejected(self):
@@ -153,6 +157,16 @@ class TestMeasurementPlan:
     def test_theta_range_enforced(self):
         with pytest.raises(ValueError):
             MeasurementPlan(4, (0, 1), {2: (4.0, 0.0), 3: Z})
+
+    @pytest.mark.parametrize("angle", [
+        (math.nan, 0.0), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf),
+    ])
+    def test_non_finite_angle_rejected(self, angle):
+        # a NaN phi used to pass, and branch_average then returned NaN
+        angles = dict(random_plan(7, (0, 3), seed=3).angles)
+        angles[5] = angle
+        with pytest.raises(ValueError, match="non-finite"):
+            MeasurementPlan(7, (0, 3), angles)
 
 
 class TestBranchAverage:
@@ -202,6 +216,12 @@ class TestBranchAverage:
         st = ts.StateVector(6, np.ones(64))
         with pytest.raises(ValueError, match="normalized"):
             branch_average(st, random_plan(6, (0, 3), 1))
+
+    def test_nan_state_rejected(self):
+        amps = random_state(6, 3).amplitudes.copy()
+        amps[5] = math.nan
+        with pytest.raises(ValueError, match="normalized"):
+            branch_average(ts.StateVector(6, amps), random_plan(6, (0, 3), 1))
 
     @pytest.mark.parametrize("search", ["branch_average", "optimize_plan"])
     def test_input_check_is_the_probability_sum(self, search):
@@ -330,6 +350,9 @@ class TestKernels:
         _read(a)
         with pytest.raises(AssertionError, match="sum to"):
             _read(1.01 * a)
+        a[0, 0] = math.nan
+        with pytest.raises(AssertionError, match="sum to"):
+            _read(a)
 
     @pytest.mark.parametrize("basis_site", [None, 5])
     def test_all_kept_shortcut_matches_masked_sum(self, basis_site):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse import diags
 
 import trispin as ts
 from trispin import spin_core
@@ -448,6 +449,12 @@ class TestResidualCheck:
             assert abs(info.value.best_energy - exact) < 1e-9
 
 
+def sector_matrix(sector):
+    """The sector's whole block H, its diagonal plus its off-diagonal part,
+    as a sparse matrix."""
+    return sector.offdiag + diags(sector.diag)
+
+
 @functools.cache
 def ring_spectrum(n, b):
     """dense_spectrum of the cluster ring, shared by the tests that need it."""
@@ -459,7 +466,7 @@ def dense_sector_levels(n, b):
     """Per sector of the cluster ring: its two lowest levels and the lowest
     level's vector, by dense eigh."""
     return [
-        eigh(sector.block.toarray(), subset_by_index=(0, 1))
+        eigh(sector_matrix(sector).toarray(), subset_by_index=(0, 1))
         for sector in ts.cluster_hamiltonian(n, b).operator().sectors
     ]
 
@@ -493,9 +500,9 @@ class TestLanczosGroundState:
             spec = ts.triangle_chain_hamiltonian(
                 ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.2, 0.4), 10
             )
-            levels = [eigh(s.block.toarray(), subset_by_index=(0, 1))
+            levels = [eigh(sector_matrix(s).toarray(), subset_by_index=(0, 1))
                       for s in spec.operator().sectors]
-            assert spec.operator().sectors[0].block.dtype.kind == "c"
+            assert spec.operator().sectors[0].offdiag.dtype.kind == "c"
         else:
             spec = ts.cluster_hamiltonian(*case)
             levels = dense_sector_levels(*case)
@@ -545,9 +552,9 @@ class TestLanczosGroundState:
                 spec = ts.cluster_hamiltonian(n, b)
                 for sector, (vals, _) in zip(spec.operator().sectors, dense_sector_levels(n, b)):
                     assert sector.basis.size == 1024
-                    energy, ritz_vector = spin_core._lanczos(sector.block, 7)
+                    energy, ritz_vector = spin_core._lanczos(sector, 7)
                     shifted, _ = spin_core._lanczos(
-                        sector.block, 8, deflate=ritz_vector(),
+                        sector, 8, deflate=ritz_vector(),
                         shift=spin_core._deflation_shift(spec),
                     )
                     assert abs(energy - vals[0]) < 1e-10
@@ -593,14 +600,14 @@ class TestLanczosGap:
             spec = ts.triangle_chain_hamiltonian(
                 ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.2, 0.4), 10
             )
-            assert spec.operator().sectors[0].block.dtype.kind == "c"
+            assert spec.operator().sectors[0].offdiag.dtype.kind == "c"
         oracle = spin_core._gap_above_ground(ts.dense_spectrum(oracle_spec or spec))
         assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
 
     def test_zero_mode_ring_matches_dense_spectrum(self):
         # n = 14 at B = 1: the ground manifold spans two sectors
         spec = ts.cluster_hamiltonian(14, 1.0)
-        lows = np.array([spin_core._lanczos(s.block, 7)[0] for s in spec.operator().sectors])
+        lows = np.array([spin_core._lanczos(s, 7)[0] for s in spec.operator().sectors])
         assert np.count_nonzero(lows - lows.min() < spin_core.DEGENERACY_TOL) == 2
         oracle = spin_core._gap_above_ground(ring_spectrum(14, 1.0))
         assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
@@ -708,7 +715,7 @@ SMALL_CASES = (
 def dense_warning_kind(spec):
     """ground_state's degeneracy rule applied to each sector's dense
     eigenvalues: "across", "inside" or None."""
-    levels = [np.linalg.eigvalsh(s.block.toarray()) for s in spec.operator().sectors]
+    levels = [np.linalg.eigvalsh(sector_matrix(s).toarray()) for s in spec.operator().sectors]
     lows = np.array([vals[0] for vals in levels])
     tied = np.flatnonzero(lows - lows.min() < spin_core.DEGENERACY_TOL)
     if tied.size > 1:
@@ -753,3 +760,99 @@ class TestSmallSectors:
         capped = [np.count_nonzero(levels - levels[0] < spin_core.DEGENERACY_TOL)
                   >= spin_core.GAP_LEVELS for levels in map(ts.dense_spectrum, specs)]
         assert 0 < sum(capped) < len(specs)
+
+
+def cancelling_hop_chain(n):
+    """Open XX+YY chain in a staggered Z field: real, and its bond flips
+    connect each sector, but XX+YY cancels on every bond whose two spins
+    agree, so those stored entries are zero."""
+    terms = [ts.PauliString(-1.0, ((i, op), (i + 1, op))) for i in range(n - 1) for op in "XY"]
+    terms += [ts.PauliString(0.1 * (i + 1), ((i, "Z"),)) for i in range(n)]
+    return ts.SpinChainSpec(n, terms)
+
+
+class TestPerronFrobenius:
+    """ground_state's certificate that the chosen sector's lowest level is
+    simple (``_simple_lowest_level``)."""
+
+    def test_certified_sectors_have_a_simple_lowest_level(self):
+        cases = [(spec, None) for spec in (small_spec(*case) for case in SMALL_CASES)]
+        cases += [(ts.cluster_hamiltonian(n, b), dense_sector_levels(n, b))
+                  for n in range(4, 13) for b in np.arange(-4, 5) * 0.5]
+        certified = refused = 0
+        for spec, levels in cases:
+            op = spec.operator()
+            if levels is None:
+                levels = [eigh(sector_matrix(s).toarray(), subset_by_index=(0, min(1, s.basis.size - 1)))
+                          for s in op.sectors]
+            for sector, (vals, vecs) in zip(op.sectors, levels):
+                if spin_core._simple_lowest_level(op, sector, vecs[:, 0]):
+                    certified += 1
+                    assert vals[1] > vals[0]
+                else:
+                    refused += 1
+        assert certified > 100 and refused > 100
+
+    @pytest.mark.parametrize("case", ["triangle", "free", "zz", "cancelling"])
+    def test_refused(self, case):
+        spec = {
+            # by != 0: one complex sector
+            "triangle": lambda: ts.triangle_chain_hamiltonian(
+                ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.2, 0.4), 8
+            ),
+            "free": lambda: free_site_chain(8),  # the free site is disconnected
+            "zz": lambda: zz_ring(8),  # no hopping at all
+            "cancelling": lambda: cancelling_hop_chain(8),
+        }[case]()
+        op = spec.operator()
+        assert op.connected == (case in ("triangle", "cancelling"))
+        for sector in op.sectors:
+            _, vecs = eigh(sector_matrix(sector).toarray(), subset_by_index=(0, 0))
+            assert not spin_core._simple_lowest_level(op, sector, vecs[:, 0])
+            if case == "cancelling":  # real and connected: refused for its zeros alone
+                assert sector.offdiag.dtype.kind == "f" and np.any(sector.offdiag.data == 0.0)
+                # this gauge gives every nonzero entry the right sign, and
+                # opposite signs across every zero entry
+                gauge = (-1.0) ** (np.bitwise_count(sector.basis) // 2)
+                assert not spin_core._simple_lowest_level(op, sector, gauge)
+
+    def test_vector_with_a_zero_is_refused(self):
+        op = ts.cluster_hamiltonian(8, 0.5).operator()
+        (_, vecs), sector = dense_sector_levels(8, 0.5)[0], op.sectors[0]
+        psi = vecs[:, 0].copy()
+        assert spin_core._simple_lowest_level(op, sector, psi)
+        psi[np.argmin(np.abs(psi))] = 0.0
+        assert not spin_core._simple_lowest_level(op, sector, psi)
+
+    @pytest.mark.parametrize("spec, deflated", [
+        (ts.cluster_hamiltonian(12, 0.5), 0),
+        (ts.cluster_hamiltonian(13, 0.5), 0),
+        (ts.cluster_hamiltonian(13, -1.5), 1),  # odd ring, B <= -1.1: not proven
+        (free_site_chain(10), 1),
+    ], ids=["n12", "n13", "n13-negative-field", "free10"])
+    def test_tie_check_only_where_not_proven(self, spec, deflated, monkeypatch):
+        calls = []
+        real_lanczos = spin_core._lanczos
+
+        def counted_lanczos(*args, **kwargs):
+            calls.append(kwargs.get("deflate") is not None)
+            return real_lanczos(*args, **kwargs)
+
+        monkeypatch.setattr(spin_core, "_lanczos", counted_lanczos)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ts.DegenerateGroundStateWarning)
+            ts.ground_state(spec)
+        assert len(calls) == len(spec.operator().sectors) + deflated
+        assert sum(calls) == deflated
+
+
+class TestSharedOffDiagonal:
+    """The field-independent off-diagonal part is built once per ring."""
+
+    def test_fields_share_it(self):
+        low, high = ts.cluster_hamiltonian(9, 0.3), ts.cluster_hamiltonian(9, 1.7)
+        for a, b in zip(low.operator().sectors, high.operator().sectors):
+            assert a.offdiag is b.offdiag and a.basis is b.basis
+            assert not np.array_equal(a.diag, b.diag)
+        for spec in (low, high):
+            assert np.max(np.abs(ts.dense_matrix(spec) - kron_oracle(spec))) < 1e-12
