@@ -12,8 +12,9 @@ Conventions shared by every module in this package:
   ladder operators) are formed by the caller from separate applications.
 * Every solver works on :class:`BlockedOperator`, the Hamiltonian split
   into the joint eigenspaces ("sectors") of the products of Z over the
-  conserved sublattice masks; :func:`dense_spectrum` alone splits each
-  sector further into lattice-momentum blocks.  Each sector is a real
+  conserved sublattice masks; :func:`dense_spectrum` splits each sector
+  further into every lattice-momentum block, and :func:`ground_state`
+  takes one such block of a related matrix (below).  Each sector is a real
   diagonal plus an off-diagonal CSR block; the off-diagonal part depends
   only on n and the off-diagonal terms, so consecutive specs that differ
   only in their Z fields (a field sweep) build it once and share it.
@@ -22,12 +23,18 @@ Conventions shared by every module in this package:
   an energy-only pass for the sector's lowest level, then for each next
   level a solve deflated against the residual-checked vectors of the
   levels below it.  :func:`lowest_eigenvalues` and :func:`spectral_gap`
-  read the sectors' streams merged in ascending order (``_levels``);
-  :func:`ground_state` reads each sector's first level and the chosen
-  sector's vector, and solves that sector's second level (the tie check)
-  only when an exact Perron-Frobenius certificate cannot prove the lowest
-  level simple (``_simple_lowest_level``).  Dense ``eigh`` serves only
-  :func:`dense_spectrum`, the independent oracle.
+  read the sectors' streams merged in ascending order (``_levels``).
+* :func:`ground_state` first solves each sector's small stoquastic
+  symmetric block (``SymmetricBlock``, built once per ring): the q = 0
+  lattice-momentum block of S = diag(H) - |offdiag(H)|, whose lowest level
+  bounds the sector's from below.  Where an exact sign gauge G gives H = G
+  S G, that level is the sector's, simple, and its vector is the block's
+  spread over each orbit and gauged; no seed enters.  A sector without a
+  gauge is solved in full, by its stream, only when its bound comes within
+  ``DEGENERACY_TOL`` of the lowest level found, and when it is chosen its
+  second level is the tie check.
+* Dense ``eigh`` serves only :func:`dense_spectrum`, the independent
+  oracle, on every lattice-momentum block (``_momentum_blocks``).
 """
 
 from __future__ import annotations
@@ -234,14 +241,13 @@ class BlockedOperator:
     A mask M is conserved when every term flips an even number of the sites
     in M, so prod_{i in M} Z_i commutes with H.  ``sectors`` is ordered by
     the parities: sector s has parity bit j of s for ``masks[j]``.
-    ``connected`` says the off-diagonal flip masks span, over GF(2), the
-    n - len(masks) dimensions of every sector, so that a sector's hopping
-    graph is connected wherever no off-diagonal entry vanishes.
+    ``offdiag_key`` is ``(n, groups, is_complex)``, the hashable arguments
+    of ``_off_diagonal`` that built the off-diagonal blocks.
     """
 
     masks: tuple[int, ...]
     sectors: tuple[Sector, ...]
-    connected: bool
+    offdiag_key: tuple
 
 
 def _conserved_masks(n: int, flips) -> tuple[tuple[str, int], ...]:
@@ -259,17 +265,20 @@ def _conserved_masks(n: int, flips) -> tuple[tuple[str, int], ...]:
     return found
 
 
-def _gf2_rank(masks) -> int:
-    """Rank over GF(2) of integer bit masks."""
+def _gf2_basis(masks) -> list[int]:
+    """Indices of the integer bit masks that, taken in order, each lie outside
+    the GF(2) span of the masks before them: a basis of their span."""
     pivots: dict[int, int] = {}
-    for mask in masks:
+    basis = []
+    for index, mask in enumerate(masks):
         while mask:
             top = mask.bit_length() - 1
             if top not in pivots:
                 pivots[top] = mask
+                basis.append(index)
                 break
             mask ^= pivots[top]
-    return len(pivots)
+    return basis
 
 
 def _sign(states: np.ndarray, zy: int):
@@ -294,16 +303,15 @@ def _build_operator(spec: SpinChainSpec) -> BlockedOperator:
         groups.setdefault(flip, []).append((zy, term.coeff * 1j**n_y))
         is_complex = is_complex or n_y % 2 == 1
     diagonal = groups.pop(0, ())
-    masks, connected, blocks = _off_diagonal(
-        spec.n_sites, tuple((flip, tuple(groups[flip])) for flip in sorted(groups)), is_complex
-    )
+    key = (spec.n_sites, tuple((flip, tuple(groups[flip])) for flip in sorted(groups)), is_complex)
+    masks, blocks = _off_diagonal(*key)
     sectors = []
     for label, basis, offdiag in blocks:
         diag = np.zeros(basis.size)
         for zy, pref in diagonal:
             diag += pref.real * _sign(basis, zy)
         sectors.append(Sector(label, basis, diag, offdiag))
-    return BlockedOperator(masks, tuple(sectors), connected)
+    return BlockedOperator(masks, tuple(sectors), key)
 
 
 @functools.lru_cache(maxsize=1)
@@ -313,10 +321,10 @@ def _off_diagonal(n: int, groups: tuple, is_complex: bool):
     ``(flip, ((zy, coeff i^{n_Y}), ...))`` in ascending flip order; the
     blocks are complex when some term has an odd number of Y factors.
 
-    Returns ``(masks, connected, blocks)`` with one ``(label, basis,
-    offdiag)`` per sector, their arrays read-only.  Every row of ``offdiag``
-    has exactly one entry per flip, so ``indptr`` is an arange; an entry
-    whose terms cancel is stored as an explicit zero.
+    Returns ``(masks, blocks)`` with one ``(label, basis, offdiag)`` per
+    sector, their arrays read-only.  Every row of ``offdiag`` has exactly
+    one entry per flip, so ``indptr`` is an arange; an entry whose terms
+    cancel is stored as an explicit zero.
     """
     dtype = np.complex128 if is_complex else np.float64
     flips = [flip for flip, _ in groups]
@@ -356,8 +364,7 @@ def _off_diagonal(n: int, groups: tuple, is_complex: bool):
             f"{name}{'-' if (s >> j) & 1 else '+'}" for j, (name, _) in enumerate(named)
         )
         blocks.append((label or "all states", basis, offdiag))
-    connected = _gf2_rank(flips) == n - len(named)
-    return tuple(m for _, m in named), connected, tuple(blocks)
+    return tuple(m for _, m in named), tuple(blocks)
 
 
 # --- Hamiltonian builders ---------------------------------------------------
@@ -500,14 +507,15 @@ def _check_residual(sector: Sector, energy: float, psi: np.ndarray) -> None:
 
 def _lanczos(
     sector: Sector,
-    seed: int,
+    start: int | np.ndarray,
     deflate: np.ndarray | None = None,
     shift: float | None = None,
 ):
     """Lowest eigenvalue of the sector's block H, or of H + shift Psi Psi^H for
     ``deflate=Psi``, a normalized vector or a matrix of orthonormal columns
     (``shift`` is then required; see ``_deflation_shift``), by plain
-    three-term Lanczos from the start vector drawn from ``seed``.
+    three-term Lanczos from ``start`` normalized when it is an array, else
+    from a random vector drawn from the seed ``start``.
 
     Returns ``(theta, ritz_vector)``.  Only three Krylov vectors are kept and
     none is reorthogonalized: lost orthogonality adds spurious copies of
@@ -527,9 +535,9 @@ def _lanczos(
     """
     dim, dtype = sector.basis.size, sector.offdiag.dtype
 
-    def start_vector() -> np.ndarray:  # drawn again for the replay, not kept
-        start = np.random.default_rng(seed).standard_normal(dim)
-        return (start / np.linalg.norm(start)).astype(dtype)
+    def start_vector() -> np.ndarray:  # formed again for the replay, not kept
+        v = start if isinstance(start, np.ndarray) else np.random.default_rng(start).standard_normal(dim)
+        return (v / np.linalg.norm(v)).astype(dtype)
 
     if deflate is not None:
         deflate = deflate.reshape(dim, -1)
@@ -679,8 +687,10 @@ def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
     representatives under T^d span one block per momentum q = 0..n/d-1
     (``_momentum_blocks``), and every block is solved dense.  A chain that
     is not exactly invariant (an open one, say) has d = n, so M = 1 and its one
-    block per sector is the sector block itself.  Only this solver uses
-    momentum blocks; the others work on the parity sectors alone.
+    block per sector is the sector block itself.  Only this solver solves
+    every momentum block of H; :func:`ground_state` solves one block of a
+    related matrix (:class:`SymmetricBlock`), and the others work on the
+    parity sectors alone.
     """
     _check_dense_cap(spec.n_sites)
     d = _translation_step(spec)
@@ -757,27 +767,123 @@ def _levels(spec: SpinChainSpec, seed: int):
     )
 
 
-def _simple_lowest_level(op: BlockedOperator, sector: Sector, psi: np.ndarray) -> bool:
-    """Exact Perron-Frobenius certificate that the lowest level of the
-    sector's block H is simple, from ``psi``, a computed vector of that
-    level.
+@dataclass(frozen=True)
+class SymmetricBlock:
+    """One sector's stoquastic form S = diag(H) - |offdiag(H)| on its q = 0
+    momentum block under the translation T^d, and the sector's sign gauge.
 
-    With the gauge G = diag(g), g = sign(psi), it holds when H is real, g has
-    no zero, every stored off-diagonal entry has g_r g_c H_rc < 0, and
-    ``op.connected``: the off-diagonal flips then connect the sector through
-    entries that are all negative after the gauge, so c 1 - G H G is a
-    nonnegative irreducible matrix for large c, and its largest eigenvalue
-    is simple (Bravyi, DiVincenzo, Oliveira & Terhal, QIC 8, 361 (2008)).
-    Nothing is compared with a tolerance, and the accuracy of ``psi`` only
-    decides whether the gauge is found.  False means "not proven".
+    For any x, |x|^T S |x| <= x^H H x, so S's lowest level bounds H's from
+    below; and since S commutes with T^d and its off-diagonal entries are
+    not positive, S has a lowest vector that is nonnegative and invariant
+    under T^d, so its lowest level is that of the block.  The block's rows
+    and columns are ``reps``, the sector rows of the orbit representatives
+    (each orbit's smallest basis index), ascending; entry (r, t) is
+    sqrt(p_r / p_t) sum_{s in orbit(t)} S[r, s], with p the orbit length.
+    ``offdiag`` holds S's off-diagonal part so folded: one entry per block
+    row and off-diagonal flip, so a column may repeat, and a flip that maps
+    r into its own orbit lands on the block's diagonal.  ``orbit`` maps each
+    sector row to the block row of its orbit; ``root_length`` is sqrt(p) per
+    block row, the block's image of the uniform vector.
+
+    ``gauge`` is g = +-1 per sector row with g_r g_c H[r, c] < 0 for every
+    stored off-diagonal entry, so that H = G S G with G = diag(g); None when
+    there is none.  It exists only for a real sector whose off-diagonal
+    flips connect it and whose stored entries are all nonzero; S is then
+    irreducible, and its lowest level is simple (Perron-Frobenius; Bravyi,
+    DiVincenzo, Oliveira & Terhal, QIC 8, 361 (2008)) and that of H.
     """
-    off = sector.offdiag
-    if not op.connected or off.dtype.kind != "f" or not psi.all():
-        return False
-    negative = np.signbit(psi)
-    shape = (psi.size, off.indptr[1])
-    data, cols = off.data.reshape(shape), off.indices.reshape(shape)
-    for j in range(shape[1]):  # one flip at a time keeps the temporaries small
+
+    reps: np.ndarray
+    offdiag: csr_matrix
+    orbit: np.ndarray
+    root_length: np.ndarray
+    gauge: np.ndarray | None
+
+    def at(self, sector: Sector) -> Sector:
+        """The block at the fields of ``sector``: its diagonal is H's at the
+        representatives."""
+        return Sector(sector.label, sector.basis[self.reps], sector.diag[self.reps], self.offdiag)
+
+    def expand(self, vector: np.ndarray) -> np.ndarray:
+        """G Q u: the sector vector of the block vector u, each orbit's
+        entry spread over the orbit with weight 1/sqrt(p), then gauged."""
+        return self.gauge * (vector / self.root_length)[self.orbit]
+
+
+@functools.lru_cache(maxsize=1)
+def _symmetric_blocks(n: int, groups: tuple, is_complex: bool, d: int) -> tuple[SymmetricBlock, ...]:
+    """One :class:`SymmetricBlock` per sector of ``_off_diagonal(n, groups,
+    is_complex)`` under T^d, built once for consecutive calls with these
+    arguments (a field sweep); their arrays are read-only.
+
+    The orbits come from a running minimum over the n/d translates, so no
+    (n/d, sector) array of translates is made.  The gauge is sought only when
+    the blocks are real and a GF(2) basis of the flips has n - len(masks)
+    members, so that the flips connect every sector (``_sign_gauge``).
+    """
+    masks, blocks = _off_diagonal(n, groups, is_complex)
+    spanning = _gf2_basis([flip for flip, _ in groups])
+    connected = not is_complex and len(spanning) == n - len(masks)
+    period = n // d
+    out = []
+    for _, basis, off in blocks:
+        dim, m = basis.size, off.indptr[1]  # one entry per row and off-diagonal flip
+        rep, count, moved = basis.copy(), np.ones(dim, dtype=np.int64), basis
+        for _ in range(1, period):
+            moved = _rotate_sites(moved, d, n)
+            np.minimum(rep, moved, out=rep)
+            count += moved == basis
+        length = period // count  # T^(dj) s = s for period/p of the j
+        is_rep = rep == basis
+        reps = np.flatnonzero(is_rep)
+        orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[np.searchsorted(basis, rep)]
+        cols = off.indices.reshape(dim, m)[reps]
+        weight = np.sqrt(length[reps][:, None] / length[cols])
+        data = -weight * np.abs(off.data.reshape(dim, m)[reps])
+        folded = csr_matrix(
+            (data.ravel(), orbit[cols].ravel(), np.arange(reps.size + 1) * m),
+            shape=(reps.size, reps.size),
+        )
+        block = SymmetricBlock(
+            reps, folded, orbit, np.sqrt(length[reps]),
+            _sign_gauge(off, spanning) if connected else None,
+        )
+        for array in (block.reps, block.orbit, block.root_length, block.gauge,
+                      folded.data, folded.indices, folded.indptr):
+            if array is not None:
+                array.flags.writeable = False
+        out.append(block)
+    return tuple(out)
+
+
+def _sign_gauge(off: csr_matrix, spanning) -> np.ndarray | None:
+    """The gauge g = +-1 of a real off-diagonal block ``off`` whose flips
+    ``spanning`` (column indices of ``off``'s per-row entries) form a GF(2)
+    basis that spans the sector, or None when none exists.
+
+    Row 0 gets +1; each flip of ``spanning`` in turn carries the signs of
+    the rows reached so far across its entries, doubling them, so that
+    g_r g_c H[r, c] < 0 on those entries.  Then every stored entry is
+    checked (``_is_gauge``), with no tolerance.
+    """
+    dim, m = off.shape[0], off.indptr[1]
+    data, cols = off.data.reshape(dim, m), off.indices.reshape(dim, m)
+    gauge = np.ones(dim)
+    reached = np.zeros(1, dtype=np.intp)
+    for j in spanning:
+        ahead = cols[reached, j]
+        gauge[ahead] = np.where(np.signbit(data[reached, j]), gauge[reached], -gauge[reached])
+        reached = np.concatenate([reached, ahead])
+    return gauge if _is_gauge(off, gauge) else None
+
+
+def _is_gauge(off: csr_matrix, gauge: np.ndarray) -> bool:
+    """Whether every stored entry of the real off-diagonal block ``off`` is
+    nonzero and has g_r g_c H[r, c] < 0, by sign bits alone."""
+    dim, m = off.shape[0], off.indptr[1]
+    data, cols = off.data.reshape(dim, m), off.indices.reshape(dim, m)
+    negative = np.signbit(gauge)
+    for j in range(m):  # one flip at a time keeps the temporaries small
         entries = data[:, j]
         if not (entries.all() and np.all(np.signbit(entries) ^ negative ^ negative[cols[:, j]])):
             return False
@@ -787,37 +893,64 @@ def _simple_lowest_level(op: BlockedOperator, sector: Sector, psi: np.ndarray) -
 def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector]:
     """Lowest eigenpair over all Z-parity sectors.
 
-    Every sector's stream ``_lanczos_levels`` gives its lowest level; the
-    chosen sector's stream gives the residual-checked ground vector.
+    Each sector's :class:`SymmetricBlock` (built once per ring,
+    ``_symmetric_blocks``) is solved first, by ``_lanczos`` from its image
+    of the uniform vector, sqrt(p), which overlaps every nonnegative lowest
+    vector of the block; no seed enters.
+    * A sector with a gauge has H = G S G: the block's level is the
+      sector's lowest level, and it is simple.  Its vector, G Q times the
+      block's, is residual-checked against the whole sector H when the
+      sector is chosen.
+    * A sector without one gets a lower bound on its lowest level.  These
+      sectors are taken in ascending order of bound, and one is solved in
+      full, as the first level of its ``_lanczos_levels`` stream from
+      ``seed``, only while its bound lies less than ``DEGENERACY_TOL``
+      above the lowest level found so far; the others cannot tie with the
+      ground level.
 
     Degeneracy rule: when the lowest levels of two or more sectors agree
     within ``DEGENERACY_TOL``, the ground state of the first tied sector in
     the fixed order of ``spec.operator().sectors`` is returned, and a
     :class:`DegenerateGroundStateWarning` names the tied sectors.  The state
     returned at a cross-sector degeneracy therefore does not depend on
-    ``seed``.  Otherwise, when the Perron-Frobenius certificate of
-    ``_simple_lowest_level`` holds for the returned vector, the level is
-    proven simple and no second level is solved.  So a certified sector is
-    not searched for a second, simple level closer than ``DEGENERACY_TOL``;
-    an exactly degenerate level never passes the certificate.  When it
-    fails, the sector's second level is read from its stream: the lowest of
-    H + c psi psi^H from a second start vector, with the shift c of
-    ``_deflation_shift`` (E0 + c, above every level, in a one-row sector).
-    A second level within ``DEGENERACY_TOL`` of the lowest warns the same
-    way, and any normalized minimizer is returned.
+    ``seed``.  Otherwise a chosen sector with a gauge has a simple lowest
+    level, so it is not searched for a second level closer than
+    ``DEGENERACY_TOL``.  A chosen sector without one reads its second level
+    from its stream: the lowest of H + c psi psi^H from a second start
+    vector, with the shift c of ``_deflation_shift`` (E0 + c, above every
+    level, in a one-row sector).  A second level within ``DEGENERACY_TOL``
+    of the lowest warns the same way, and any normalized minimizer is
+    returned.  So ``seed`` can move the digits of the result only where the
+    chosen sector has no gauge.
     """
     n = spec.n_sites
     _check_iterative_cap(n)
     op = spec.operator()
     sectors = op.sectors
+    blocks = _symmetric_blocks(*op.offdiag_key, _translation_step(spec))
+    lows = np.full(len(sectors), np.inf)
+    gauged, bounds = {}, []
+    for i, (sector, block) in enumerate(zip(sectors, blocks)):
+        level, ritz_vector = _lanczos(block.at(sector), block.root_length)
+        if block.gauge is None:
+            bounds.append((level, i))
+        else:
+            lows[i], gauged[i] = level, ritz_vector
+    streams, vectors = {}, {}
     shift = _deflation_shift(spec)
-    streams = [_lanczos_levels(sector, seed, shift) for sector in sectors]
-    lows, vectors = zip(*(next(stream) for stream in streams))
-    lows = np.array(lows)
+    for bound, i in sorted(bounds):
+        if bound - lows.min() >= DEGENERACY_TOL:
+            break  # this sector and every later one lie above the ground level
+        streams[i] = _lanczos_levels(sectors[i], seed, shift)
+        lows[i], vectors[i] = next(streams[i])
     tied = np.flatnonzero(lows - lows.min() < DEGENERACY_TOL)
     first = int(tied[0])
     energy = float(lows[first])
-    psi = vectors[first]()
+    if first in gauged:
+        psi = blocks[first].expand(gauged[first]())
+        _check_residual(sectors[first], energy, psi)
+    else:
+        psi = vectors[first]()
     if tied.size > 1:
         names = ", ".join(sectors[i].label for i in tied)
         warnings.warn(
@@ -825,8 +958,7 @@ def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector
             f"sectors {names}; returning the state of sector {sectors[first].label}",
             DegenerateGroundStateWarning,
         )
-    elif (not _simple_lowest_level(op, sectors[first], psi)
-          and next(streams[first])[0] - energy < DEGENERACY_TOL):
+    elif first in streams and next(streams[first])[0] - energy < DEGENERACY_TOL:
         warnings.warn(
             f"ground level degenerate within {DEGENERACY_TOL:g} inside Z-parity "
             f"sector {sectors[first].label}; returning one minimizer",

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -424,23 +425,43 @@ class TestLengthSweep:
                 header, *lines = (out / f"{name}.csv").read_text().splitlines()
                 assert lines == csv_lines(table, header)
 
-    def test_rows_do_not_depend_on_the_certificate(self, monkeypatch):
-        # the Perron-Frobenius certificate only skips ground_state's tie check
-        fields = cli._parse_grid("0.5:1.5:0.5")
-        proofs = []
-        real = spin_core._simple_lowest_level
+    @pytest.mark.parametrize("n, b", [
+        *((13, round(0.1 * i, 10)) for i in range(21)),  # the sweep's ring and grid
+        (13, -1.5),  # the chosen sector has no gauge: the tie check runs
+        (14, 1.0),  # a tie across sectors, one of them without a gauge
+    ])
+    def test_ground_state_decides_as_the_full_sector_solves(self, n, b):
+        # every sector solved in full by its level stream, under the same
+        # tie rule, with the in-sector tie check always run
+        spec = ts.cluster_hamiltonian(n, b)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            energy, state = ts.ground_state(spec)
+        kinds = [kind for w in caught if issubclass(w.category, ts.DegenerateGroundStateWarning)
+                 for kind in ("across", "inside") if kind in str(w.message)]
+        sectors = spec.operator().sectors
+        shift = spin_core._deflation_shift(spec)
+        streams = [spin_core._lanczos_levels(sector, 7, shift) for sector in sectors]
+        lows, vectors = zip(*(next(stream) for stream in streams))
+        lows = np.array(lows)
+        tied = np.flatnonzero(lows - lows.min() < spin_core.DEGENERACY_TOL)
+        first = int(tied[0])
+        if tied.size > 1:
+            expected = ["across"]
+        else:
+            second = next(streams[first])[0]
+            expected = ["inside"] if second - lows[first] < spin_core.DEGENERACY_TOL else []
+        assert kinds == expected
+        assert abs(energy - lows[first]) < 1e-12
+        overlap = np.vdot(vectors[first](), state.amplitudes[sectors[first].basis])
+        assert abs(overlap) >= 1 - 1e-12
 
-        def recorded(*args):
-            proofs.append(real(*args))
-            return proofs[-1]
-
-        monkeypatch.setattr(spin_core, "_simple_lowest_level", recorded)
-        channels, _ = localizable.length_sweep(fields, 13, 7, None)
-        assert proofs == [True] * len(fields)
-        monkeypatch.setattr(spin_core, "_simple_lowest_level", lambda *args: False)
-        unproven, _ = localizable.length_sweep(fields, 13, 7, None)
-        for channel, (rows, series, _) in channels.items():
-            assert (rows, series) == unproven[channel][:2]
+    def test_rows_do_not_depend_on_the_seed(self):
+        # B = 0.2 also solves the sector without a gauge in full, from the seed
+        fields = cli._parse_grid("0.2:1.8:0.8")
+        runs = [localizable.length_sweep(fields, 13, seed, None)[0] for seed in (7, 8)]
+        for channel, (rows, series, _) in runs[0].items():
+            assert (rows, series) == runs[1][channel][:2]
 
     def test_typed_failure_keeps_the_other_field(self, small_run, monkeypatch):
         _, out = small_run

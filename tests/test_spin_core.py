@@ -771,9 +771,27 @@ def cancelling_hop_chain(n):
     return ts.SpinChainSpec(n, terms)
 
 
+def symmetric_blocks(spec):
+    """ground_state's SymmetricBlock per sector of the spec."""
+    return spin_core._symmetric_blocks(
+        *spec.operator().offdiag_key, spin_core._translation_step(spec)
+    )
+
+
+def orbit_count(spec, sector):
+    """Number of orbits of the translation T^d in the sector, d from
+    ``_translation_step``, from every translate of every basis state."""
+    n, d = spec.n_sites, spin_core._translation_step(spec)
+    moved = [sector.basis]
+    for _ in range(1, n // d):
+        moved.append(spin_core._rotate_sites(moved[-1], d, n))
+    return np.unique(np.min(moved, axis=0)).size
+
+
 class TestPerronFrobenius:
-    """ground_state's certificate that the chosen sector's lowest level is
-    simple (``_simple_lowest_level``)."""
+    """ground_state's stoquastic symmetric blocks and sign gauges
+    (``_symmetric_blocks``): the block's lowest level bounds the sector's,
+    and a gauge makes it the sector's simple lowest level."""
 
     def test_certified_sectors_have_a_simple_lowest_level(self):
         cases = [(spec, None) for spec in (small_spec(*case) for case in SMALL_CASES)]
@@ -785,52 +803,79 @@ class TestPerronFrobenius:
             if levels is None:
                 levels = [eigh(sector_matrix(s).toarray(), subset_by_index=(0, min(1, s.basis.size - 1)))
                           for s in op.sectors]
-            for sector, (vals, vecs) in zip(op.sectors, levels):
-                if spin_core._simple_lowest_level(op, sector, vecs[:, 0]):
-                    certified += 1
-                    assert vals[1] > vals[0]
-                else:
+            for sector, block, (vals, _) in zip(op.sectors, symmetric_blocks(spec), levels):
+                assert block.reps.size == orbit_count(spec, sector)
+                matrix = block.offdiag.toarray() + np.diag(sector.diag[block.reps])
+                assert np.max(np.abs(matrix - matrix.T), initial=0.0) < 1e-12
+                level = np.linalg.eigvalsh(matrix)[0]
+                assert level <= vals[0] + 1e-10
+                if block.gauge is None:
                     refused += 1
+                else:
+                    certified += 1
+                    assert abs(level - vals[0]) < 1e-10
+                    assert vals[1] > vals[0]
         assert certified > 100 and refused > 100
 
     @pytest.mark.parametrize("case", ["triangle", "free", "zz", "cancelling"])
     def test_refused(self, case):
-        spec = {
+        specs = {
             # by != 0: one complex sector
-            "triangle": lambda: ts.triangle_chain_hamiltonian(
+            "triangle": lambda: [ts.triangle_chain_hamiltonian(
                 ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.2, 0.4), 8
-            ),
-            "free": lambda: free_site_chain(8),  # the free site is disconnected
-            "zz": lambda: zz_ring(8),  # no hopping at all
-            "cancelling": lambda: cancelling_hop_chain(8),
+            )],
+            # the free site is disconnected, whether or not the fields make
+            # every entry negative
+            "free": lambda: [free_site_chain(8), ts.SpinChainSpec(8, [
+                ts.PauliString(-abs(t.coeff), t.factors) for t in free_site_chain(8).terms
+            ])],
+            "zz": lambda: [zz_ring(8)],  # no hopping at all: the blocks have empty rows
+            "cancelling": lambda: [cancelling_hop_chain(8)],
         }[case]()
-        op = spec.operator()
-        assert op.connected == (case in ("triangle", "cancelling"))
-        for sector in op.sectors:
-            _, vecs = eigh(sector_matrix(sector).toarray(), subset_by_index=(0, 0))
-            assert not spin_core._simple_lowest_level(op, sector, vecs[:, 0])
-            if case == "cancelling":  # real and connected: refused for its zeros alone
-                assert sector.offdiag.dtype.kind == "f" and np.any(sector.offdiag.data == 0.0)
-                # this gauge gives every nonzero entry the right sign, and
-                # opposite signs across every zero entry
-                gauge = (-1.0) ** (np.bitwise_count(sector.basis) // 2)
-                assert not spin_core._simple_lowest_level(op, sector, gauge)
+        for spec in specs:
+            op = spec.operator()
+            for sector, block in zip(op.sectors, symmetric_blocks(spec)):
+                assert block.gauge is None
+                assert block.reps.size == orbit_count(spec, sector)
+                if case == "zz":
+                    assert block.offdiag.nnz == 0
+                if case == "cancelling":  # real and connected: refused for its zeros alone
+                    off = sector.offdiag
+                    assert off.dtype.kind == "f" and np.any(off.data == 0.0)
+                    # this gauge gives every nonzero entry the right sign, and
+                    # opposite signs across every zero entry
+                    gauge = (-1.0) ** (np.bitwise_count(sector.basis) // 2)
+                    assert not spin_core._is_gauge(off, gauge)
+                    nonzero = off.data != 0.0
+                    rows = np.repeat(np.arange(sector.basis.size), off.indptr[1])
+                    signs = gauge[rows] * gauge[off.indices] * off.data
+                    assert np.all(signs[nonzero] < 0.0)
 
-    def test_vector_with_a_zero_is_refused(self):
-        op = ts.cluster_hamiltonian(8, 0.5).operator()
-        (_, vecs), sector = dense_sector_levels(8, 0.5)[0], op.sectors[0]
-        psi = vecs[:, 0].copy()
-        assert spin_core._simple_lowest_level(op, sector, psi)
-        psi[np.argmin(np.abs(psi))] = 0.0
-        assert not spin_core._simple_lowest_level(op, sector, psi)
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_gauge_makes_every_entry_negative(self, n):
+        # H = G S G exactly, S = diag(H) - |offdiag(H)|, on every gauged sector
+        gauged = 0
+        for b in (0.0, 0.5, -1.5):
+            spec = ts.cluster_hamiltonian(n, b)
+            for sector, block in zip(spec.operator().sectors, symmetric_blocks(spec)):
+                if block.gauge is None:
+                    continue
+                gauged += 1
+                h = sector_matrix(sector).toarray()
+                s = np.diag(np.diag(h)) - np.abs(h - np.diag(np.diag(h)))
+                assert np.array_equal(block.gauge[:, None] * h * block.gauge[None, :], s)
+                assert set(np.unique(block.gauge)) == {-1.0, 1.0}
+        assert gauged >= 3
 
-    @pytest.mark.parametrize("spec, deflated", [
-        (ts.cluster_hamiltonian(12, 0.5), 0),
-        (ts.cluster_hamiltonian(13, 0.5), 0),
-        (ts.cluster_hamiltonian(13, -1.5), 1),  # odd ring, B <= -1.1: not proven
-        (free_site_chain(10), 1),
+    @pytest.mark.parametrize("spec, full, deflated", [
+        (ts.cluster_hamiltonian(12, 0.5), 0, 0),
+        (ts.cluster_hamiltonian(13, 0.5), 0, 0),
+        (ts.cluster_hamiltonian(13, -1.5), 1, 1),  # odd ring, B <= -1: no gauge
+        (free_site_chain(10), 1, 1),
     ], ids=["n12", "n13", "n13-negative-field", "free10"])
-    def test_tie_check_only_where_not_proven(self, spec, deflated, monkeypatch):
+    def test_tie_check_only_where_not_proven(self, spec, full, deflated, monkeypatch):
+        # one block solve per sector; a full-sector solve only for a sector
+        # without a gauge whose bound reaches the ground level
         calls = []
         real_lanczos = spin_core._lanczos
 
@@ -842,7 +887,7 @@ class TestPerronFrobenius:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ts.DegenerateGroundStateWarning)
             ts.ground_state(spec)
-        assert len(calls) == len(spec.operator().sectors) + deflated
+        assert len(calls) == len(spec.operator().sectors) + full + deflated
         assert sum(calls) == deflated
 
 
@@ -856,3 +901,14 @@ class TestSharedOffDiagonal:
             assert not np.array_equal(a.diag, b.diag)
         for spec in (low, high):
             assert np.max(np.abs(ts.dense_matrix(spec) - kron_oracle(spec))) < 1e-12
+
+    def test_a_field_sweep_builds_one_symmetric_block_per_ring(self):
+        spin_core._symmetric_blocks.cache_clear()
+        energies = {}
+        for n in (10, 9, 10):  # a ring built again after another one was freed
+            for b in (0.3, 0.8, 1.6):
+                energies.setdefault((n, b), []).append(ts.ground_state(ts.cluster_hamiltonian(n, b))[0])
+        assert spin_core._symmetric_blocks.cache_info().misses == 3
+        for (n, b), found in energies.items():
+            oracle = min(vals[0] for vals, _ in dense_sector_levels(n, b))
+            assert np.max(np.abs(np.array(found) - oracle)) < 1e-10
