@@ -208,8 +208,6 @@ def _cmd_spectrum(args, out: Path, timings: dict) -> int:
 def _cmd_corr(args, out: Path, timings: dict) -> int:
     lengths = range(args.l_min, args.l_max + 1)
     if args.channel == "analytic":
-        if (args.alpha, args.beta) != ("z", "z"):
-            raise ValueError("the analytic channel provides zz correlators only")
         values = czz_analytic(args.b, lengths).tolist()
     else:
         _, gs = ground_state(cluster_hamiltonian(args.n, args.b))
@@ -226,8 +224,6 @@ def _cmd_locent(args, out: Path, timings: dict) -> int:
     if args.scheme == "cluster":
         result = branch_average(gs, cluster_scheme_plan(args.n, (p, q)))
     elif args.scheme == "lower-bound":
-        if p != 0:
-            raise ValueError("the lower-bound scheme is anchored at spin 1 (site 0); use --pair 0,L-1")
         result = branch_average(gs, lower_bound_plan(args.n, q + 1))
     else:
         result = optimize_plan(gs, (p, q), _anneal_config(args))
@@ -363,6 +359,17 @@ def main(argv=None) -> int:
             parser.error(f"--l-min {args.l_min} exceeds --l-max {args.l_max}")
         if args.channel == "ed" and args.l_max > args.n:
             parser.error(f"--l-max {args.l_max} exceeds the ring of --n {args.n} sites")
+        if args.channel == "analytic" and (args.alpha, args.beta) != ("z", "z"):
+            parser.error("the analytic channel provides zz correlators only")
+    if args.command == "locent":
+        try:
+            p, q = (int(tok) for tok in args.pair.split(","))
+        except ValueError:
+            parser.error(f"--pair {args.pair!r} is not two comma-separated integers")
+        if p == q or not (0 <= p < args.n and 0 <= q < args.n):
+            parser.error(f"--pair {args.pair} is not two distinct sites of the --n {args.n} ring")
+        if args.scheme == "lower-bound" and (p != 0 or q < 2 or q % 2):
+            parser.error("--scheme lower-bound needs --pair 0,L-1 with L odd and at least 3")
     out = Path(args.out or f"{args.command}_out")
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", {k: v for k, v in vars(args).items() if k != "func"})

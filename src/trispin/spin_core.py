@@ -14,10 +14,11 @@ Conventions shared by every module in this package:
   into the joint eigenspaces ("sectors") of the products of Z over the
   conserved sublattice masks; :func:`dense_spectrum` splits each sector
   further into every lattice-momentum block, and :func:`ground_state`
-  takes one such block of a related matrix (below).  Each sector is a real
-  diagonal plus an off-diagonal CSR block; the off-diagonal part depends
-  only on n and the off-diagonal terms, so consecutive specs that differ
-  only in their Z fields (a field sweep) build it once and share it.
+  takes one such block of a related matrix (below), both by one fold
+  (``_fold``) over one orbit table per ring (``_orbits``).  Each sector is
+  a real diagonal plus an off-diagonal CSR block; the off-diagonal part
+  depends only on n and the off-diagonal terms, so consecutive specs that
+  differ only in their Z fields (a field sweep) build it once and share it.
 * Every sector, whatever its size, has one eigensolver, a three-term
   Lanczos (``_lanczos``), and one stream of levels, ``_lanczos_levels``:
   an energy-only pass for the sector's lowest level, then for each next
@@ -34,7 +35,7 @@ Conventions shared by every module in this package:
   ``DEGENERACY_TOL`` of the lowest level found, and when it is chosen its
   second level is the tie check.
 * Dense ``eigh`` serves only :func:`dense_spectrum`, the independent
-  oracle, on every lattice-momentum block (``_momentum_blocks``).
+  oracle, on every lattice-momentum block.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ LANCZOS_CHECK_EVERY = 8
 #: reads before it gives up.  ``lowest_eigenvalues`` has no such cap: it
 #: reads k levels, so it deflates k - 1 of them.
 GAP_LEVELS = 8
+#: Seed of the random start vectors of the level streams (``_lanczos_levels``).
+START_SEED = 7
 
 
 class ResourceLimitError(RuntimeError):
@@ -625,90 +628,107 @@ def _translation_step(spec: SpinChainSpec) -> int:
     return n
 
 
-def _momentum_blocks(sector: Sector, n: int, d: int):
-    """Yield ``(q, Q_q^H H Q_q)``, a dense array, for each momentum q = 0..M-1
-    (M = n/d) whose block is not empty.
+@dataclass(frozen=True)
+class Orbits:
+    """The orbits of T^d (T moves every site by one) in one sector, M = n/d
+    = ``period``.  ``reps``: the sector rows of the representatives (each
+    orbit's smallest basis index), ascending; ``length``: their orbit
+    lengths p.  Per sector row s, ``orbit`` is the index into ``reps`` of its
+    orbit and ``back`` the j < p with T^(dj) s its representative."""
 
-    The columns of Q_q are the momentum states of the orbits of T^d (T moves
-    every site by one) in the sector, one per representative r (the smallest
-    index of its orbit) whose orbit length p has q p = 0 (mod M):
-    p^(-1/2) sum_{j<p} exp(2 pi i q j / M) |T^(-dj) r>, an eigenvector of T^d
-    with eigenvalue exp(2 pi i q / M).  At q = 0 and q = M/2 the phases are
-    real, and a real sector block gives a real momentum block.
+    period: int
+    reps: np.ndarray
+    length: np.ndarray
+    orbit: np.ndarray
+    back: np.ndarray
 
-    The block is summed entry by entry from the sector block's stored
-    entries H[s, t], row by row with the diagonal first, s and t in kept
-    orbits: entry (r_s, r_t) gains exp(2 pi i q (j_t - j_s) / M) H[s, t] /
-    sqrt(p_s p_t), with s = T^(-d j_s) r_s.
+
+@functools.lru_cache(maxsize=1)
+def _orbits(n: int, groups: tuple, is_complex: bool, d: int) -> tuple[Orbits, ...]:
+    """One :class:`Orbits` per sector of ``_off_diagonal(n, groups,
+    is_complex)`` under T^d, read-only and built once for consecutive calls
+    with these arguments (a field sweep), from one running minimum over the
+    translates, so no (M, sector) array of them is made."""
+    period = n // d
+    out = []
+    for _, basis, _ in _off_diagonal(n, groups, is_complex)[1]:
+        rep, moved = basis.copy(), basis
+        back = np.zeros(basis.size, dtype=np.uint8)  # back < n <= GROUND_SITE_CAP
+        count = np.ones(basis.size, dtype=np.int64)  # T^(dj) s = s for M/p of the j
+        for j in range(1, period):
+            moved = _rotate_sites(moved, d, n)
+            lower = moved < rep
+            np.copyto(rep, moved, where=lower)
+            back[lower] = j
+            count += moved == basis
+        is_rep = rep == basis
+        reps = np.flatnonzero(is_rep)
+        orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[np.searchsorted(basis, rep)]
+        orbits = Orbits(period, reps, (period // count)[reps], orbit, back)
+        for array in (orbits.reps, orbits.length, orbits.orbit, orbits.back):
+            array.flags.writeable = False
+        out.append(orbits)
+    return tuple(out)
+
+
+def _fold(off: csr_matrix, orbits: Orbits, q: int, stoquastic: bool = False) -> csr_matrix:
+    """The off-diagonal part of the momentum-q block Q_q^H H Q_q from the
+    sector's ``off``; with ``stoquastic``, that of S = diag(H) - |offdiag(H)|.
+
+    Column r of Q_q is p^(-1/2) sum_{j<p} exp(2 pi i q j / M) |T^(-dj) r>,
+    for each orbit with q p = 0 (mod M).  As H commutes with T^d, entry (r,
+    t) sums sqrt(p_r / p_t) exp(2 pi i q j_c / M) H[r, c] over row r's
+    stored entries with c = T^(-d j_c) t: one per flip, so a column may
+    repeat (``toarray`` sums them).  Rows and columns of the other orbits are
+    not entries of the block.  A real ``off`` at q = 0 or M/2 folds real.
     """
-    basis, period = sector.basis, n // d
-    orbit = [basis]  # orbit[j] = T^(dj) applied to every basis state
-    for _ in range(1, period):
-        orbit.append(_rotate_sites(orbit[-1], d, n))
-    orbit = np.array(orbit)
-    back = orbit.argmin(axis=0)  # T^(d back) s is the representative of s
-    rep = np.searchsorted(basis, orbit.min(axis=0))
-    length = period // (orbit == basis).sum(axis=0)  # T^(dj) s = s for M/p of the j
-    is_rep = rep == np.arange(basis.size)
-    rows, off = np.arange(basis.size), sector.offdiag
-    shape = (basis.size, off.indptr[1])  # one entry per row and off-diagonal flip
-    s = np.repeat(rows, shape[1] + 1)
-    t = np.column_stack([rows, off.indices.reshape(shape)]).ravel()
-    data = np.column_stack([sector.diag, off.data.reshape(shape)]).ravel()
-    rep_s, rep_t = rep[s], rep[t]
-    shift = (back[t] - back[s]) % period
-    weight = data / np.sqrt(length[s] * length[t])
-    roots = np.exp(2j * np.pi * np.arange(period) / period)
-    real = off.dtype.kind == "f"
-    for q in range(period):
-        keep = (q * length) % period == 0
-        column = np.cumsum(keep & is_rep) - 1  # column of each kept representative
-        if column[-1] < 0:
-            continue
-        dim = int(column[-1]) + 1
-        sel = np.flatnonzero(keep[s] & keep[t])
-        phase = roots[(q * shift[sel]) % period]
-        if real and (2 * q) % period == 0:
-            phase = phase.real
-        values = weight[sel] * phase
-        flat = column[rep_s[sel]] * dim + column[rep_t[sel]]
-        block = np.bincount(flat, weights=values.real, minlength=dim * dim)
-        if values.dtype.kind == "c":
-            block = block + 1j * np.bincount(flat, weights=values.imag, minlength=dim * dim)
-        yield q, block.reshape(dim, dim)
+    dim, m = off.shape[0], off.indptr[1]  # one entry per row and off-diagonal flip
+    reps, period = orbits.reps, orbits.period
+    cols = off.indices.reshape(dim, m)[reps]
+    data = off.data.reshape(dim, m)[reps]
+    if stoquastic:
+        data = -np.abs(data)
+    column = orbits.orbit[cols]
+    data = np.sqrt(orbits.length[:, None] / orbits.length[column]) * data
+    if q:
+        phase = np.exp(2j * np.pi * (q * np.arange(period) % period) / period)[orbits.back[cols]]
+        data = data * (phase.real if data.dtype.kind == "f" and 2 * q == period else phase)
+    return csr_matrix(
+        (data.ravel(), column.ravel(), np.arange(reps.size + 1) * m),
+        shape=(reps.size, reps.size),
+    )
 
 
 def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
     """All 2^n eigenvalues, ascending, from dense lattice-momentum blocks.
 
-    Each Z-parity sector is split by the translation T^d, d the smallest
-    divisor of n under which the summed Pauli strings and the conserved
-    masks are exactly invariant (``_translation_step``): the sector's
-    representatives under T^d span one block per momentum q = 0..n/d-1
-    (``_momentum_blocks``), and every block is solved dense.  A chain that
-    is not exactly invariant (an open one, say) has d = n, so M = 1 and its one
-    block per sector is the sector block itself.  Only this solver solves
-    every momentum block of H; :func:`ground_state` solves one block of a
-    related matrix (:class:`SymmetricBlock`), and the others work on the
-    parity sectors alone.
+    Each Z-parity sector's block at each momentum q = 0..M-1 under T^d
+    (``_translation_step``; d = n, so M = 1, for a chain that is not exactly
+    invariant) is its ``_fold`` plus the diagonal at the representatives, on
+    the orbits with q p = 0 (mod M); every block that is not empty is solved
+    dense.  Only this solver solves every momentum block of H.
     """
     _check_dense_cap(spec.n_sites)
-    d = _translation_step(spec)
-    return np.sort(np.concatenate([
-        _solve_block(block)
-        for sector in spec.operator().sectors
-        for _, block in _momentum_blocks(sector, spec.n_sites, d)
-    ]))
+    op = spec.operator()
+    levels = []
+    for sector, orbits in zip(op.sectors, _orbits(*op.offdiag_key, _translation_step(spec))):
+        diag = np.diag(sector.diag[orbits.reps])
+        for q in range(orbits.period):
+            keep = np.flatnonzero(q * orbits.length % orbits.period == 0)
+            if keep.size:
+                block = _fold(sector.offdiag, orbits, q).toarray() + diag
+                levels.append(_solve_block(block[np.ix_(keep, keep)]))
+    return np.sort(np.concatenate(levels))
 
 
-def lowest_eigenvalues(spec: SpinChainSpec, k: int = 2, seed: int = 7) -> np.ndarray:
+def lowest_eigenvalues(spec: SpinChainSpec, k: int = 2) -> np.ndarray:
     """The k lowest levels over all Z-parity sectors, ascending, every
     degenerate copy included: the first k of the merged level stream
     ``_levels``, so a sector solves its next level only once its latest
     one is among them."""
     _check_iterative_cap(spec.n_sites)
     # a stream may step down by rounding inside a degenerate level
-    return np.sort([level for level, _ in islice(_levels(spec, seed), k)])
+    return np.sort([level for level, _ in islice(_levels(spec, START_SEED), k)])
 
 
 def _deflation_shift(spec: SpinChainSpec) -> float:
@@ -776,14 +796,9 @@ class SymmetricBlock:
     below; and since S commutes with T^d and its off-diagonal entries are
     not positive, S has a lowest vector that is nonnegative and invariant
     under T^d, so its lowest level is that of the block.  The block's rows
-    and columns are ``reps``, the sector rows of the orbit representatives
-    (each orbit's smallest basis index), ascending; entry (r, t) is
-    sqrt(p_r / p_t) sum_{s in orbit(t)} S[r, s], with p the orbit length.
-    ``offdiag`` holds S's off-diagonal part so folded: one entry per block
-    row and off-diagonal flip, so a column may repeat, and a flip that maps
-    r into its own orbit lands on the block's diagonal.  ``orbit`` maps each
-    sector row to the block row of its orbit; ``root_length`` is sqrt(p) per
-    block row, the block's image of the uniform vector.
+    and columns are the sector's ``orbits``; ``offdiag`` is S's off-diagonal
+    part folded onto them (``_fold``), and sqrt(p) is the block's image of
+    the uniform vector.
 
     ``gauge`` is g = +-1 per sector row with g_r g_c H[r, c] < 0 for every
     stored off-diagonal entry, so that H = G S G with G = diag(g); None when
@@ -793,63 +808,37 @@ class SymmetricBlock:
     DiVincenzo, Oliveira & Terhal, QIC 8, 361 (2008)) and that of H.
     """
 
-    reps: np.ndarray
+    orbits: Orbits
     offdiag: csr_matrix
-    orbit: np.ndarray
-    root_length: np.ndarray
     gauge: np.ndarray | None
 
     def at(self, sector: Sector) -> Sector:
         """The block at the fields of ``sector``: its diagonal is H's at the
         representatives."""
-        return Sector(sector.label, sector.basis[self.reps], sector.diag[self.reps], self.offdiag)
+        reps = self.orbits.reps
+        return Sector(sector.label, sector.basis[reps], sector.diag[reps], self.offdiag)
 
     def expand(self, vector: np.ndarray) -> np.ndarray:
         """G Q u: the sector vector of the block vector u, each orbit's
         entry spread over the orbit with weight 1/sqrt(p), then gauged."""
-        return self.gauge * (vector / self.root_length)[self.orbit]
+        return self.gauge * (vector / np.sqrt(self.orbits.length))[self.orbits.orbit]
 
 
 @functools.lru_cache(maxsize=1)
 def _symmetric_blocks(n: int, groups: tuple, is_complex: bool, d: int) -> tuple[SymmetricBlock, ...]:
     """One :class:`SymmetricBlock` per sector of ``_off_diagonal(n, groups,
-    is_complex)`` under T^d, built once for consecutive calls with these
-    arguments (a field sweep); their arrays are read-only.
-
-    The orbits come from a running minimum over the n/d translates, so no
-    (n/d, sector) array of translates is made.  The gauge is sought only when
-    the blocks are real and a GF(2) basis of the flips has n - len(masks)
-    members, so that the flips connect every sector (``_sign_gauge``).
-    """
+    is_complex)`` under T^d, read-only and built once per ring as
+    ``_orbits`` is.  The gauge is sought only when the blocks are real and a
+    GF(2) basis of the flips has n - len(masks) members, so that the flips
+    connect every sector (``_sign_gauge``)."""
     masks, blocks = _off_diagonal(n, groups, is_complex)
     spanning = _gf2_basis([flip for flip, _ in groups])
     connected = not is_complex and len(spanning) == n - len(masks)
-    period = n // d
     out = []
-    for _, basis, off in blocks:
-        dim, m = basis.size, off.indptr[1]  # one entry per row and off-diagonal flip
-        rep, count, moved = basis.copy(), np.ones(dim, dtype=np.int64), basis
-        for _ in range(1, period):
-            moved = _rotate_sites(moved, d, n)
-            np.minimum(rep, moved, out=rep)
-            count += moved == basis
-        length = period // count  # T^(dj) s = s for period/p of the j
-        is_rep = rep == basis
-        reps = np.flatnonzero(is_rep)
-        orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[np.searchsorted(basis, rep)]
-        cols = off.indices.reshape(dim, m)[reps]
-        weight = np.sqrt(length[reps][:, None] / length[cols])
-        data = -weight * np.abs(off.data.reshape(dim, m)[reps])
-        folded = csr_matrix(
-            (data.ravel(), orbit[cols].ravel(), np.arange(reps.size + 1) * m),
-            shape=(reps.size, reps.size),
-        )
-        block = SymmetricBlock(
-            reps, folded, orbit, np.sqrt(length[reps]),
-            _sign_gauge(off, spanning) if connected else None,
-        )
-        for array in (block.reps, block.orbit, block.root_length, block.gauge,
-                      folded.data, folded.indices, folded.indptr):
+    for (_, _, off), orbits in zip(blocks, _orbits(n, groups, is_complex, d)):
+        folded = _fold(off, orbits, 0, stoquastic=True)
+        block = SymmetricBlock(orbits, folded, _sign_gauge(off, spanning) if connected else None)
+        for array in (block.gauge, folded.data, folded.indices, folded.indptr):
             if array is not None:
                 array.flags.writeable = False
         out.append(block)
@@ -890,7 +879,7 @@ def _is_gauge(off: csr_matrix, gauge: np.ndarray) -> bool:
     return True
 
 
-def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector]:
+def ground_state(spec: SpinChainSpec, seed: int = START_SEED) -> tuple[float, StateVector]:
     """Lowest eigenpair over all Z-parity sectors.
 
     Each sector's :class:`SymmetricBlock` (built once per ring,
@@ -931,7 +920,7 @@ def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector
     lows = np.full(len(sectors), np.inf)
     gauged, bounds = {}, []
     for i, (sector, block) in enumerate(zip(sectors, blocks)):
-        level, ritz_vector = _lanczos(block.at(sector), block.root_length)
+        level, ritz_vector = _lanczos(block.at(sector), np.sqrt(block.orbits.length))
         if block.gauge is None:
             bounds.append((level, i))
         else:
@@ -969,7 +958,7 @@ def ground_state(spec: SpinChainSpec, seed: int = 7) -> tuple[float, StateVector
     return energy, StateVector(n, amps)
 
 
-def spectral_gap(spec: SpinChainSpec, seed: int = 7) -> float:
+def spectral_gap(spec: SpinChainSpec, seed: int = START_SEED) -> float:
     """First excitation energy above the (possibly degenerate) ground level.
 
     At |B| = 1 rings with n = 2 (mod 4) carry an exact zero mode, so the
@@ -1007,7 +996,7 @@ def expectation(state: StateVector, op: PauliString) -> float:
     b = np.arange(1 << n)
     # P|b> = coeff i^{n_Y} (-1)^{popcount(b & zy)} |b ^ flip>; a Z string
     # flips nothing, so its bra is the state itself
-    sign = 1.0 - 2.0 * (np.bitwise_count(b & zy) & 1)
+    sign = _sign(b, zy)
     amps = state.amplitudes
     bra = amps[b ^ flip] if flip else amps
     val = op.coeff * 1j**n_y * np.vdot(bra, sign * amps)

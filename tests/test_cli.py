@@ -228,11 +228,35 @@ class TestUsage:
         assert "--n 2 is below 3" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_bad_axis_exits_64(self, tmp_path):
+    def test_bad_axis_exits_64(self, tmp_path, capsys):
         for flag in ("--alpha", "--beta"):
             with pytest.raises(SystemExit) as excinfo:
                 run(tmp_path, "corr", "--b", "0.5", flag, "w")
             assert excinfo.value.code == 64
+            # the analytic channel has the zz correlator alone
+            with pytest.raises(SystemExit) as excinfo:
+                run(tmp_path, "corr", "--b", "0.5", "--channel", "analytic", flag, "x")
+            assert excinfo.value.code == 64
+            assert "zz correlators only" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--pair", "0"), "--pair '0' is not two comma-separated integers"),
+        (("--pair", "0,4,6"), "--pair '0,4,6' is not two comma-separated integers"),
+        (("--pair", "0,x"), "--pair '0,x' is not two comma-separated integers"),
+        (("--pair", "3,3"), "--pair 3,3 is not two distinct sites of the --n 9 ring"),
+        (("--pair", "0,9"), "--pair 0,9 is not two distinct sites of the --n 9 ring"),
+        (("--pair", "2,6", "--scheme", "lower-bound"), "L odd and at least 3"),
+        (("--pair", "0,5", "--scheme", "lower-bound"), "L odd and at least 3"),  # L = 6
+        (("--pair", "0,1", "--scheme", "lower-bound"), "L odd and at least 3"),  # L = 2
+    ])
+    def test_locent_bad_pair_exits_64(self, tmp_path, capsys, flags, message):
+        # rejected before the run directory is made and before any solve
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, "locent", "--b", "0.5", "--n", "9", *flags)
+        assert excinfo.value.code == 64
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestGrid:
@@ -276,9 +300,9 @@ class TestCorr:
         assert "finite" in capsys.readouterr().err
 
     def test_analytic_channel_zz_only(self, tmp_path):
-        code, _ = run(tmp_path, "corr", "--b", "0.5", "--channel", "analytic",
-                      "--alpha", "x")
-        assert code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, "corr", "--b", "0.5", "--channel", "analytic", "--alpha", "x")
+        assert excinfo.value.code == 64
 
 
 class TestLocent:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import eigh
-from scipy.sparse import diags
+from scipy.sparse import csr_matrix, diags, identity, kron
 
 import trispin as ts
 from trispin import spin_core
@@ -19,16 +19,22 @@ PAULI_MATRICES = {
 }
 
 
-def kron_oracle(spec):
-    """H from Kronecker products of 2x2 Paulis; site 0 is the lowest bit."""
-    h = np.zeros((1 << spec.n_sites,) * 2, dtype=np.complex128)
+def kron_sparse(spec):
+    """H from Kronecker products of 2x2 Paulis, as a sparse matrix; site 0 is
+    the lowest bit."""
+    h = csr_matrix((1 << spec.n_sites,) * 2, dtype=np.complex128)
     for term in spec.terms:
         ops = dict(term.factors)
-        prod = np.eye(1)
+        prod = identity(1, format="csr")
         for site in reversed(range(spec.n_sites)):
-            prod = np.kron(prod, PAULI_MATRICES[ops.get(site, "I")])
-        h += term.coeff * prod
+            prod = kron(prod, PAULI_MATRICES[ops.get(site, "I")], format="csr")
+        h = h + term.coeff * prod
     return h
+
+
+def kron_oracle(spec):
+    """H from Kronecker products of 2x2 Paulis; site 0 is the lowest bit."""
+    return kron_sparse(spec).toarray()
 
 
 def random_spec(n, seed):
@@ -336,6 +342,50 @@ class TestBlockedOperator:
         assert np.array_equal(np.sort(basis), np.arange(1 << 8))
 
 
+def alternating_ring(n):
+    """ZZ bonds and X fields 0.7, 0.3 alternating: period 2, no conserved mask."""
+    terms = [ts.PauliString(1.0, ((i, "Z"), ((i + 1) % n, "Z"))) for i in range(n)]
+    terms += [ts.PauliString(0.7 if i % 2 == 0 else 0.3, ((i, "X"),)) for i in range(n)]
+    return ts.SpinChainSpec(n, terms)
+
+
+def rotate(states, k, n):
+    """Basis indices with every site i moved to (i + k) mod n."""
+    k %= n
+    return ((states << k) | (states >> (n - k))) & ((1 << n) - 1)
+
+
+def momentum_basis(basis, n, d, q):
+    """Q_q on the sector ``basis``: per orbit of T^d (T moves every site by
+    one), representative r its smallest index, ascending, the normalized sum
+    over all M = n/d translates of exp(2 pi i q j / M) |T^(-dj) r>; an orbit
+    whose sum vanishes has no column."""
+    period = n // d
+    reps = np.unique(np.min([rotate(basis, d * j, n) for j in range(period)], axis=0))
+    translates = np.array([rotate(reps, -d * j, n) for j in range(period)])
+    q_basis = np.zeros((basis.size, reps.size), dtype=np.complex128)
+    columns = np.broadcast_to(np.arange(reps.size), translates.shape)
+    phases = np.exp(2j * np.pi * q * np.arange(period) / period)
+    np.add.at(q_basis, (np.searchsorted(basis, translates), columns),
+              np.broadcast_to(phases[:, None], translates.shape))
+    norms = np.linalg.norm(q_basis, axis=0)
+    return q_basis[:, norms > 0.5] / norms[norms > 0.5]
+
+
+def solved_blocks(spec, monkeypatch):
+    """The blocks dense_spectrum passes to its dense solve, in order."""
+    solved = []
+    real_solve = spin_core._solve_block
+
+    def recording_solve(block):
+        solved.append(block)
+        return real_solve(block)
+
+    monkeypatch.setattr(spin_core, "_solve_block", recording_solve)
+    ts.dense_spectrum(spec)
+    return solved
+
+
 class TestMomentumBlocks:
     """dense_spectrum's lattice-momentum blocks inside each Z-parity sector."""
 
@@ -353,16 +403,9 @@ class TestMomentumBlocks:
         assert any(ts.dense_matrix(sp).dtype.kind == "c" for sp in specs)
         assert any(len(sp.operator().sectors) == 1 for sp in specs)
 
-    @staticmethod
-    def alternating_ring(n):
-        """ZZ bonds and X fields 0.7, 0.3 alternating: period 2, no conserved mask."""
-        terms = [ts.PauliString(1.0, ((i, "Z"), ((i + 1) % n, "Z"))) for i in range(n)]
-        terms += [ts.PauliString(0.7 if i % 2 == 0 else 0.3, ((i, "X"),)) for i in range(n)]
-        return ts.SpinChainSpec(n, terms)
-
     @pytest.mark.parametrize("n", [6, 8])
     def test_alternating_field_ring_has_step_two(self, n):
-        spec = self.alternating_ring(n)
+        spec = alternating_ring(n)
         assert spec.operator().masks == ()
         assert spin_core._translation_step(spec) == 2
         oracle = np.linalg.eigvalsh(kron_oracle(spec))
@@ -382,26 +425,45 @@ class TestMomentumBlocks:
         spec = ts.cluster_hamiltonian(n, 0.5)
         assert spin_core._translation_step(spec) == step
         period = n // step
-        solved = []
-        real_solve = spin_core._solve_block
-
-        def recording_solve(block):
-            solved.append(block.shape[0])
-            return real_solve(block)
-
-        monkeypatch.setattr(spin_core, "_solve_block", recording_solve)
-        ts.dense_spectrum(spec)
-        expected = []
-        for sector in spec.operator().sectors:
-            blocks = dict(spin_core._momentum_blocks(sector, n, step))
-            assert sorted(blocks) == list(range(period))
-            assert sum(block.shape[0] for block in blocks.values()) == sector.basis.size
+        solved = solved_blocks(spec, monkeypatch)
+        for sector in spec.operator().sectors:  # every momentum has orbits here
+            blocks, solved = solved[:period], solved[period:]
+            assert sum(block.shape[0] for block in blocks) == sector.basis.size
             # H is real here, so the q and M - q blocks share a spectrum
-            for q, block in blocks.items():
+            for q, block in enumerate(blocks):
                 pair = np.linalg.eigvalsh(blocks[(period - q) % period])
                 assert np.max(np.abs(np.linalg.eigvalsh(block) - pair)) < 1e-10
-            expected += [block.shape[0] for block in blocks.values()]
-        assert solved == expected
+        assert solved == []
+
+    @pytest.mark.parametrize("spec", [
+        *(invariant_spec(3 + seed % 6, seed) for seed in range(12)),
+        alternating_ring(6),
+        alternating_ring(8),
+        ts.cluster_hamiltonian(10, 0.5),
+        ts.cluster_hamiltonian(11, 0.5),
+    ], ids=[*(f"invariant{seed}" for seed in range(12)), "alternating6", "alternating8",
+            "cluster10", "cluster11"])
+    def test_every_block_is_the_kronecker_momentum_block(self, spec, monkeypatch):
+        # Q_q^H H Q_q with Q_q summed over every translate of the Kronecker
+        # basis, against each block dense_spectrum solves, in its order
+        n, d = spec.n_sites, spin_core._translation_step(spec)
+        h = kron_sparse(spec)
+        moved = rotate(np.arange(1 << n), d, n)
+        assert abs(h[moved][:, moved] - h).max() < 1e-12
+        expected = []
+        for sector in spec.operator().sectors:
+            h_sector = h[sector.basis][:, sector.basis]
+            dims = 0
+            for q in range(n // d):
+                q_basis = momentum_basis(sector.basis, n, d, q)
+                dims += q_basis.shape[1]
+                if q_basis.shape[1]:
+                    expected.append(q_basis.conj().T @ (h_sector @ q_basis))
+            assert dims == sector.basis.size
+        solved = solved_blocks(spec, monkeypatch)
+        assert [block.shape for block in solved] == [block.shape for block in expected]
+        for block, oracle in zip(solved, expected):
+            assert np.max(np.abs(block - oracle)) < 1e-12
 
 
 class TestDegenerateGroundState:
@@ -804,8 +866,8 @@ class TestPerronFrobenius:
                 levels = [eigh(sector_matrix(s).toarray(), subset_by_index=(0, min(1, s.basis.size - 1)))
                           for s in op.sectors]
             for sector, block, (vals, _) in zip(op.sectors, symmetric_blocks(spec), levels):
-                assert block.reps.size == orbit_count(spec, sector)
-                matrix = block.offdiag.toarray() + np.diag(sector.diag[block.reps])
+                assert block.orbits.reps.size == orbit_count(spec, sector)
+                matrix = block.offdiag.toarray() + np.diag(sector.diag[block.orbits.reps])
                 assert np.max(np.abs(matrix - matrix.T), initial=0.0) < 1e-12
                 level = np.linalg.eigvalsh(matrix)[0]
                 assert level <= vals[0] + 1e-10
@@ -836,7 +898,7 @@ class TestPerronFrobenius:
             op = spec.operator()
             for sector, block in zip(op.sectors, symmetric_blocks(spec)):
                 assert block.gauge is None
-                assert block.reps.size == orbit_count(spec, sector)
+                assert block.orbits.reps.size == orbit_count(spec, sector)
                 if case == "zz":
                     assert block.offdiag.nnz == 0
                 if case == "cancelling":  # real and connected: refused for its zeros alone
