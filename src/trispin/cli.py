@@ -370,6 +370,11 @@ def main(argv=None) -> int:
             parser.error(f"--pair {args.pair} is not two distinct sites of the --n {args.n} ring")
         if args.scheme == "lower-bound" and (p != 0 or q < 2 or q % 2):
             parser.error("--scheme lower-bound needs --pair 0,L-1 with L odd and at least 3")
+    if args.command == "figure2":
+        try:
+            _parse_grid(args.b_grid)
+        except ValueError as exc:
+            parser.error(f"--b-grid: {exc}")
     out = Path(args.out or f"{args.command}_out")
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", {k: v for k, v in vars(args).items() if k != "func"})

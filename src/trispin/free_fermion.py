@@ -65,6 +65,9 @@ _GAUSS_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = leggauss(_GAUSS_ORDER)
 #: Panel splits: r = +/- pi, where the square root vanishes at |B| = 1.
 _SPLITS = np.array([-2.0 * np.pi, -np.pi, 0.0, np.pi, 2.0 * np.pi])
+#: Most nodes, summed over its separations, that ``czz_analytic`` evaluates
+#: in one array; a level with more nodes per separation takes them one by one.
+_GROUP_NODES = 8192
 
 
 def _panel_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +101,13 @@ def czz_analytic(b_field: float, L):
     |B| = 1; panel counts are doubled until two successive estimates of a
     separation agree within ``QUAD_TOL`` absolutely, each separation
     stopping at its own level.  The nodes and the L-independent factors of
-    both integrands are built once per level for all separations.
+    both integrands are built once per level for all separations.  A level
+    evaluates its unconverged separations together, in groups of at most
+    ``_GROUP_NODES`` nodes in all, or one separation per group once a level
+    has more nodes than that; no array outgrows both that bound and one
+    separation's nodes.  Each node's products are formed in the same order
+    as for a lone separation and each separation is summed alone, so a
+    sequence's values equal its scalar calls' bit for bit.
     """
     scalar = np.ndim(L) == 0
     try:
@@ -121,15 +130,22 @@ def czz_analytic(b_field: float, L):
         lam_x = lam(x)
         sin_lam = np.sin(x) / lam_x
         cos_lam = (b + np.cos(x)) / lam_x
-        for j, last in list(prev.items()):
-            mx = 0.5 * (seps[j] - 1) * x
-            i1 = pref * float(np.sum(sin_lam * np.sin(mx) * _GL_WEIGHTS[None, :] * half))
-            i2 = pref * float(np.sum(cos_lam * np.cos(mx) * _GL_WEIGHTS[None, :] * half))
-            if last is not None and abs(i1 - last[0]) < QUAD_TOL and abs(i2 - last[1]) < QUAD_TOL:
-                out[j] = i1 * i1 - i2 * i2
-                del prev[j]
-            else:
-                prev[j] = (i1, i2)
+        todo = list(prev)
+        width = max(1, _GROUP_NODES // x.size)
+        for start in range(0, len(todo), width):
+            group = todo[start : start + width]
+            mx = (0.5 * (np.array([seps[j] for j in group]) - 1))[:, None, None] * x
+            # each row sums as np.sum sums that separation's array alone
+            s1 = (sin_lam * np.sin(mx) * _GL_WEIGHTS[None, :] * half).reshape(len(group), -1)
+            s2 = (cos_lam * np.cos(mx) * _GL_WEIGHTS[None, :] * half).reshape(len(group), -1)
+            for j, i1, i2 in zip(group, (pref * s1.sum(axis=1)).tolist(),
+                                 (pref * s2.sum(axis=1)).tolist()):
+                last = prev[j]
+                if last is not None and abs(i1 - last[0]) < QUAD_TOL and abs(i2 - last[1]) < QUAD_TOL:
+                    out[j] = i1 * i1 - i2 * i2
+                    del prev[j]
+                else:
+                    prev[j] = (i1, i2)
     if prev:
         missing = ", ".join(str(seps[j]) for j in prev)
         raise QuadratureError(

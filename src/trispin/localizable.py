@@ -110,15 +110,18 @@ def concurrence_pure(amplitudes) -> float:
     return float(2.0 * abs(amps[0] * amps[3] - amps[1] * amps[2]))
 
 
-#: The Z bras, ``_measurement_matrix(0, 0)``, which ``_rotated`` skips.
+#: The Z bras, ``_measurement_matrix(0, 0)``, which ``_rotate_all`` skips.
 _IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
 
 
 def _measurement_matrix(theta: float, phi: float) -> np.ndarray:
     """Rows are the bras <+n| = (cos(theta/2), e^{-i phi} sin(theta/2)) and
     <-n| = (-sin(theta/2), e^{-i phi} cos(theta/2)) in the computational
-    basis, so the Z bras (theta = phi = 0) are exactly the identity."""
+    basis, so the Z bras (theta = phi = 0) are exactly the identity.  The
+    matrix is real (float64) when phi = 0, complex otherwise."""
     ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    if phi == 0.0:
+        return np.array([[ct, st], [-st, ct]])
     e = np.exp(-1j * phi)  # conjugate phase: the rows are bras
     return np.array([[ct, e * st], [-st, e * ct]])
 
@@ -144,7 +147,14 @@ def _rotate_site(a: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
     #         k=6, m=4: 25-32 vs 12-17 us
     # So the kron form is taken for m <= 16 once the batch is at least 8m;
     # below that the matmul wins or ties.  From n=13 up every m <= 16 meets
-    # the batch bound.
+    # the batch bound.  Real (float64) tensors, which a real state measured
+    # in X or Z gives, two runs, same setup:
+    #   n=17: k=12, m=16: 148-164 vs 194-196 us; k=13, m=8: 265 vs 153-174 us;
+    #         k=14, m=4: 464-471 vs 136-170 us
+    #   n=13: k=8, m=16: 10-11 vs 14 us; k=9, m=8: 18 vs 10 us; k=10, m=4: 31 vs 8-9 us
+    #   n=9:  k=5, m=8: 3 vs 6-7 us; k=6, m=4: 4 vs 5 us
+    # In float64 the matmul still wins at m = 16 (by 3-4 us a call at n=13,
+    # 30-45 us at n=17) and at n=9, k=6; one rule serves both dtypes.
     if m <= 16 and batch >= 8 * m:
         kron = (u.T[:, None, :, None] * np.eye(m)[:, None, :]).reshape(2 * m, 2 * m)
         out = x.reshape(batch, 2 * m) @ kron
@@ -154,8 +164,34 @@ def _rotate_site(a: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
 
 
 def _plan_bras(plan: MeasurementPlan) -> list[np.ndarray]:
-    """``plan``'s measurement matrices in ascending site order."""
-    return [_measurement_matrix(*plan.angles[site]) for site in sorted(plan.angles)]
+    """``plan``'s measurement matrices in ascending site order; sites with
+    equal angles share one matrix."""
+    matrices = {angles: _measurement_matrix(*angles) for angles in set(plan.angles.values())}
+    return [matrices[plan.angles[site]] for site in sorted(plan.angles)]
+
+
+def _pair_last(state: StateVector, pair: tuple[int, int], real: bool) -> np.ndarray:
+    """The state tensor as a C-contiguous ``(2^(n-2), 4)`` copy with the
+    target pair's axes last, the larger site first.  The copy is float64 when
+    ``real`` is set and every imaginary part of the state is exactly zero."""
+    n = state.n_sites
+    lo, hi = sorted(pair)
+    amps = state.amplitudes
+    if real and not amps.imag.any():
+        amps = amps.real
+    # Axis k of the state tensor is site n-1-k.
+    psi = amps.reshape((2,) * n)
+    return np.array(np.moveaxis(psi, (n - 1 - hi, n - 1 - lo), (-2, -1)), order="C").reshape(-1, 4)
+
+
+def _rotate_all(a: np.ndarray, bras: list[np.ndarray]) -> np.ndarray:
+    """``_pair_last`` tensor ``a`` rotated by ``bras``, one per measured site
+    in ascending site order; identity (Z) bras are skipped, so with no other
+    bra ``a`` itself is returned."""
+    for k, u in enumerate(reversed(bras)):
+        if u.tolist() != _IDENTITY:
+            a = _rotate_site(a, u, k)
+    return a
 
 
 def _rotated(state: StateVector, pair: tuple[int, int], bras: list[np.ndarray]) -> np.ndarray:
@@ -168,16 +204,12 @@ def _rotated(state: StateVector, pair: tuple[int, int], bras: list[np.ndarray]) 
     Measured site s is therefore the middle axis of ``a.reshape(2**k, 2, -1)``,
     with k the number of measured sites above s.  Identity bras (Z
     measurements) are skipped; the result never shares memory with the state.
+    When the state and every bra are real, the rotation runs in float64 and
+    the result is real: each entry is the real part of the complex result,
+    bit for bit.
     """
-    n = state.n_sites
-    lo, hi = sorted(pair)
-    # Axis k of the state tensor is site n-1-k; one copy moves the pair last.
-    psi = state.amplitudes.reshape((2,) * n)
-    a = np.array(np.moveaxis(psi, (n - 1 - hi, n - 1 - lo), (-2, -1)), order="C").reshape(-1, 4)
-    for k, u in enumerate(reversed(bras)):
-        if u.tolist() != _IDENTITY:
-            a = _rotate_site(a, u, k)
-    return a
+    real = all(u.dtype.kind == "f" for u in bras)
+    return _rotate_all(_pair_last(state, pair, real), bras)
 
 
 def _read(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -187,7 +219,10 @@ def _read(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     probability, the mask of branches above ``PROB_CUTOFF``, and each
     branch's unnormalized concurrence 2|a00 a11 - a01 a10|.
     """
-    # Each row's squared norm is the sum of its 8 squared float components.
+    # A real tensor is read in complex128: a float64 read sums the squared
+    # norms in another order and moves values by an ulp.  Each row's squared
+    # norm is the sum of its 8 squared float components.
+    a = a.astype(np.complex128, copy=False)
     re_im = a.view(np.float64)
     probs = np.einsum("bi,bi->b", re_im, re_im)
     total = float(probs.sum())
@@ -235,6 +270,7 @@ def branch_average(
 
     branches = None
     if keep_branches:
+        a = a.astype(np.complex128, copy=False)
         branches = []
         for row in np.nonzero(keep)[0]:
             # outcomes in ascending site order
@@ -344,6 +380,28 @@ def scheme_seed_plans(n: int, pair: tuple[int, int]) -> list[MeasurementPlan]:
     return plans
 
 
+def _best_seed(
+    state: StateVector, pair: tuple[int, int]
+) -> tuple[MeasurementPlan, list[np.ndarray], np.ndarray, float]:
+    """The best of ``scheme_seed_plans(n, pair)`` on ``state``, the first on
+    ties: ``(plan, bras, rotated tensor, value)``, each as ``branch_average``
+    and ``_rotated`` would give it.
+
+    The state is checked and the pair's axes are moved once for all seeds;
+    the seeds measure X or Z, so their bras are real.
+    """
+    _check_state(state)
+    base = _pair_last(state, pair, real=True)
+    best = None
+    for plan in scheme_seed_plans(state.n_sites, pair):
+        bras = _plan_bras(plan)
+        a = _rotate_all(base, bras)
+        value = _read(a)[0]
+        if best is None or value > best[-1]:
+            best = (plan, bras, a, value)
+    return best
+
+
 def optimize_plan(
     state: StateVector,
     pair: tuple[int, int],
@@ -363,35 +421,24 @@ def optimize_plan(
     """
     cfg = config or AnnealConfig()
     n = state.n_sites
-    _check_state(state)
     pair = (int(pair[0]), int(pair[1]))
     measured = sorted(set(range(n)) - set(pair))
-
-    def walk_from(angles):
-        """Walk state (thetas, phis, bras, rotated tensor, value) at
-        ``angles``, one (theta, phi) per measured site."""
-        bras = [_measurement_matrix(theta, phi) for theta, phi in angles]
-        a = _rotated(state, pair, bras)
-        thetas, phis = (list(x) for x in zip(*angles))
-        return thetas, phis, bras, a, _read(a)[0]
+    # Restart 0 walks from the best seed; its bras are in ``measured`` order.
+    best_plan, bras, a, best_val = _best_seed(state, pair)
+    thetas, phis = (list(x) for x in zip(*(best_plan.angles[site] for site in measured)))
+    current_val = best_val
 
     def plan_of(thetas, phis):
         return MeasurementPlan(n, pair, dict(zip(measured, zip(thetas, phis))))
 
-    # Only the best seed's walk state is kept: restart 0 starts from it.
-    start = None
-    for plan in scheme_seed_plans(n, pair):
-        walk = walk_from([plan.angles[site] for site in measured])
-        if start is None or walk[-1] > best_val:
-            best_plan, best_val, start = plan, walk[-1], walk
-
     rng = np.random.default_rng(cfg.seed)
     for restart in range(cfg.restarts):
-        if restart == 0:
-            (thetas, phis, bras, a, current_val), start = start, None
-        else:
+        if restart > 0:
             drawn = rng.uniform((0.0, 0.0), (math.pi, 2.0 * math.pi), size=(len(measured), 2))
-            thetas, phis, bras, a, current_val = walk_from(drawn.tolist())
+            thetas, phis = drawn.T.tolist()
+            bras = [_measurement_matrix(theta, phi) for theta, phi in zip(thetas, phis)]
+            a = _rotated(state, pair, bras)
+            current_val = _read(a)[0]
             if current_val > best_val:
                 best_plan, best_val = plan_of(thetas, phis), current_val
         temp = T_START
@@ -456,8 +503,7 @@ def length_sweep(fields: list[float], n: int, seed: int,
         seps = list(range(2, n // 2 + 1))
         if anneal is not None:
             return seps, [optimize_plan(gs, (0, s), anneal).value for s in seps]
-        return seps, [max(branch_average(gs, plan).value for plan in scheme_seed_plans(n, (0, s)))
-                      for s in seps]
+        return seps, [_best_seed(gs, (0, s))[-1] for s in seps]
 
     channels, failures = {}, []
     for channel, series, fit in (

@@ -190,9 +190,14 @@ class TestUsage:
                 run(tmp_path, "spectrum", "--n", "6", "--max-levels", levels)
             assert excinfo.value.code == 64
 
-    def test_bad_grid_is_an_error(self, tmp_path):
-        code, _ = run(tmp_path, "figure2", "--b-grid", "nonsense")
-        assert code == 1
+    def test_bad_grid_is_an_error(self, tmp_path, capsys):
+        # a usage error, rejected before the run directory is made
+        for text in ("nonsense", "1:0:0.1", "a:b:c", "0:1:0", "0:1:nan"):
+            with pytest.raises(SystemExit) as excinfo:
+                run(tmp_path, "figure2", "--b-grid", text)
+            assert excinfo.value.code == 64
+            assert f"--b-grid: bad grid {text!r}" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
 
     def test_corr_empty_separation_range_exits_64(self, tmp_path, capsys):
         for channel in ("ed", "analytic"):
@@ -272,8 +277,10 @@ class TestGrid:
     def test_non_finite_grids_are_bad(self, tmp_path, text):
         with pytest.raises(ValueError, match="bad grid"):
             cli._parse_grid(text)
-        code, _ = run(tmp_path, "figure2", "--b-grid", text)
-        assert code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, "figure2", "--b-grid", text)
+        assert excinfo.value.code == 64
+        assert not (tmp_path / "run").exists()
 
 
 class TestCorr:

@@ -10,6 +10,27 @@ from trispin.correlations import two_point_connected
 from trispin.free_fermion import CorrelationSeries, correlation_length
 
 
+def czz_one_separation(b, L):
+    """``czz_analytic(b, L)`` refined for one separation alone, with
+    ``np.sum`` over that separation's nodes: the loop the grouped levels
+    must match bit for bit."""
+    lam = free_fermion.Dispersion(b)
+    pref = 1.0 / (4.0 * np.pi)
+    weights = free_fermion._GL_WEIGHTS[None, :]
+    last = None
+    for level in range(free_fermion.MAX_REFINE + 1):
+        x, half = free_fermion._panel_nodes(level)
+        lam_x = lam(x)
+        mx = 0.5 * (L - 1) * x
+        i1 = pref * float(np.sum(np.sin(x) / lam_x * np.sin(mx) * weights * half))
+        i2 = pref * float(np.sum((b + np.cos(x)) / lam_x * np.cos(mx) * weights * half))
+        tol = free_fermion.QUAD_TOL
+        if last is not None and abs(i1 - last[0]) < tol and abs(i2 - last[1]) < tol:
+            return i1 * i1 - i2 * i2
+        last = (i1, i2)
+    raise AssertionError(f"no convergence at B={b}, L={L}")
+
+
 class TestDispersion:
     def test_flat_at_zero_field(self):
         lam = ts.Dispersion(0.0)
@@ -73,13 +94,14 @@ class TestCzzAnalytic:
     @pytest.mark.parametrize("b", [round(0.1 * i, 10) for i in range(21)] + [0.99, 1.01, 0.999])
     def test_sequence_matches_scalar_calls(self, b):
         # one shared refinement per field, each separation stopping at its
-        # own level: bit for bit the scalar values
+        # own level: bit for bit the scalar values and the one-separation loop
         lengths = range(4, 41)
         values = ts.czz_analytic(b, lengths)
         scalars = [ts.czz_analytic(b, L) for L in lengths]
         assert all(type(v) is float for v in scalars)
         assert isinstance(values, np.ndarray) and values.shape == (len(lengths),)
         assert values.tobytes() == np.array(scalars).tobytes()
+        assert scalars == [czz_one_separation(b, L) for L in lengths]
 
     @pytest.mark.parametrize("b,L,written", [
         (0.3, 5, "0.000251633667671"),

@@ -379,6 +379,66 @@ class TestKernels:
         assert value > 0.1
 
 
+def complex_bras(plan):
+    """``plan``'s bras as complex matrices, which force the complex path."""
+    return [u.astype(np.complex128) for u in _plan_bras(plan)]
+
+
+class TestRealPath:
+    # even rings at B = 0 warn of their degenerate ground level
+    @pytest.mark.filterwarnings("ignore::trispin.DegenerateGroundStateWarning")
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 11, 12, 13])
+    def test_real_rotation_is_the_complex_real_part(self, n):
+        for b in (0.0, 0.5, 1.0, 1.5, -1.5):
+            gs = ts.ground_state(ts.cluster_hamiltonian(n, b), seed=7)[1]
+            assert not gs.amplitudes.imag.any()
+            for pair in itertools.permutations(range(n), 2):
+                for plan in scheme_seed_plans(n, pair):
+                    real = _rotated(gs, pair, _plan_bras(plan))
+                    cplx = _rotated(gs, pair, complex_bras(plan))
+                    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+                    assert np.array_equal(real, cplx.real)
+                    assert not cplx.imag.any()
+
+    def test_kept_branches_stay_complex(self):
+        n = 9
+        gs = ts.ground_state(ts.cluster_hamiltonian(n, 0.5), seed=7)[1]
+        for s in range(2, n // 2 + 1):
+            for plan in scheme_seed_plans(n, (0, s)):
+                result = branch_average(gs, plan, keep_branches=True)
+                a = _rotated(gs, plan.target_pair, complex_bras(plan))
+                value, probs, keep, _ = _read(a)
+                assert result.value == value
+                assert len(result.branches) == keep.sum() > 0
+                for branch in result.branches:
+                    row = np.ravel_multi_index(branch.outcome[::-1], (2,) * (n - 2))
+                    assert branch.amplitudes.dtype == np.complex128
+                    assert branch.probability == probs[row]
+                    assert np.array_equal(branch.amplitudes, a[row] / np.sqrt(probs[row]))
+
+
+class TestSeedPass:
+    def test_sweep_rows_are_the_best_seed_values(self):
+        n, fields = 13, [0.5, 1.0, 1.5]
+        channels, failures = localizable.length_sweep(fields, n, 7, None)
+        assert not failures
+        detail = channels["entanglement"][1]
+        for b in fields:
+            gs = ts.ground_state(ts.cluster_hamiltonian(n, b), seed=7)[1]
+            want = [max(branch_average(gs, plan).value for plan in scheme_seed_plans(n, (0, s)))
+                    for s in range(2, n // 2 + 1)]
+            assert [row[2] for row in detail if row[0] == b] == want
+
+    @pytest.mark.parametrize("b,pair,value", [
+        (0.5, (0, 4), 0.9309815188920395),
+        (1.5, (0, 5), 0.06584525988879195),  # the walk beats the best seed here
+    ])
+    def test_short_anneal_keeps_its_value(self, b, pair, value):
+        gs = ts.ground_state(ts.cluster_hamiltonian(13, b), seed=7)[1]
+        cfg = ts.AnnealConfig(n_temps=1, restarts=1, seed=3)
+        assert optimize_plan(gs, pair, cfg).value == value
+
+
 class TestSchemePlans:
     def test_cluster_scheme_shorter_arc(self):
         plan = cluster_scheme_plan(8, (0, 2))
