@@ -33,6 +33,7 @@ from .localizable import (
 )
 from .spin_core import (
     GAP_LEVELS,
+    GROUND_SITE_CAP,
     _gap_above_ground,
     cluster_hamiltonian,
     dense_spectrum,
@@ -132,7 +133,8 @@ def _threshold(text: str) -> float:
 
 def _figure2_ring(text: str) -> int:
     """``figure2 --n``: the separations 2..n//2 must give the length fit its
-    ``MIN_POINTS`` points, so n >= 2 (MIN_POINTS + 1)."""
+    ``MIN_POINTS`` points, so n >= 2 (MIN_POINTS + 1), and the ring's ground
+    state must be within ``GROUND_SITE_CAP``."""
     value = int(text)
     smallest = 2 * (MIN_POINTS + 1)
     if value < smallest:
@@ -140,6 +142,8 @@ def _figure2_ring(text: str) -> int:
             f"must be at least {smallest}, so that separations 2..n//2 give the "
             f"length fit its {MIN_POINTS} points; got {value}"
         )
+    if value > GROUND_SITE_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {GROUND_SITE_CAP}; got {value}")
     return value
 
 
@@ -352,6 +356,8 @@ def main(argv=None) -> int:
         args.command == "corr" and args.channel == "ed")
     if on_chain and args.n < 3:
         parser.error(f"--n {args.n} is below 3, the smallest chain")
+    if on_chain and args.n > GROUND_SITE_CAP:
+        parser.error(f"--n {args.n} exceeds {GROUND_SITE_CAP}, the largest chain solved")
     if args.command == "corr":
         if args.l_min < 2:
             parser.error(f"--l-min {args.l_min} is below 2")

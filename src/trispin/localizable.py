@@ -41,7 +41,8 @@ class MeasurementPlan:
     Each measured site carries Bloch angles (theta, phi) defining the axis
     n = (sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)); outcomes
     project onto the +/- n eigenvectors.  theta = 0 measures Z,
-    (theta, phi) = (pi/2, 0) measures X.
+    (theta, phi) = (pi/2, 0) measures X.  ``target_pair`` is stored in
+    ascending order.
     """
 
     n_sites: int
@@ -49,7 +50,7 @@ class MeasurementPlan:
     angles: dict[int, tuple[float, float]]
 
     def __post_init__(self):
-        p, q = self.target_pair
+        p, q = sorted(self.target_pair)
         if p == q:
             raise ValueError("target pair must be two distinct sites")
         if not (0 <= p < self.n_sites and 0 <= q < self.n_sites):
@@ -147,8 +148,8 @@ def _rotate_site(a: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
     #         k=6, m=4: 25-32 vs 12-17 us
     # So the kron form is taken for m <= 16 once the batch is at least 8m;
     # below that the matmul wins or ties.  From n=13 up every m <= 16 meets
-    # the batch bound.  Real (float64) tensors, which a real state measured
-    # in X or Z gives, two runs, same setup:
+    # the batch bound.  Real (float64) tensors, which a real state gives up
+    # to its first complex bra, two runs, same setup:
     #   n=17: k=12, m=16: 148-164 vs 194-196 us; k=13, m=8: 265 vs 153-174 us;
     #         k=14, m=4: 464-471 vs 136-170 us
     #   n=13: k=8, m=16: 10-11 vs 14 us; k=9, m=8: 18 vs 10 us; k=10, m=4: 31 vs 8-9 us
@@ -170,14 +171,15 @@ def _plan_bras(plan: MeasurementPlan) -> list[np.ndarray]:
     return [matrices[plan.angles[site]] for site in sorted(plan.angles)]
 
 
-def _pair_last(state: StateVector, pair: tuple[int, int], real: bool) -> np.ndarray:
+def _pair_last(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
     """The state tensor as a C-contiguous ``(2^(n-2), 4)`` copy with the
-    target pair's axes last, the larger site first.  The copy is float64 when
-    ``real`` is set and every imaginary part of the state is exactly zero."""
+    ascending target ``pair``'s axes last, the larger site first.  The copy is
+    float64 when every imaginary part of the state is exactly zero, so a real
+    state is rotated in real arithmetic until its first complex bra."""
     n = state.n_sites
-    lo, hi = sorted(pair)
+    lo, hi = pair
     amps = state.amplitudes
-    if real and not amps.imag.any():
+    if not amps.imag.any():
         amps = amps.real
     # Axis k of the state tensor is site n-1-k.
     psi = amps.reshape((2,) * n)
@@ -194,26 +196,9 @@ def _rotate_all(a: np.ndarray, bras: list[np.ndarray]) -> np.ndarray:
     return a
 
 
-def _rotated(state: StateVector, pair: tuple[int, int], bras: list[np.ndarray]) -> np.ndarray:
-    """The state tensor rotated into the measurement bases ``bras``, one
-    ``_measurement_matrix`` per measured site in ascending site order.
-
-    Row r of the C-contiguous ``(2^(n-2), 4)`` result holds the target pair's
-    four amplitudes (larger site first) for the outcome whose bits are the
-    measured sites in descending order, the largest site most significant.
-    Measured site s is therefore the middle axis of ``a.reshape(2**k, 2, -1)``,
-    with k the number of measured sites above s.  Identity bras (Z
-    measurements) are skipped; the result never shares memory with the state.
-    When the state and every bra are real, the rotation runs in float64 and
-    the result is real: each entry is the real part of the complex result,
-    bit for bit.
-    """
-    real = all(u.dtype.kind == "f" for u in bras)
-    return _rotate_all(_pair_last(state, pair, real), bras)
-
-
 def _read(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Branch average of a ``_rotated`` tensor.
+    """Branch average of a plan's rotated tensor, a ``_rotate_all`` of a
+    ``_pair_last`` copy, float64 or complex128.
 
     Returns ``(value, probs, keep, dets)``: the average, each branch's
     probability, the mask of branches above ``PROB_CUTOFF``, and each
@@ -248,6 +233,33 @@ def _check_state(state: StateVector) -> None:
         raise ValueError("input state must be normalized")
 
 
+def _best_plan(
+    state: StateVector, plans: list[MeasurementPlan]
+) -> tuple[MeasurementPlan, list[np.ndarray], np.ndarray, tuple]:
+    """The best of ``plans``, all on one target pair, on ``state``, the first
+    on ties: ``(plan, bras, tensor, read)``, with ``bras`` its ``_plan_bras``,
+    ``tensor`` the state rotated into them and ``read`` the tensor's ``_read``.
+
+    The state is checked and its ``_pair_last`` copy made once for all plans.
+    Row r of a tensor holds the target pair's four amplitudes (larger site
+    first) for the outcome whose bits are the measured sites in descending
+    order, so measured site s is the middle axis of
+    ``tensor.reshape(2**k, 2, -1)``, k the number of measured sites above s.
+    No tensor shares memory with the state; a real one holds the real parts
+    of the complex computation, bit for bit.
+    """
+    _check_state(state)
+    base = _pair_last(state, plans[0].target_pair)
+    best = None
+    for plan in plans:
+        bras = _plan_bras(plan)
+        a = _rotate_all(base, bras)
+        read = _read(a)
+        if best is None or read[0] > best[3][0]:
+            best = (plan, bras, a, read)
+    return best
+
+
 def branch_average(
     state: StateVector,
     plan: MeasurementPlan,
@@ -264,9 +276,7 @@ def branch_average(
     n = state.n_sites
     if plan.n_sites != n:
         raise ValueError("plan and state sizes do not match")
-    _check_state(state)
-    a = _rotated(state, plan.target_pair, _plan_bras(plan))
-    value, probs, keep, dets = _read(a)
+    _, _, a, (value, probs, keep, dets) = _best_plan(state, [plan])
 
     branches = None
     if keep_branches:
@@ -336,17 +346,18 @@ def lower_bound_plan(n: int, l_site: int, far_basis: str = "z") -> MeasurementPl
     if far_basis not in ("x", "z"):
         raise ValueError("far_basis must be 'x' or 'z'")
     far = _X_ANGLES if far_basis == "x" else _Z_ANGLES
-    angles = {}
-    for site1 in range(2, n + 1):  # 1-based
-        if site1 == l_site:
-            continue
-        if site1 == 2:
-            angles[site1 - 1] = _X_ANGLES
-        elif site1 < l_site:
-            angles[site1 - 1] = _Z_ANGLES
-        else:
-            angles[site1 - 1] = far
-    return MeasurementPlan(n, (0, l_site - 1), angles)
+    return MeasurementPlan(n, (0, l_site - 1), _lower_bound_angles(n, l_site - 1, far))
+
+
+def _lower_bound_angles(n: int, span: int, far: tuple[float, float], start: int = 0) -> dict:
+    """``lower_bound_plan``'s angles with L = span + 1, every site shifted by
+    ``start`` around the ring: X on site start+1, Z up to start+span-1 and
+    ``far`` beyond start+span."""
+    angles = {(start + 1) % n: _X_ANGLES}
+    for k in range(2, n):
+        if k != span:
+            angles[(start + k) % n] = _Z_ANGLES if k < span else far
+    return angles
 
 
 # --- simulated annealing ---------------------------------------------------------
@@ -371,35 +382,9 @@ def scheme_seed_plans(n: int, pair: tuple[int, int]) -> list[MeasurementPlan]:
     for start, end in ((p, q), (q, p)):
         span = (end - start) % n
         if span >= 2 and span % 2 == 0:
-            for basis in ("x", "z"):
-                ref = lower_bound_plan(n, span + 1, far_basis=basis)
-                angles = {
-                    (site + start) % n: a for site, a in ref.angles.items()
-                }
-                plans.append(MeasurementPlan(n, pair, angles))
+            for far in (_X_ANGLES, _Z_ANGLES):
+                plans.append(MeasurementPlan(n, pair, _lower_bound_angles(n, span, far, start)))
     return plans
-
-
-def _best_seed(
-    state: StateVector, pair: tuple[int, int]
-) -> tuple[MeasurementPlan, list[np.ndarray], np.ndarray, float]:
-    """The best of ``scheme_seed_plans(n, pair)`` on ``state``, the first on
-    ties: ``(plan, bras, rotated tensor, value)``, each as ``branch_average``
-    and ``_rotated`` would give it.
-
-    The state is checked and the pair's axes are moved once for all seeds;
-    the seeds measure X or Z, so their bras are real.
-    """
-    _check_state(state)
-    base = _pair_last(state, pair, real=True)
-    best = None
-    for plan in scheme_seed_plans(state.n_sites, pair):
-        bras = _plan_bras(plan)
-        a = _rotate_all(base, bras)
-        value = _read(a)[0]
-        if best is None or value > best[-1]:
-            best = (plan, bras, a, value)
-    return best
 
 
 def optimize_plan(
@@ -424,7 +409,7 @@ def optimize_plan(
     pair = (int(pair[0]), int(pair[1]))
     measured = sorted(set(range(n)) - set(pair))
     # Restart 0 walks from the best seed; its bras are in ``measured`` order.
-    best_plan, bras, a, best_val = _best_seed(state, pair)
+    best_plan, bras, a, (best_val, *_) = _best_plan(state, scheme_seed_plans(n, pair))
     thetas, phis = (list(x) for x in zip(*(best_plan.angles[site] for site in measured)))
     current_val = best_val
 
@@ -436,11 +421,9 @@ def optimize_plan(
         if restart > 0:
             drawn = rng.uniform((0.0, 0.0), (math.pi, 2.0 * math.pi), size=(len(measured), 2))
             thetas, phis = drawn.T.tolist()
-            bras = [_measurement_matrix(theta, phi) for theta, phi in zip(thetas, phis)]
-            a = _rotated(state, pair, bras)
-            current_val = _read(a)[0]
+            plan, bras, a, (current_val, *_) = _best_plan(state, [plan_of(thetas, phis)])
             if current_val > best_val:
-                best_plan, best_val = plan_of(thetas, phis), current_val
+                best_plan, best_val = plan, current_val
         temp = T_START
         for _ in range(cfg.n_temps):
             sigma = SIGMA0 * temp / T_START
@@ -503,7 +486,7 @@ def length_sweep(fields: list[float], n: int, seed: int,
         seps = list(range(2, n // 2 + 1))
         if anneal is not None:
             return seps, [optimize_plan(gs, (0, s), anneal).value for s in seps]
-        return seps, [_best_seed(gs, (0, s))[-1] for s in seps]
+        return seps, [_best_plan(gs, scheme_seed_plans(n, (0, s)))[3][0] for s in seps]
 
     channels, failures = {}, []
     for channel, series, fit in (

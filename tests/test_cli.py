@@ -233,6 +233,22 @@ class TestUsage:
         assert "--n 2 is below 3" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command,message", [
+        (["figure2", "--no-anneal"], "must be at most 20"),
+        (["spectrum"], "--n 21 exceeds 20"),
+        (["locent", "--b", "0.5"], "--n 21 exceeds 20"),
+        (["corr", "--b", "0.5", "--channel", "ed"], "--n 21 exceeds 20"),
+    ], ids=["figure2", "spectrum", "locent", "corr"])
+    def test_chain_above_ground_cap_exits_64(self, tmp_path, capsys, command, message):
+        # used to fail inside the run (exit 1, or figure2 exit 0 with every
+        # field in failures.log) after the run directory was made
+        assert spin_core.GROUND_SITE_CAP == 20
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, *command, "--n", "21")
+        assert excinfo.value.code == 64
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_bad_axis_exits_64(self, tmp_path, capsys):
         for flag in ("--alpha", "--beta"):
             with pytest.raises(SystemExit) as excinfo:
@@ -342,6 +358,16 @@ class TestLocent:
         assert code == 0
         cluster = json.loads((out / "locent.json").read_text())["value"]
         assert json.loads(texts[0])["value"] >= cluster - 1e-12
+
+    @pytest.mark.parametrize("b", ["0", "0.5"])
+    def test_anneal_writes_the_pair_ascending(self, tmp_path, b):
+        # the cluster seed wins at B = 0, a lower-bound seed built on the
+        # pair as given at B = 0.5; both used to keep their own order
+        code, out = run(tmp_path, "locent", "--b", b, "--n", "9", "--pair", "6,0",
+                        "--scheme", "anneal", "--anneal-temps", "2",
+                        "--anneal-proposals", "2", "--anneal-restarts", "2")
+        assert code == 0
+        assert json.loads((out / "locent.json").read_text())["pair"] == [0, 6]
 
 
 @pytest.fixture(scope="module")

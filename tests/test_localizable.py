@@ -12,11 +12,13 @@ from trispin.localizable import (
     SIGMA0,
     T_START,
     MeasurementPlan,
+    _best_plan,
     _measurement_matrix,
+    _pair_last,
     _plan_bras,
     _read,
+    _rotate_all,
     _rotate_site,
-    _rotated,
     branch_average,
     cluster_scheme_plan,
     concurrence_pure,
@@ -146,6 +148,9 @@ class TestConcurrence:
 
 
 class TestMeasurementPlan:
+    def test_pair_stored_ascending(self):
+        assert MeasurementPlan(4, (3, 1), {0: Z, 2: Z}).target_pair == (1, 3)
+
     def test_identical_pair_rejected(self):
         with pytest.raises(ValueError):
             MeasurementPlan(4, (1, 1), {0: Z, 2: Z, 3: Z})
@@ -311,7 +316,7 @@ class TestKernels:
 
     @pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
     def test_skipped_z_bras_change_no_bit(self, n):
-        # half the measured sites in Z, skipped by _rotated; the reference
+        # half the measured sites in Z, skipped by _rotate_all; the reference
         # rotates every site, Z included
         rng = np.random.default_rng(70 + n)
         for trial in range(4):
@@ -320,13 +325,14 @@ class TestKernels:
             angles = random_plan(n, pair, seed=70 * n + trial).angles
             for site in rng.choice(sorted(angles), size=(n - 2) // 2, replace=False):
                 angles[int(site)] = Z
-            bras = _plan_bras(MeasurementPlan(n, pair, angles))
+            plan = MeasurementPlan(n, pair, angles)
+            bras = _plan_bras(plan)
             lo, hi = sorted(pair)
             psi = state.amplitudes.reshape((2,) * n)
             a = np.moveaxis(psi, (n - 1 - hi, n - 1 - lo), (-2, -1)).reshape(-1, 4)
             for k, u in enumerate(reversed(bras)):
                 a = _rotate_site(a, u, k)
-            value, probs, keep, dets = _read(_rotated(state, pair, bras))
+            value, probs, keep, dets = _best_plan(state, [plan])[3]
             want = _read(a)
             assert value == want[0]
             assert np.array_equal(probs, want[1])
@@ -339,14 +345,14 @@ class TestKernels:
         state = random_state(n, 8)
         for pair in itertools.permutations(range(n), 2):
             plan = MeasurementPlan(n, pair, {s: Z for s in range(n) if s not in pair})
-            a = _rotated(state, pair, _plan_bras(plan))
+            a = _best_plan(state, [plan])[2]
             assert a.flags.c_contiguous
             assert not np.shares_memory(a, state.amplitudes)
 
     def test_read_rejects_unnormalized_tensor(self):
         state = random_state(7, 5)
         plan = random_plan(7, (1, 4), seed=5)
-        a = _rotated(state, plan.target_pair, _plan_bras(plan))
+        a = _best_plan(state, [plan])[2]
         _read(a)
         with pytest.raises(AssertionError, match="sum to"):
             _read(1.01 * a)
@@ -368,8 +374,7 @@ class TestKernels:
             amps /= np.linalg.norm(amps)
             angles[basis_site] = Z
         state = ts.StateVector(n, amps)
-        a = _rotated(state, (0, 3), _plan_bras(MeasurementPlan(n, (0, 3), angles)))
-        value, probs, keep, dets = _read(a)
+        value, probs, keep, dets = _best_plan(state, [MeasurementPlan(n, (0, 3), angles)])[3]
         assert value == float(dets[keep].sum() / probs[keep].sum())
         if basis_site is None:
             assert keep.all()
@@ -379,9 +384,11 @@ class TestKernels:
         assert value > 0.1
 
 
-def complex_bras(plan):
-    """``plan``'s bras as complex matrices, which force the complex path."""
-    return [u.astype(np.complex128) for u in _plan_bras(plan)]
+def forced_complex(state, plan):
+    """``plan``'s rotated tensor computed in complex128 throughout: the
+    pair-last base cast to complex128 and rotated by complex bras."""
+    base = _pair_last(state, plan.target_pair).astype(np.complex128)
+    return _rotate_all(base, [u.astype(np.complex128) for u in _plan_bras(plan)])
 
 
 class TestRealPath:
@@ -394,8 +401,8 @@ class TestRealPath:
             assert not gs.amplitudes.imag.any()
             for pair in itertools.permutations(range(n), 2):
                 for plan in scheme_seed_plans(n, pair):
-                    real = _rotated(gs, pair, _plan_bras(plan))
-                    cplx = _rotated(gs, pair, complex_bras(plan))
+                    real = _best_plan(gs, [plan])[2]
+                    cplx = forced_complex(gs, plan)
                     assert real.dtype == np.float64 and cplx.dtype == np.complex128
                     assert np.array_equal(real, cplx.real)
                     assert not cplx.imag.any()
@@ -406,7 +413,7 @@ class TestRealPath:
         for s in range(2, n // 2 + 1):
             for plan in scheme_seed_plans(n, (0, s)):
                 result = branch_average(gs, plan, keep_branches=True)
-                a = _rotated(gs, plan.target_pair, complex_bras(plan))
+                a = forced_complex(gs, plan)
                 value, probs, keep, _ = _read(a)
                 assert result.value == value
                 assert len(result.branches) == keep.sum() > 0
@@ -414,6 +421,41 @@ class TestRealPath:
                     row = np.ravel_multi_index(branch.outcome[::-1], (2,) * (n - 2))
                     assert branch.amplitudes.dtype == np.complex128
                     assert branch.probability == probs[row]
+                    assert np.array_equal(branch.amplitudes, a[row] / np.sqrt(probs[row]))
+
+    @pytest.mark.filterwarnings("ignore::trispin.DegenerateGroundStateWarning")
+    @pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12, 13])
+    def test_mixed_bras_read_as_the_complex_path(self, n):
+        # Z, X, real-theta and complex bras in one plan; the largest measured
+        # site, rotated first, has a real-theta bra and the smallest a complex
+        # one, so the float64 tensor turns complex part-way through
+        rng = np.random.default_rng(90 + n)
+        for b in (0.0, 0.5, 1.0, 1.5, -1.5):
+            gs = ts.ground_state(ts.cluster_hamiltonian(n, b), seed=7)[1]
+            for _ in range(3):
+                pair = tuple(int(s) for s in rng.choice(n, size=2, replace=False))
+                measured = [s for s in range(n) if s not in pair]
+                kinds = rng.integers(4, size=len(measured))
+                kinds[-1], kinds[0] = 2, 3
+                draws = rng.uniform((0.0, 0.0), (math.pi, 2.0 * math.pi), size=(len(measured), 2))
+                angles = {
+                    s: (Z, X, (theta, 0.0), (theta, phi))[kind]
+                    for s, kind, (theta, phi) in zip(measured, kinds, draws)
+                }
+                plan = MeasurementPlan(n, pair, angles)
+                a = forced_complex(gs, plan)
+                value, probs, keep, dets = _read(a)
+                got = _best_plan(gs, [plan])[3]
+                assert got[0] == value
+                for array, want in zip(got[1:], (probs, keep, dets)):
+                    assert np.array_equal(array, want)
+                result = branch_average(gs, plan, keep_branches=True)
+                assert result.value == value
+                assert len(result.branches) == keep.sum() > 0
+                for branch in result.branches:
+                    row = np.ravel_multi_index(branch.outcome[::-1], (2,) * (n - 2))
+                    assert branch.probability == probs[row]
+                    assert branch.concurrence == float(dets[row] / probs[row])
                     assert np.array_equal(branch.amplitudes, a[row] / np.sqrt(probs[row]))
 
 
@@ -429,13 +471,26 @@ class TestSeedPass:
                     for s in range(2, n // 2 + 1)]
             assert [row[2] for row in detail if row[0] == b] == want
 
-    @pytest.mark.parametrize("b,pair,value", [
-        (0.5, (0, 4), 0.9309815188920395),
-        (1.5, (0, 5), 0.06584525988879195),  # the walk beats the best seed here
+    def test_best_plan_is_the_first_best(self):
+        gs = cluster_ground(9, 0.5)
+        plans = scheme_seed_plans(9, (0, 4))
+        values = [branch_average(gs, plan).value for plan in plans]
+        first = plans[values.index(max(values))]
+        twin = MeasurementPlan(9, (0, 4), dict(first.angles))  # an exact tie, listed last
+        plan, _, _, read = _best_plan(gs, [*plans, twin])
+        assert plan is first
+        assert read[0] == max(values)
+
+    @pytest.mark.parametrize("b,pair,restarts,value", [
+        pytest.param(0.5, (0, 4), 1, 0.9309815188920395, id="0.5-pair0-0.9309815188920395"),
+        # the walk beats the best seed here
+        pytest.param(1.5, (0, 5), 1, 0.06584525988879195, id="1.5-pair1-0.06584525988879195"),
+        # and the random restart beats both
+        pytest.param(1.5, (0, 5), 2, 0.07461586893549284, id="1.5-pair1-restarts2"),
     ])
-    def test_short_anneal_keeps_its_value(self, b, pair, value):
+    def test_short_anneal_keeps_its_value(self, b, pair, restarts, value):
         gs = ts.ground_state(ts.cluster_hamiltonian(13, b), seed=7)[1]
-        cfg = ts.AnnealConfig(n_temps=1, restarts=1, seed=3)
+        cfg = ts.AnnealConfig(n_temps=1, restarts=restarts, seed=3)
         assert optimize_plan(gs, pair, cfg).value == value
 
 
@@ -465,6 +520,33 @@ class TestSchemePlans:
         plan = lower_bound_plan(8, 5, far_basis="x")
         assert plan.angles[5] == X
         assert plan.angles[2] == Z
+
+    @pytest.mark.parametrize("n", [9, 13])
+    def test_seed_plans_are_built_once(self, n, monkeypatch):
+        # each lower-bound seed is lower_bound_plan's plan shifted to the pair,
+        # validated once
+        built = []
+        post_init = MeasurementPlan.__post_init__
+
+        def counted(plan):
+            built.append(plan)
+            post_init(plan)
+
+        for p, q in itertools.permutations(range(n), 2):
+            want = [cluster_scheme_plan(n, (p, q))]
+            for start, end in ((p, q), (q, p)):
+                span = (end - start) % n
+                if span >= 2 and span % 2 == 0:
+                    for basis in ("x", "z"):
+                        ref = lower_bound_plan(n, span + 1, far_basis=basis)
+                        angles = {(s + start) % n: a for s, a in ref.angles.items()}
+                        want.append(MeasurementPlan(n, (p, q), angles))
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(MeasurementPlan, "__post_init__", counted)
+                plans = scheme_seed_plans(n, (p, q))
+            assert plans == want
+            assert len(built) == len(plans)
 
     def test_lower_bound_parity_constraint(self):
         with pytest.raises(ValueError, match="odd"):
