@@ -10,12 +10,11 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-#: Absolute agreement of two successive quadrature refinements.
-QUAD_TOL = 1e-9
-#: Largest refinement level: 2^MAX_REFINE panels between the splits.
-MAX_REFINE = 14
+#: Absolute agreement, on every shared frequency, of two successive transforms.
+QUAD_TOL = 1e-14
+#: Most points per period that ``czz_analytic``'s transform may use.
+MAX_POINTS = 1 << 20
 
 #: Length-fit rules of :func:`correlation_length`.
 NOISE_FLOOR = 1e-13
@@ -27,7 +26,7 @@ MAX_XI_FACTOR = 10.0
 
 
 class QuadratureError(RuntimeError):
-    """The adaptive quadrature did not reach the requested tolerance."""
+    """The correlator transform did not reach the requested tolerance."""
 
 
 class ZeroSeriesError(ValueError):
@@ -36,13 +35,19 @@ class ZeroSeriesError(ValueError):
 
 @dataclass(frozen=True)
 class Dispersion:
-    """Quasiparticle dispersion Lambda(r) = sqrt(B^2 + 1 + 2 B cos r)."""
+    """Quasiparticle dispersion Lambda(r) = sqrt(B^2 + 1 + 2 B cos r).
+
+    Evaluated as sqrt((|B| - 1)^2 + 4 |B| c^2) with c = cos(r/2) for B >= 0
+    and sin(r/2) for B < 0: a sum of non-negative terms, which does not
+    cancel near the gap momentum when |B| is close to 1.
+    """
 
     b_field: float
 
     def __call__(self, r):
-        b = self.b_field
-        return np.sqrt(b * b + 1.0 + 2.0 * b * np.cos(r))
+        a = abs(self.b_field)
+        c = np.cos(0.5 * r) if self.b_field >= 0 else np.sin(0.5 * r)
+        return np.sqrt((a - 1.0) * (a - 1.0) + 4.0 * a * c * c)
 
     def minimum(self) -> float:
         """min_r Lambda(r) = | |B| - 1 |, attained at r = pi for B > 0."""
@@ -59,55 +64,65 @@ def energy_gap(b_field: float) -> float:
     return 2.0 * abs(abs(b_field) - 1.0)
 
 
-# --- quadrature --------------------------------------------------------------
+# --- Fourier transform -------------------------------------------------------
 
-_GAUSS_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = leggauss(_GAUSS_ORDER)
-#: Panel splits: r = +/- pi, where the square root vanishes at |B| = 1.
-_SPLITS = np.array([-2.0 * np.pi, -np.pi, 0.0, np.pi, 2.0 * np.pi])
-#: Most nodes, summed over its separations, that ``czz_analytic`` evaluates
-#: in one array; a level with more nodes per separation takes them one by one.
-_GROUP_NODES = 8192
+#: First number of equispaced points per period; doubled until converged.
+_START_POINTS = 256
 
 
-def _panel_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on 2^level equal panels between each pair of
-    ``_SPLITS``: the ``(panels, _GAUSS_ORDER)`` nodes and the ``(panels, 1)``
-    panel half-widths."""
-    splits = 1 << level
-    edges = np.concatenate(
-        [np.linspace(_SPLITS[i], _SPLITS[i + 1], splits + 1)[:-1] for i in range(4)]
-        + [_SPLITS[-1:]]
+def _coefficients(b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sine coefficients of sin(r)/Lambda(r) and cosine coefficients of
+    (B + cos r)/Lambda(r), (1/2pi) Int over one period, at frequencies
+    0..N/2: the periodic trapezoid rule on N equispaced points, one rfft
+    each.  N doubles from ``_START_POINTS`` until two successive transforms
+    agree within ``QUAD_TOL`` on every frequency they share; past
+    ``MAX_POINTS`` points :class:`QuadratureError` is raised."""
+    lam = Dispersion(b)
+    last = None
+    n = _START_POINTS
+    while n <= MAX_POINTS:
+        r = (2.0 * np.pi / n) * np.arange(n)
+        lam_r = lam(r)
+        sin_k = -np.fft.rfft(np.sin(r) / lam_r).imag / n
+        cos_k = np.fft.rfft((b + np.cos(r)) / lam_r).real / n
+        if last is not None:
+            shared = last[0].size
+            if max(np.max(np.abs(sin_k[:shared] - last[0])),
+                   np.max(np.abs(cos_k[:shared] - last[1]))) < QUAD_TOL:
+                return sin_k, cos_k
+        last = sin_k, cos_k
+        n *= 2
+    raise QuadratureError(
+        f"correlator transform did not converge to {QUAD_TOL} at B={b} "
+        f"within {MAX_POINTS} points"
     )
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    return mid + half * _GL_NODES[None, :], half
 
 
 def czz_analytic(b_field: float, L):
-    """Thermodynamic-limit connected <Z_1 Z_L> from the closed-form quadratures.
+    """Thermodynamic-limit connected <Z_1 Z_L> from the closed-form integrals.
 
-    Evaluates, with Lambda(r) = sqrt(B^2 + 1 + 2 B cos r) and prefactor
-    1/(4 pi) over r in [-2 pi, 2 pi]:
+    With Lambda(r) = sqrt(B^2 + 1 + 2 B cos r) and d = (L-1)/2,
 
-      I1 = (1/4pi) Int sin(r)/Lambda(r) * sin((L-1) r / 2) dr
-      I2 = (1/4pi) Int (B + cos r)/Lambda(r) * cos((L-1) r / 2) dr
+      I1 = (1/4pi) Int_{-2pi}^{2pi} sin(r)/Lambda(r) * sin(d r) dr
+      I2 = (1/4pi) Int_{-2pi}^{2pi} (B + cos r)/Lambda(r) * cos(d r) dr
 
-    and returns I1^2 - I2^2.  ``L`` is an integer separation (a float is
-    returned) or a sequence of them (an array is returned, in that order).
-    Panels are split at r = +/- pi where the square root vanishes at
-    |B| = 1; panel counts are doubled until two successive estimates of a
-    separation agree within ``QUAD_TOL`` absolutely, each separation
-    stopping at its own level.  The nodes and the L-independent factors of
-    both integrands are built once per level for all separations.  A level
-    evaluates its unconverged separations together, in groups of at most
-    ``_GROUP_NODES`` nodes in all, or one separation per group once a level
-    has more nodes than that; no array outgrows both that bound and one
-    separation's nodes.  Each node's products are formed in the same order
-    as for a lone separation and each separation is summed alone, so a
-    sequence's values equal its scalar calls' bit for bit.
+    and the result is I1^2 - I2^2.  ``L`` is an integer separation (a float
+    is returned) or a sequence of them (an array is returned, in that order).
+
+    Both integrands are 2pi-periodic, so for odd L, I1 and I2 are the
+    Fourier coefficients at the integer frequency d, read from one
+    transform per field (``_coefficients``): a periodic trapezoid rule,
+    exponentially convergent since the integrands are analytic in the strip
+    |Im r| < |ln|B|| (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).  A
+    frequency above the resolved band reads 0.  For even L the frequency is
+    a half-integer and both integrals over 4pi vanish, so the result is
+    exactly 0.  At |B| = 1 the integrands have a kink at the gap momentum
+    and the exact form 4 / (pi^2 L (L - 2)) (odd L; Pfeuty, Ann. Phys. 57,
+    79 (1970)) is returned instead.  The number of points depends on B
+    alone, so a sequence's values equal its scalar calls' bit for bit.  A
+    field whose transform has not converged at ``MAX_POINTS`` points raises
+    :class:`QuadratureError`; with the default cap that is every field with
+    0 < ||B| - 1| below about 8e-5.
     """
     scalar = np.ndim(L) == 0
     try:
@@ -119,39 +134,19 @@ def czz_analytic(b_field: float, L):
     b = float(b_field)
     if not math.isfinite(b):
         raise ValueError(f"field B must be finite, got {b}")
-    lam = Dispersion(b)
-    pref = 1.0 / (4.0 * np.pi)
-    out = np.empty(len(seps))
-    prev = {j: None for j in range(len(seps))}  # unconverged: last (I1, I2)
-    for level in range(MAX_REFINE + 1):
-        if not prev:
-            break
-        x, half = _panel_nodes(level)
-        lam_x = lam(x)
-        sin_lam = np.sin(x) / lam_x
-        cos_lam = (b + np.cos(x)) / lam_x
-        todo = list(prev)
-        width = max(1, _GROUP_NODES // x.size)
-        for start in range(0, len(todo), width):
-            group = todo[start : start + width]
-            mx = (0.5 * (np.array([seps[j] for j in group]) - 1))[:, None, None] * x
-            # each row sums as np.sum sums that separation's array alone
-            s1 = (sin_lam * np.sin(mx) * _GL_WEIGHTS[None, :] * half).reshape(len(group), -1)
-            s2 = (cos_lam * np.cos(mx) * _GL_WEIGHTS[None, :] * half).reshape(len(group), -1)
-            for j, i1, i2 in zip(group, (pref * s1.sum(axis=1)).tolist(),
-                                 (pref * s2.sum(axis=1)).tolist()):
-                last = prev[j]
-                if last is not None and abs(i1 - last[0]) < QUAD_TOL and abs(i2 - last[1]) < QUAD_TOL:
-                    out[j] = i1 * i1 - i2 * i2
-                    del prev[j]
-                else:
-                    prev[j] = (i1, i2)
-    if prev:
-        missing = ", ".join(str(seps[j]) for j in prev)
-        raise QuadratureError(
-            f"correlator quadrature did not converge to {QUAD_TOL} at B={b}, L={missing} "
-            f"within {MAX_REFINE} refinements"
-        )
+    if abs(b) == 1.0:
+        def value(sep):
+            return 4.0 / (math.pi**2 * sep * (sep - 2))
+    else:
+        sin_k, cos_k = _coefficients(b)
+
+        def value(sep):
+            d = (sep - 1) // 2
+            if d >= sin_k.size:
+                return 0.0
+            i1, i2 = float(sin_k[d]), float(cos_k[d])
+            return i1 * i1 - i2 * i2
+    out = np.array([value(sep) if sep % 2 else 0.0 for sep in seps])
     return float(out[0]) if scalar else out
 
 

@@ -382,16 +382,17 @@ def small_run(tmp_path_factory):
 
 class TestFigure2:
     def test_partial_failures_are_logged(self, tmp_path, monkeypatch):
-        # no quadrature refinement: every correlation point fails, the
-        # entanglement channel still runs
-        monkeypatch.setattr(free_fermion, "MAX_REFINE", 0)
+        # one transform and no second to check it: every correlation point
+        # off |B| = 1 fails, the closed form at B = 1 and the entanglement
+        # channel still run
+        monkeypatch.setattr(free_fermion, "MAX_POINTS", free_fermion._START_POINTS)
         code, out = run(tmp_path, "figure2", "--no-anneal", "--b-grid", "0.5:1.5:0.5")
         assert code == 0
         log = (out / "failures.log").read_text().splitlines()
         assert [line.split(":")[0] for line in log] == [
-            "correlation B=0.5", "correlation B=1.0", "correlation B=1.5",
+            "correlation B=0.5", "correlation B=1.5",
         ]
-        assert (out / "correlation_length.csv").read_text() == "B,xi,model,diverges\n"
+        assert (out / "correlation_length.csv").read_text() == "B,xi,model,diverges\n1,inf,power_law,1\n"
         assert len((out / "entanglement_length.csv").read_text().splitlines()) == 4
 
     def test_typed_channel_failure_is_logged(self, tmp_path, monkeypatch):

@@ -1,34 +1,25 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import trispin as ts
-from trispin import free_fermion
 from trispin.correlations import two_point_connected
 from trispin.free_fermion import CorrelationSeries, correlation_length
 
 
-def czz_one_separation(b, L):
-    """``czz_analytic(b, L)`` refined for one separation alone, with
-    ``np.sum`` over that separation's nodes: the loop the grouped levels
-    must match bit for bit."""
-    lam = free_fermion.Dispersion(b)
-    pref = 1.0 / (4.0 * np.pi)
-    weights = free_fermion._GL_WEIGHTS[None, :]
-    last = None
-    for level in range(free_fermion.MAX_REFINE + 1):
-        x, half = free_fermion._panel_nodes(level)
-        lam_x = lam(x)
-        mx = 0.5 * (L - 1) * x
-        i1 = pref * float(np.sum(np.sin(x) / lam_x * np.sin(mx) * weights * half))
-        i2 = pref * float(np.sum((b + np.cos(x)) / lam_x * np.cos(mx) * weights * half))
-        tol = free_fermion.QUAD_TOL
-        if last is not None and abs(i1 - last[0]) < tol and abs(i2 - last[1]) < tol:
-            return i1 * i1 - i2 * i2
-        last = (i1, i2)
-    raise AssertionError(f"no convergence at B={b}, L={L}")
+# 40-digit references: I1 and I2 as integrals over one period (mpmath is
+# not a dependency of trispin):
+#   import mpmath as mp; mp.mp.dps = 40
+#   def czz(b, L):
+#       b, d = mp.mpf(b), (L - 1) // 2
+#       lam = lambda r: mp.sqrt(b * b + 1 + 2 * b * mp.cos(r))
+#       pts = mp.linspace(0, 2 * mp.pi, 2 * d + 3)
+#       i1 = mp.quad(lambda r: mp.sin(r) / lam(r) * mp.sin(d * r), pts) / (2 * mp.pi)
+#       i2 = mp.quad(lambda r: (b + mp.cos(r)) / lam(r) * mp.cos(d * r), pts) / (2 * mp.pi)
+#       return i1 * i1 - i2 * i2
 
 
 class TestDispersion:
@@ -43,6 +34,11 @@ class TestDispersion:
             r = np.linspace(-np.pi, np.pi, 2001)
             assert np.min(lam(r)) >= lam.minimum() - 1e-12
             assert abs(lam(np.pi) - lam.minimum()) < 1e-12
+
+    @pytest.mark.parametrize("b,r", [(1 - 1e-6, np.pi), (1 + 1e-6, np.pi), (-1 + 1e-6, 0.0)])
+    def test_no_cancellation_at_the_gap_momentum(self, b, r):
+        gap = abs(abs(b) - 1.0)
+        assert abs(ts.Dispersion(b)(r) - gap) <= 1e-12 * gap
 
 
 class TestEnergyGap:
@@ -93,40 +89,63 @@ class TestCzzAnalytic:
 
     @pytest.mark.parametrize("b", [round(0.1 * i, 10) for i in range(21)] + [0.99, 1.01, 0.999])
     def test_sequence_matches_scalar_calls(self, b):
-        # one shared refinement per field, each separation stopping at its
-        # own level: bit for bit the scalar values and the one-separation loop
-        lengths = range(4, 41)
+        # one transform per field, read at each separation: bit for bit the
+        # scalar values, also far above the resolved band
+        lengths = [*range(4, 41), 10**6, 10**6 + 1]
         values = ts.czz_analytic(b, lengths)
         scalars = [ts.czz_analytic(b, L) for L in lengths]
         assert all(type(v) is float for v in scalars)
         assert isinstance(values, np.ndarray) and values.shape == (len(lengths),)
         assert values.tobytes() == np.array(scalars).tobytes()
-        assert scalars == [czz_one_separation(b, L) for L in lengths]
 
     @pytest.mark.parametrize("b,L,written", [
         (0.3, 5, "0.000251633667671"),
-        (0.5, 11, "5.38091906978e-06"),
-        (0.9, 39, "7.21429900097e-06"),
+        (0.5, 11, "5.3809190703e-06"),
+        (0.9, 39, "7.21429900098e-06"),
         (1.0, 21, "0.00101575121446"),
         (1.5, 9, "0.000390620343375"),
-        (2.0, 23, "3.16928356623e-10"),
+        (2.0, 23, "3.1692835663e-10"),
     ])
     def test_pinned_figure2_values(self, b, L, written):
-        # rows of the default figure2 czz_series.csv, as written (12 digits)
+        # rows of the default figure2 czz_series.csv (12 digits), each the
+        # 40-digit reference rounded
         assert f"{ts.czz_analytic(b, range(4, 41))[L - 4]:.12g}" == written
         assert f"{ts.czz_analytic(b, L):.12g}" == written
 
-    def test_quadrature_error_names_unconverged_separations(self, monkeypatch):
-        # at B=0.5 levels 0..2 converge every L <= 35 but not L = 37, 39
-        monkeypatch.setattr(free_fermion, "MAX_REFINE", 2)
-        with pytest.raises(ts.QuadratureError, match=r"B=0\.5, L=37, 39 within 2") as excinfo:
-            ts.czz_analytic(0.5, range(4, 41))
-        assert "35" not in str(excinfo.value)
-        with pytest.raises(ts.QuadratureError, match=r"B=0\.5, L=39 within 2"):
-            ts.czz_analytic(0.5, 39)
+    @pytest.mark.parametrize("b,L,exact", [
+        (0.6, 37, 4.8080045785624478399e-12),
+        (0.7, 37, 1.2259785519653395924e-9),
+        (0.1, 11, 5.6043777476525463793e-13),
+        (1.7, 39, 7.7204661716993236284e-13),
+        (0.9999, 5, 0.026998297736653924165),
+        (0.9999, 39, 0.00028066318293859690572),
+        (-0.9999, 39, 0.00028066318293859690572),
+        (1.0001, 39, 0.00028096550140768986399),
+    ])
+    def test_matches_reference_integrals(self, b, L, exact):
+        # near the fit's noise floor, and next to the critical band
+        assert abs(ts.czz_analytic(b, L) - exact) <= 1e-9 * exact
+
+    @pytest.mark.parametrize("b", [1 + 1e-6, 1 - 1e-9, -1 + 1e-12])
+    def test_unresolved_field_raises_typed(self, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ts.QuadratureError):
+                ts.czz_analytic(b, range(4, 41))
+
+    @pytest.mark.parametrize("b", [1.0, -1.0])
+    def test_critical_field_closed_form(self, b):
+        lengths = np.arange(2, 10**5 + 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = ts.czz_analytic(b, lengths.tolist())
+        odd = lengths % 2 == 1
+        exact = 4.0 / (math.pi**2 * lengths[odd] * (lengths[odd] - 2.0))
+        assert np.all(np.abs(values[odd] - exact) <= 1e-15 * exact)
+        assert np.all(values[~odd] == 0.0)
 
     def test_sequence_memory_is_one_separation_wide(self):
-        # B=0.999 refines to 2048 panels; the arrays stay one separation wide
+        # B=0.999 transforms on 2^17 points; separations only read from them
         def peak(L):
             tracemalloc.start()
             try:
@@ -139,7 +158,7 @@ class TestCzzAnalytic:
         assert peak(range(4, 41)) <= 1.5 * peak(5)
 
     def test_zero_field_vanishes(self):
-        # at B=0 the sin and cos quadratures cancel exactly (both 1/2 at L=3,
+        # at B=0 the sin and cos coefficients cancel exactly (both 1/2 at L=3,
         # both 0 elsewhere), matching the stabilizer ground state
         for L in range(2, 9):
             assert abs(ts.czz_analytic(0.0, L)) < 1e-9
@@ -196,12 +215,14 @@ class TestCorrelationLength:
             correlation_length(CorrelationSeries([1, 2, 3], [1e-15, 0.5, 1e-14]))
 
     def test_analytic_short_range_at_small_field(self):
-        # the B=0.1 row of figure2's correlation_length.csv
+        # the B=0.1 row of figure2's correlation_length.csv; the exact xi is
+        # the two-point slope of the 40-digit values at L = 9 and 11
         lengths = list(range(4, 41))
         series = CorrelationSeries(lengths, [ts.czz_analytic(0.1, L) for L in lengths])
         est = correlation_length(series)
         assert est.model == "short_range"
-        assert f"{est.xi:.12g}" == "0.397904638538"
+        assert f"{est.xi:.12g}" == "0.397904638378"
+        assert abs(est.xi - 0.397904638341158) <= 2e-10 * 0.397904638341158
 
     def test_strictly_increasing_lengths_enforced(self):
         with pytest.raises(ValueError):
