@@ -20,7 +20,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bose_hubbard import BoseHubbardParams, effective_couplings, validate_perturbation
+from .bose_hubbard import (BoseHubbardParams, EffectiveCouplings, effective_couplings,
+                           validate_perturbation)
 from .correlations import two_point_connected
 from .free_fermion import MIN_POINTS, czz_analytic
 from .localizable import (
@@ -46,6 +47,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 EXIT_USAGE = 64
+
+#: ``spectrum`` takes the dense path up to this many sites, else Lanczos.
+_DENSE_SITE_MAX = 12
 
 #: figure2 tables per channel: summary file and its length column, detail
 #: file and its value columns.
@@ -182,11 +186,10 @@ def _cmd_spectrum(args, out: Path, timings: dict) -> int:
     if args.model == "cluster":
         spec = cluster_hamiltonian(args.n, args.b)
     else:
-        from .bose_hubbard import EffectiveCouplings
-
         coup = EffectiveCouplings(args.lambda1, args.lambda2, args.lambda3, args.lambda4, 0.0)
         spec = triangle_chain_hamiltonian(coup, (args.bx, args.by, args.b), args.n)
-    if args.n <= 12:
+    dense = args.n <= _DENSE_SITE_MAX
+    if dense:
         energies = dense_spectrum(spec)
     else:
         # the gap reads at least GAP_LEVELS levels whatever --max-levels asks
@@ -201,7 +204,7 @@ def _cmd_spectrum(args, out: Path, timings: dict) -> int:
             "b": args.b,
             "ground_energy": e0,
             "gap": gap,
-            "dense": bool(args.n <= 12),
+            "dense": dense,
             "energies": [float(e) for e in energies[: args.max_levels]],
         },
     )
@@ -250,7 +253,7 @@ def _cmd_locent(args, out: Path, timings: dict) -> int:
 def _cmd_figure2(args, out: Path, timings: dict) -> int:
     grid = _parse_grid(args.b_grid)
     anneal = None if args.no_anneal else _anneal_config(args)
-    channels, failures = length_sweep(grid, 17 if args.large else args.n, args.seed, anneal)
+    channels, failures = length_sweep(grid, args.n, args.seed, anneal)
     for channel, (summary, xi, detail, columns) in _FIGURE2_TABLES.items():
         rows, series, timings[channel] = channels[channel]
         _write_csv(out / f"{summary}.csv", ["B", xi, "model", "diverges"], rows)
@@ -367,6 +370,10 @@ def main(argv=None) -> int:
             parser.error(f"--l-max {args.l_max} exceeds the ring of --n {args.n} sites")
         if args.channel == "analytic" and (args.alpha, args.beta) != ("z", "z"):
             parser.error("the analytic channel provides zz correlators only")
+    if args.command == "spectrum" and args.model == "cluster":
+        for name in ("bx", "by", "lambda1", "lambda2", "lambda3", "lambda4"):
+            if getattr(args, name):
+                parser.error(f"--{name} applies to --model triangle only")
     if args.command == "locent":
         try:
             p, q = (int(tok) for tok in args.pair.split(","))
@@ -381,6 +388,8 @@ def main(argv=None) -> int:
             _parse_grid(args.b_grid)
         except ValueError as exc:
             parser.error(f"--b-grid: {exc}")
+        if args.large:
+            args.n = 17  # --large overrides --n
     out = Path(args.out or f"{args.command}_out")
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", {k: v for k, v in vars(args).items() if k != "func"})

@@ -204,10 +204,6 @@ def _read(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     probability, the mask of branches above ``PROB_CUTOFF``, and each
     branch's unnormalized concurrence 2|a00 a11 - a01 a10|.
     """
-    # A real tensor is read in complex128: a float64 read sums the squared
-    # norms in another order and moves values by an ulp.  Each row's squared
-    # norm is the sum of its 8 squared float components.
-    a = a.astype(np.complex128, copy=False)
     re_im = a.view(np.float64)
     probs = np.einsum("bi,bi->b", re_im, re_im)
     total = float(probs.sum())
@@ -280,7 +276,6 @@ def branch_average(
 
     branches = None
     if keep_branches:
-        a = a.astype(np.complex128, copy=False)
         branches = []
         for row in np.nonzero(keep)[0]:
             # outcomes in ascending site order

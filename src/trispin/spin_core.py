@@ -885,17 +885,16 @@ def ground_state(spec: SpinChainSpec, seed: int = START_SEED) -> tuple[float, St
     Each sector's :class:`SymmetricBlock` (built once per ring,
     ``_symmetric_blocks``) is solved first, by ``_lanczos`` from its image
     of the uniform vector, sqrt(p), which overlaps every nonnegative lowest
-    vector of the block; no seed enters.
-    * A sector with a gauge has H = G S G: the block's level is the
-      sector's lowest level, and it is simple.  Its vector, G Q times the
-      block's, is residual-checked against the whole sector H when the
-      sector is chosen.
-    * A sector without one gets a lower bound on its lowest level.  These
-      sectors are taken in ascending order of bound, and one is solved in
-      full, as the first level of its ``_lanczos_levels`` stream from
-      ``seed``, only while its bound lies less than ``DEGENERACY_TOL``
-      above the lowest level found so far; the others cannot tie with the
-      ground level.
+    vector of the block; no seed enters.  The sectors are then walked once,
+    in ascending order of block level, up to the first that lies
+    ``DEGENERACY_TOL`` or more above the lowest level recorded.
+    * A sector with a gauge has H = G S G: its block level is its lowest
+      level, which is simple, and it records that level and G Q times the
+      block's vector.
+    * A sector without one has only a lower bound; it records the first
+      level of its ``_lanczos_levels`` stream from ``seed``.
+    The chosen sector's vector is read through its ``_checked_vector``, so
+    it is residual-checked against the whole sector H before any warning.
 
     Degeneracy rule: when the lowest levels of two or more sectors agree
     within ``DEGENERACY_TOL``, the ground state of the first tied sector in
@@ -917,42 +916,37 @@ def ground_state(spec: SpinChainSpec, seed: int = START_SEED) -> tuple[float, St
     op = spec.operator()
     sectors = op.sectors
     blocks = _symmetric_blocks(*op.offdiag_key, _translation_step(spec))
+    solved = [_lanczos(block.at(sector), np.sqrt(block.orbits.length))
+              for sector, block in zip(sectors, blocks)]
     lows = np.full(len(sectors), np.inf)
-    gauged, bounds = {}, []
-    for i, (sector, block) in enumerate(zip(sectors, blocks)):
-        level, ritz_vector = _lanczos(block.at(sector), np.sqrt(block.orbits.length))
-        if block.gauge is None:
-            bounds.append((level, i))
-        else:
-            lows[i], gauged[i] = level, ritz_vector
     streams, vectors = {}, {}
     shift = _deflation_shift(spec)
-    for bound, i in sorted(bounds):
-        if bound - lows.min() >= DEGENERACY_TOL:
+    for i in sorted(range(len(sectors)), key=lambda i: solved[i][0]):
+        level, ritz_vector = solved[i]
+        if level - lows.min() >= DEGENERACY_TOL:
             break  # this sector and every later one lie above the ground level
-        streams[i] = _lanczos_levels(sectors[i], seed, shift)
-        lows[i], vectors[i] = next(streams[i])
+        if blocks[i].gauge is None:
+            streams[i] = _lanczos_levels(sectors[i], seed, shift)
+            lows[i], vectors[i] = next(streams[i])
+        else:
+            lows[i] = level
+            vectors[i] = _checked_vector(
+                sectors[i], level,
+                lambda expand=blocks[i].expand, ritz_vector=ritz_vector: expand(ritz_vector()))
     tied = np.flatnonzero(lows - lows.min() < DEGENERACY_TOL)
     first = int(tied[0])
     energy = float(lows[first])
-    if first in gauged:
-        psi = blocks[first].expand(gauged[first]())
-        _check_residual(sectors[first], energy, psi)
-    else:
-        psi = vectors[first]()
+    psi = vectors[first]()
+    degenerate = None
     if tied.size > 1:
         names = ", ".join(sectors[i].label for i in tied)
-        warnings.warn(
-            f"ground level degenerate within {DEGENERACY_TOL:g} across Z-parity "
-            f"sectors {names}; returning the state of sector {sectors[first].label}",
-            DegenerateGroundStateWarning,
-        )
+        degenerate = (f"across Z-parity sectors {names}; returning the state of "
+                      f"sector {sectors[first].label}")
     elif first in streams and next(streams[first])[0] - energy < DEGENERACY_TOL:
-        warnings.warn(
-            f"ground level degenerate within {DEGENERACY_TOL:g} inside Z-parity "
-            f"sector {sectors[first].label}; returning one minimizer",
-            DegenerateGroundStateWarning,
-        )
+        degenerate = f"inside Z-parity sector {sectors[first].label}; returning one minimizer"
+    if degenerate:
+        warnings.warn(f"ground level degenerate within {DEGENERACY_TOL:g} {degenerate}",
+                      DegenerateGroundStateWarning)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[sectors[first].basis] = psi
     return energy, StateVector(n, amps)

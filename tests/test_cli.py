@@ -110,6 +110,18 @@ class TestSpectrum:
             assert energies.shape == (max_levels,)
             assert np.max(np.abs(energies - levels[:max_levels])) < 1e-10
 
+    @pytest.mark.parametrize("flag", ["--bx", "--by", "--lambda1", "--lambda2", "--lambda3", "--lambda4"])
+    def test_triangle_flags_are_a_usage_error_on_the_cluster(self, tmp_path, capsys, flag):
+        # the cluster model reads none of them
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, "spectrum", "--model", "cluster", "--n", "6", flag, "0.5")
+        assert excinfo.value.code == 64
+        assert f"{flag} applies to --model triangle only" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        code, out = run(tmp_path, "spectrum", "--model", "triangle", "--n", "6", flag, "0.5")
+        assert code == 0
+        assert json.loads((out / "spectrum.json").read_text())["model"] == "triangle"
+
     def test_triangle_matches_kronecker_oracle(self, tmp_path):
         # bx, by != 0: one complex sector, translation step 1
         fields = ["--bx", "0.1", "--by", "0.2", "--b", "0.4"]
@@ -429,6 +441,15 @@ class TestFigure2:
         rows = (out / "e_loc_series.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["2", "3", "4", "5", "6"]
         assert (out / "entanglement_length.csv").read_text().splitlines()[1].startswith("0.5,")
+
+    def test_large_ring_is_the_recorded_ring(self, tmp_path):
+        # --large overrides --n, in config.json too
+        code, out = run(tmp_path, "figure2", "--large", "--n", "13", "--no-anneal",
+                        "--b-grid", "0.5:0.5:1")
+        assert code == 0
+        assert json.loads((out / "config.json").read_text())["n"] == 17
+        rows = (out / "e_loc_series.csv").read_text().splitlines()[1:]
+        assert max(int(row.split(",")[1]) for row in rows) == 8
 
     def test_exit_and_files(self, small_run):
         code, out = small_run
