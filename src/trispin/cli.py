@@ -48,6 +48,18 @@ EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 EXIT_USAGE = 64
 
+_ANNEAL_OPTIONS = ("anneal_temps", "anneal_proposals", "anneal_restarts")
+#: Options a run does not read, by subcommand: the test on the parsed
+#: arguments that marks such a run, the choice that reads them, and their
+#: destinations.  Any of them away from its default is a usage error.
+_UNREAD_OPTIONS = {
+    "spectrum": (lambda a: a.model == "cluster", "--model triangle",
+                 ("bx", "by", "lambda1", "lambda2", "lambda3", "lambda4")),
+    "corr": (lambda a: a.channel == "analytic", "--channel ed", ("n",)),
+    "locent": (lambda a: a.scheme != "anneal", "--scheme anneal", _ANNEAL_OPTIONS),
+    "figure2": (lambda a: a.no_anneal, "runs without --no-anneal", _ANNEAL_OPTIONS),
+}
+
 #: ``spectrum`` takes the dense path up to this many sites, else Lanczos.
 _DENSE_SITE_MAX = 12
 
@@ -101,15 +113,11 @@ def _parse_grid(text: str) -> list[float]:
     return [round(start + i * step, 10) for i in range(count)]
 
 
-def _params_from_args(args) -> BoseHubbardParams:
-    ja = args.ja if args.ja is not None else args.j
-    jb = args.jb if args.jb is not None else args.j
-    uaa = args.uaa if args.uaa is not None else args.u
-    ubb = args.ubb if args.ubb is not None else args.u
-    uab = args.uab if args.uab is not None else args.u
-    if None in (ja, jb, uaa, ubb, uab):
-        raise ValueError("tunneling/collision couplings missing (use --j/--u or per-species flags)")
-    return BoseHubbardParams(ja, jb, uaa, ubb, uab)
+def _couplings_from_args(args) -> tuple:
+    """``(ja, jb, uaa, ubb, uab)``, each per-species flag or else the shared
+    --j / --u; None where neither is given."""
+    shared = {"ja": args.j, "jb": args.j, "uaa": args.u, "ubb": args.u, "uab": args.u}
+    return tuple(shared[k] if getattr(args, k) is None else getattr(args, k) for k in shared)
 
 
 def _anneal_config(args) -> AnnealConfig:
@@ -164,7 +172,7 @@ def _add_bh_flags(p) -> None:
 # --- subcommands -----------------------------------------------------------------
 
 def _cmd_couplings(args, out: Path, timings: dict) -> int:
-    params = _params_from_args(args)
+    params = BoseHubbardParams(*_couplings_from_args(args))
     coup = effective_couplings(params)
     payload = dataclasses.asdict(coup)
     payload["perturbative_ratio"] = params.perturbative_ratio
@@ -175,7 +183,7 @@ def _cmd_couplings(args, out: Path, timings: dict) -> int:
 
 
 def _cmd_validate(args, out: Path, timings: dict) -> int:
-    params = _params_from_args(args)
+    params = BoseHubbardParams(*_couplings_from_args(args))
     report = validate_perturbation(params)
     _write_json(out / "validation.json", dataclasses.asdict(report))
     print(f"max relative deviation: {report.max_rel_dev:.6g} (threshold {args.max_rel_dev})")
@@ -277,6 +285,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="trispin", description=__doc__)
     parser.add_argument("--version", action="version", version=f"trispin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     p = sub.add_parser("couplings", parents=[], help="effective couplings from Bose-Hubbard parameters")
     _add_bh_flags(p)
@@ -370,10 +379,14 @@ def main(argv=None) -> int:
             parser.error(f"--l-max {args.l_max} exceeds the ring of --n {args.n} sites")
         if args.channel == "analytic" and (args.alpha, args.beta) != ("z", "z"):
             parser.error("the analytic channel provides zz correlators only")
-    if args.command == "spectrum" and args.model == "cluster":
-        for name in ("bx", "by", "lambda1", "lambda2", "lambda3", "lambda4"):
-            if getattr(args, name):
-                parser.error(f"--{name} applies to --model triangle only")
+    if args.command in _UNREAD_OPTIONS:
+        unread, reader, names = _UNREAD_OPTIONS[args.command]
+        subparser = parser.subcommands[args.command]
+        changed = [name for name in names if getattr(args, name) != subparser.get_default(name)]
+        if unread(args) and changed:
+            parser.error(f"--{changed[0].replace('_', '-')} applies to {reader} only")
+    if args.command in ("couplings", "validate") and None in _couplings_from_args(args):
+        parser.error("tunneling/collision couplings missing (use --j/--u or per-species flags)")
     if args.command == "locent":
         try:
             p, q = (int(tok) for tok in args.pair.split(","))

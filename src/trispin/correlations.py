@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import PauliString, StateVector, expectation
+from .spin_core import PauliString, StateVector, _sites_last, expectation
 
 AXIS_OPS = {"x": "X", "y": "Y", "z": "Z"}
 
@@ -33,7 +33,8 @@ class SurveyReport:
 def two_point_connected(
     state: StateVector, alpha: str, beta: str, i: int, j: int
 ) -> float:
-    """<s_i^a s_j^b> - <s_i^a><s_j^b> for axes a, b in {x, y, z}."""
+    """<s_i^a s_j^b> - <s_i^a><s_j^b> for axes a, b in {x, y, z}, read off
+    the pair's reduced density matrix."""
     if i == j:
         raise ValueError("connected correlator needs two distinct sites")
     n = state.n_sites
@@ -42,12 +43,9 @@ def two_point_connected(
     for axis in (alpha, beta):
         if axis.lower() not in AXIS_OPS:
             raise ValueError(f"unknown axis {axis!r}; expected one of x, y, z")
-    op_a = AXIS_OPS[alpha.lower()]
-    op_b = AXIS_OPS[beta.lower()]
-    joint = expectation(state, PauliString(1.0, ((i, op_a), (j, op_b))))
-    one_i = expectation(state, PauliString(1.0, ((i, op_a),)))
-    one_j = expectation(state, PauliString(1.0, ((j, op_b),)))
-    return joint - one_i * one_j
+    a, b = ("IXYZ".index(AXIS_OPS[axis.lower()]) for axis in (alpha, beta))
+    values = _window_pauli_transform(state, [i, j])  # index 4 * code(i) + code(j)
+    return float(values[4 * a + b] - values[4 * a] * values[b])
 
 
 def _window_string(ops_row, sites) -> PauliString:
@@ -62,20 +60,23 @@ _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1
 
 
 def _window_pauli_transform(state: StateVector, sites: list[int]) -> np.ndarray:
-    """<P> for every string P over ``sites``, in ``itertools.product`` order.
+    """Real <P> for every string P over ``sites``, in ``itertools.product`` order.
 
-    Forms the window's reduced density matrix rho = A A^dagger, with A the
-    state tensor's window axes moved first, then contracts one site at a time
-    with the stacked Paulis, giving Tr(rho P).
+    Forms the window's reduced density matrix rho = A^T conj(A), with A the
+    ``_sites_last`` copy of the state, then contracts one site at a time with
+    the stacked Paulis, giving Tr(rho P).  Raises if any value's imaginary
+    part exceeds 1e-10 relative: every string is Hermitian.
     """
-    n, w = state.n_sites, len(sites)
-    psi = state.amplitudes.reshape((2,) * n)  # axis k is site n-1-k
-    a = np.moveaxis(psi, [n - 1 - s for s in sites], range(w)).reshape(1 << w, -1)
-    t = (a @ a.conj().T).reshape((2,) * (2 * w))
+    w = len(sites)
+    a = _sites_last(state, sites)
+    t = (a.T @ a.conj()).reshape((2,) * (2 * w))
     # axes: i_k..i_{w-1}, j_k..j_{w-1}, then the Pauli codes of sites[:k]
     for k in range(w):
         t = np.tensordot(t, _PAULIS, axes=([0, w - k], [2, 1]))
-    return t.ravel()
+    values = t.ravel()
+    if np.any(np.abs(values.imag) > 1e-10 * np.maximum(1.0, np.abs(values.real))):
+        raise ValueError("expectation of a Hermitian string came out complex")
+    return values.real
 
 
 def survey(
@@ -111,9 +112,7 @@ def survey(
                 "use mode='sampled'"
             )
         values = _window_pauli_transform(state, sites)
-        if np.any(np.abs(values.imag) > 1e-10 * np.maximum(1.0, np.abs(values.real))):
-            raise ValueError("expectation of a Hermitian string came out complex")
-        hits = int(np.count_nonzero(np.abs(values.real) > threshold))
+        hits = int(np.count_nonzero(np.abs(values) > threshold))
     elif mode == "sampled":
         if samples <= 0:
             raise ValueError("sampled mode needs samples > 0")

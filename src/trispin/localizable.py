@@ -19,7 +19,7 @@ from .free_fermion import (
     correlation_length,
     czz_analytic,
 )
-from .spin_core import ResourceLimitError, StateVector, cluster_hamiltonian, ground_state
+from .spin_core import ResourceLimitError, StateVector, _sites_last, cluster_hamiltonian, ground_state
 
 #: Branches with joint probability below this are dropped from the average.
 PROB_CUTOFF = 1e-14
@@ -171,25 +171,10 @@ def _plan_bras(plan: MeasurementPlan) -> list[np.ndarray]:
     return [matrices[plan.angles[site]] for site in sorted(plan.angles)]
 
 
-def _pair_last(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
-    """The state tensor as a C-contiguous ``(2^(n-2), 4)`` copy with the
-    ascending target ``pair``'s axes last, the larger site first.  The copy is
-    float64 when every imaginary part of the state is exactly zero, so a real
-    state is rotated in real arithmetic until its first complex bra."""
-    n = state.n_sites
-    lo, hi = pair
-    amps = state.amplitudes
-    if not amps.imag.any():
-        amps = amps.real
-    # Axis k of the state tensor is site n-1-k.
-    psi = amps.reshape((2,) * n)
-    return np.array(np.moveaxis(psi, (n - 1 - hi, n - 1 - lo), (-2, -1)), order="C").reshape(-1, 4)
-
-
 def _rotate_all(a: np.ndarray, bras: list[np.ndarray]) -> np.ndarray:
-    """``_pair_last`` tensor ``a`` rotated by ``bras``, one per measured site
-    in ascending site order; identity (Z) bras are skipped, so with no other
-    bra ``a`` itself is returned."""
+    """Pair-last tensor ``a`` (``_best_plan``'s) rotated by ``bras``, one per
+    measured site in ascending site order; identity (Z) bras are skipped, so
+    with no other bra ``a`` itself is returned."""
     for k, u in enumerate(reversed(bras)):
         if u.tolist() != _IDENTITY:
             a = _rotate_site(a, u, k)
@@ -197,8 +182,8 @@ def _rotate_all(a: np.ndarray, bras: list[np.ndarray]) -> np.ndarray:
 
 
 def _read(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Branch average of a plan's rotated tensor, a ``_rotate_all`` of a
-    ``_pair_last`` copy, float64 or complex128.
+    """Branch average of a plan's rotated tensor, a ``_rotate_all`` of the
+    pair-last copy, float64 or complex128.
 
     Returns ``(value, probs, keep, dets)``: the average, each branch's
     probability, the mask of branches above ``PROB_CUTOFF``, and each
@@ -236,16 +221,17 @@ def _best_plan(
     on ties: ``(plan, bras, tensor, read)``, with ``bras`` its ``_plan_bras``,
     ``tensor`` the state rotated into them and ``read`` the tensor's ``_read``.
 
-    The state is checked and its ``_pair_last`` copy made once for all plans.
-    Row r of a tensor holds the target pair's four amplitudes (larger site
-    first) for the outcome whose bits are the measured sites in descending
-    order, so measured site s is the middle axis of
+    The state is checked and its ``_sites_last`` copy (pair last, larger site
+    first; float64 for a real state, so rotated in real arithmetic until its
+    first complex bra) made once for all plans.  Row r of a tensor holds the
+    pair's four amplitudes for the outcome whose bits are the measured sites
+    in descending order, so measured site s is the middle axis of
     ``tensor.reshape(2**k, 2, -1)``, k the number of measured sites above s.
     No tensor shares memory with the state; a real one holds the real parts
     of the complex computation, bit for bit.
     """
     _check_state(state)
-    base = _pair_last(state, plans[0].target_pair)
+    base = _sites_last(state, plans[0].target_pair[::-1])
     best = None
     for plan in plans:
         bras = _plan_bras(plan)

@@ -166,6 +166,21 @@ class StateVector:
         return StateVector(self.n_sites, self.amplitudes / nrm)
 
 
+def _sites_last(state: StateVector, sites: Sequence[int]) -> np.ndarray:
+    """The state tensor as a C-contiguous ``(2^(n-w), 2^w)`` copy with the
+    axes of the w listed ``sites`` last, in the order given (the first site
+    most significant), and the other sites' axes before them in descending
+    site order.  The copy is float64 when every imaginary part of the state is
+    exactly zero.  The one place that maps sites to tensor axes."""
+    n, w = state.n_sites, len(sites)
+    amps = state.amplitudes
+    if not amps.imag.any():
+        amps = amps.real
+    psi = amps.reshape((2,) * n)  # axis k is site n-1-k
+    moved = np.moveaxis(psi, [n - 1 - s for s in sites], range(n - w, n))
+    return np.array(moved, order="C").reshape(-1, 1 << w)
+
+
 @dataclass
 class SpinChainSpec:
     """Symbolic chain Hamiltonian: a list of weighted Pauli strings.  The

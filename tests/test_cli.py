@@ -44,8 +44,20 @@ class TestCouplings:
         assert all(payload[k] == 0.0 for k in ("lambda1", "lambda2", "lambda3", "lambda4"))
 
     def test_missing_parameters(self, tmp_path):
-        code, _ = run(tmp_path, "couplings", "--j", "0.1")
-        assert code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, "couplings", "--j", "0.1")
+        assert excinfo.value.code == 64
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["couplings"], ["couplings", "--u", "1", "--ja", "0.1"], ["validate", "--u", "1"],
+    ])
+    def test_missing_parameters_are_a_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, *argv)
+        assert excinfo.value.code == 64
+        assert "couplings missing" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_bad_parameters(self, tmp_path):
         code, _ = run(tmp_path, "couplings", "--j", "0.1", "--u", "-1.0")
@@ -292,6 +304,38 @@ class TestUsage:
         assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("ignoring,reading,flags,at_default", [
+    (["corr", "--b", "0.5", "--channel", "analytic"], ["corr", "--b", "0.5"],
+     ["--n", "10"], ["--n", "12"]),
+    (["locent", "--b", "0.5", "--n", "9"], ["locent", "--b", "0.5", "--n", "9", "--scheme", "anneal"],
+     ["--anneal-temps", "2", "--anneal-proposals", "2", "--anneal-restarts", "1"],
+     ["--anneal-temps", "200"]),
+    (["locent", "--b", "0.5", "--n", "9", "--pair", "0,4", "--scheme", "lower-bound"],
+     ["locent", "--b", "0.5", "--n", "9", "--pair", "0,4", "--scheme", "anneal"],
+     ["--anneal-temps", "2", "--anneal-proposals", "2", "--anneal-restarts", "1"],
+     ["--anneal-restarts", "2"]),
+    (["figure2", "--n", "12", "--b-grid", "0.5:0.5:1", "--no-anneal"],
+     ["figure2", "--n", "12", "--b-grid", "0.5:0.5:1"],
+     ["--anneal-temps", "2", "--anneal-proposals", "2", "--anneal-restarts", "2"],
+     ["--anneal-proposals", "16"]),
+], ids=["corr-analytic", "locent-cluster", "locent-lower-bound", "figure2-no-anneal"])
+def test_unread_options_are_a_usage_error(tmp_path, capsys, ignoring, reading, flags, at_default):
+    # each option, away from its default, on a run that does not read it
+    for flag, value in zip(flags[::2], flags[1::2]):
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, *ignoring, flag, value)
+        assert excinfo.value.code == 64
+        assert f"{flag} applies to " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+    # at its default it is accepted, and the run that reads it takes it
+    code, _ = run(tmp_path / "default", *ignoring, *at_default)
+    assert code == 0
+    code, out = run(tmp_path, *reading, *flags)
+    assert code == 0
+    config = json.loads((out / "config.json").read_text())
+    assert config[flags[0].lstrip("-").replace("-", "_")] == int(flags[1])
+
+
 class TestGrid:
     def test_stops_at_or_before_stop(self):
         assert cli._parse_grid("0:1:0.35") == [0.0, 0.35, 0.7]
@@ -320,9 +364,10 @@ class TestCorr:
         assert len(lines) == 5  # L = 3..6
 
     def test_analytic_channel(self, tmp_path):
-        # the analytic channel is not bounded by the ring size --n
+        # the analytic channel is not bounded by a ring: --l-max 40 exceeds
+        # the default --n 12, which this channel does not read
         code, out = run(tmp_path, "corr", "--b", "0.5", "--channel", "analytic",
-                        "--n", "8", "--l-min", "2", "--l-max", "40")
+                        "--l-min", "2", "--l-max", "40")
         assert code == 0
         rows = (out / "corr.csv").read_text().splitlines()[1:]
         assert len(rows) == 39

@@ -71,6 +71,23 @@ class TestTwoPoint:
             rev = two_point_connected(gs, b, a, j, i)
             assert abs(fwd - rev) < 1e-12
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_complex_states_match_three_expectations(self, n):
+        rng = np.random.default_rng(40 + n)
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        state = ts.StateVector(n, amps).normalized()
+
+        def one(*factors):
+            return ts.expectation(state, ts.PauliString(1.0, factors))
+
+        for _ in range(3):
+            i, j = (int(s) for s in rng.choice(n, size=2, replace=False))
+            for a, b in itertools.product("xyz", repeat=2):
+                for (p, alpha), (q, beta) in (((i, a), (j, b)), ((j, b), (i, a))):
+                    ops = alpha.upper(), beta.upper()
+                    want = one((p, ops[0]), (q, ops[1])) - one((p, ops[0])) * one((q, ops[1]))
+                    assert abs(two_point_connected(state, alpha, beta, p, q) - want) < 1e-12
+
     def test_transverse_one_points_vanish(self, cluster_ground):
         for b in (0.0, 0.5, 1.5):
             gs = cluster_ground(8, b)

@@ -14,7 +14,6 @@ from trispin.localizable import (
     MeasurementPlan,
     _best_plan,
     _measurement_matrix,
-    _pair_last,
     _plan_bras,
     _read,
     _rotate_all,
@@ -27,7 +26,7 @@ from trispin.localizable import (
     lower_bound_plan,
     scheme_seed_plans,
 )
-from trispin.spin_core import ResourceLimitError
+from trispin.spin_core import ResourceLimitError, _sites_last
 
 X = (math.pi / 2.0, 0.0)
 Z = (0.0, 0.0)
@@ -387,7 +386,7 @@ class TestKernels:
 def forced_complex(state, plan):
     """``plan``'s rotated tensor computed in complex128 throughout: the
     pair-last base cast to complex128 and rotated by complex bras."""
-    base = _pair_last(state, plan.target_pair).astype(np.complex128)
+    base = _sites_last(state, plan.target_pair[::-1]).astype(np.complex128)
     return _rotate_all(base, [u.astype(np.complex128) for u in _plan_bras(plan)])
 
 

@@ -105,6 +105,32 @@ class TestStateVector:
         assert abs(st.normalized().norm() - 1.0) < 1e-14
 
 
+class TestSitesLast:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_index_oracle(self, seed):
+        # entry [r, c]: the listed sites' bits are c's (first site most
+        # significant), the other sites' bits r's, in descending site order
+        rng = np.random.default_rng(300 + seed)
+        n = 4 + seed % 5
+        for real in (True, False):
+            amps = rng.standard_normal(1 << n)
+            if not real:
+                amps = amps + 1j * rng.standard_normal(1 << n)
+            state = ts.StateVector(n, amps)
+            for w in (1, 2, 3):
+                sites = tuple(int(s) for s in rng.choice(n, size=w, replace=False))
+                others = sorted(set(range(n)) - set(sites), reverse=True)
+                got = spin_core._sites_last(state, sites)
+                assert got.shape == (1 << (n - w), 1 << w)
+                assert got.dtype == (np.float64 if real else np.complex128)
+                assert got.flags.c_contiguous
+                assert not np.shares_memory(got, state.amplitudes)
+                for b in range(1 << n):
+                    r = sum(((b >> s) & 1) << (n - w - 1 - k) for k, s in enumerate(others))
+                    c = sum(((b >> s) & 1) << (w - 1 - k) for k, s in enumerate(sites))
+                    assert got[r, c] == amps[b]
+
+
 class TestBuilders:
     def test_cluster_term_count_without_field(self):
         spec = ts.cluster_hamiltonian(3, 0.0)
