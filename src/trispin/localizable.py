@@ -382,15 +382,18 @@ def optimize_plan(
     sites, plus its rotated tensor.  Each proposal changes one site's angles,
     so it is scored by rotating only that site's axis from the old bra to the
     new one (O(2^n) instead of O(n 2^n)).  A ``MeasurementPlan`` is built only
-    for a new best plan; the returned value and branch count come from a fresh
-    ``branch_average``.
+    for a new best plan.  When the best plan is one that ``_best_plan`` read
+    (the best seed or a restart's start), its value and branch count are
+    that read's, bit for bit those of ``branch_average``, which takes the
+    same path; when a proposal won, they come from a fresh ``branch_average``.
     """
     cfg = config or AnnealConfig()
     n = state.n_sites
     pair = (int(pair[0]), int(pair[1]))
     measured = sorted(set(range(n)) - set(pair))
     # Restart 0 walks from the best seed; its bras are in ``measured`` order.
-    best_plan, bras, a, (best_val, *_) = _best_plan(state, scheme_seed_plans(n, pair))
+    best_plan, bras, a, (best_val, _, keep, _) = _best_plan(state, scheme_seed_plans(n, pair))
+    best_count = int(keep.sum())  # None once a proposal's plan is the best
     thetas, phis = (list(x) for x in zip(*(best_plan.angles[site] for site in measured)))
     current_val = best_val
 
@@ -402,9 +405,9 @@ def optimize_plan(
         if restart > 0:
             drawn = rng.uniform((0.0, 0.0), (math.pi, 2.0 * math.pi), size=(len(measured), 2))
             thetas, phis = drawn.T.tolist()
-            plan, bras, a, (current_val, *_) = _best_plan(state, [plan_of(thetas, phis)])
+            plan, bras, a, (current_val, _, keep, _) = _best_plan(state, [plan_of(thetas, phis)])
             if current_val > best_val:
-                best_plan, best_val = plan, current_val
+                best_plan, best_val, best_count = plan, current_val, int(keep.sum())
         temp = T_START
         for _ in range(cfg.n_temps):
             sigma = SIGMA0 * temp / T_START
@@ -424,10 +427,12 @@ def optimize_plan(
                     thetas[idx], phis[idx], bras[idx] = theta, phi, bra
                     a, current_val = cand_a, cand_val
                     if current_val > best_val:
-                        best_plan, best_val = plan_of(thetas, phis), current_val
+                        best_plan, best_val, best_count = plan_of(thetas, phis), current_val, None
             temp *= COOLING
 
-    return branch_average(state, best_plan)
+    if best_count is None:
+        return branch_average(state, best_plan)
+    return LocEntResult(best_val, best_plan, best_count)
 
 
 def entanglement_length(series: CorrelationSeries) -> LengthEstimate:

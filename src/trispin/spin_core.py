@@ -34,8 +34,10 @@ Conventions shared by every module in this package:
   gauge is solved in full, by its stream, only when its bound comes within
   ``DEGENERACY_TOL`` of the lowest level found, and when it is chosen its
   second level is the tie check.
-* Dense ``eigh`` serves only :func:`dense_spectrum`, the independent
-  oracle, on every lattice-momentum block.
+* Dense eigensolves are numpy's LAPACK: ``_lowest_ritz`` on each Lanczos
+  tridiagonal, and :func:`dense_spectrum`, the independent oracle, on every
+  lattice-momentum block.  Of scipy only ``scipy.sparse`` is loaded, for its
+  CSR product kernel.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse import csr_matrix
 from scipy.sparse._sparsetools import csr_matvec
 
@@ -72,8 +73,12 @@ RESIDUAL_TOL = 1e-8
 #: estimate |beta_j s_j| of the lowest Ritz pair, in units of max(1, |theta|).
 GROUND_TOL = 1e-10
 #: Lanczos steps after which ``_lanczos`` gives up (a multiple of the next),
-#: and steps between its Ritz checks.
-LANCZOS_STEP_CAP = 4000
+#: and steps between its Ritz checks.  Each check is a dense O(j^3) solve of
+#: the j x j tridiagonal (``_lowest_ritz``), so a solve forced to the cap on
+#: an n = 13 sector of 4,096 rows takes about 8 s at 1,024 steps and would
+#: take about 19 min at 4,000.  No solve in the tests or benchmarks passes
+#: 152 steps; the n = 17 ground state at B = 0.2 takes 88.
+LANCZOS_STEP_CAP = 1024
 LANCZOS_CHECK_EVERY = 8
 #: Cap on the ground-manifold copies, over all sectors, that ``spectral_gap``
 #: reads before it gives up.  ``lowest_eigenvalues`` has no such cap: it
@@ -503,9 +508,19 @@ def dense_matrix(spec: SpinChainSpec) -> np.ndarray:
 
 
 def _solve_block(block: np.ndarray) -> np.ndarray:
-    """Every eigenvalue of one dense momentum block, ascending, by ``eigh``
-    of the symmetrized block."""
-    return eigh((block + block.conj().T) / 2.0, eigvals_only=True)
+    """Every eigenvalue of one dense momentum block, ascending, by
+    ``eigvalsh`` of the symmetrized block."""
+    return np.linalg.eigvalsh((block + block.conj().T) / 2.0)
+
+
+def _lowest_ritz(alphas: Sequence[float], betas: Sequence[float]) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair (theta, s) of the symmetric tridiagonal T with
+    diagonal ``alphas`` and off-diagonal ``betas`` (one shorter), by dense
+    ``eigh`` of its upper triangle; s is normalized, its sign LAPACK's."""
+    t = np.diag(alphas)
+    np.fill_diagonal(t[:, 1:], betas)
+    values, vectors = np.linalg.eigh(t, UPLO="U")
+    return float(values[0]), vectors[:, 0]
 
 
 def _check_residual(sector: Sector, energy: float, psi: np.ndarray) -> None:
@@ -539,11 +554,13 @@ def _lanczos(
     none is reorthogonalized: lost orthogonality adds spurious copies of
     converged Ritz values above the lowest one but leaves that one accurate
     (Paige, J. Inst. Math. Appl. 18, 373 (1976)).  Every
-    ``LANCZOS_CHECK_EVERY`` steps the lowest Ritz pair (theta, s) of the
-    tridiagonal is formed, and the loop stops once |beta_j s_j| <=
-    ``GROUND_TOL`` max(1, |theta|); a beta that small also stops it at once,
-    since the Krylov space is then invariant.  Raises
-    :class:`ConvergenceError` after ``LANCZOS_STEP_CAP`` steps.
+    ``LANCZOS_CHECK_EVERY`` steps the lowest Ritz pair (theta, s) of the j x
+    j tridiagonal T_j is formed by a dense solve (``_lowest_ritz``), cheap
+    at the few dozen steps a solve takes and O(j^3) near the cap, and the
+    loop stops once |beta_j s_j| <= ``GROUND_TOL`` max(1, |theta|); a beta
+    that small also stops it at once, since the Krylov space is then
+    invariant.  Raises :class:`ConvergenceError` after ``LANCZOS_STEP_CAP``
+    steps.
 
     ``ritz_vector()`` sums the normalized Ritz vector sum_j s_j v_j on a
     second pass that replays the recurrence from the stored coefficients, so
@@ -587,8 +604,7 @@ def _lanczos(
         beta = float(np.linalg.norm(w))
         betas.append(beta)
         if beta <= GROUND_TOL or (j + 1) % LANCZOS_CHECK_EVERY == 0:
-            ritz = eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(0, 0))
-            theta, s = float(ritz[0][0]), ritz[1][:, 0]
+            theta, s = _lowest_ritz(alphas, betas[:-1])
             if abs(beta * s[-1]) <= GROUND_TOL * max(1.0, abs(theta)):
                 break
         np.divide(w, beta, out=w)
@@ -721,18 +737,26 @@ def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
     (``_translation_step``; d = n, so M = 1, for a chain that is not exactly
     invariant) is its ``_fold`` plus the diagonal at the representatives, on
     the orbits with q p = 0 (mod M); every block that is not empty is solved
-    dense.  Only this solver solves every momentum block of H.
+    dense.  Only this solver reads every momentum block of H.
+
+    In a real sector the block at M - q is the complex conjugate of the
+    block at q, on the same orbits, so it has the same levels: only q =
+    0..M/2 are solved there, and each 0 < q < M - q block's levels are
+    counted twice.  A complex sector solves every q.
     """
     _check_dense_cap(spec.n_sites)
     op = spec.operator()
     levels = []
     for sector, orbits in zip(op.sectors, _orbits(*op.offdiag_key, _translation_step(spec))):
         diag = np.diag(sector.diag[orbits.reps])
-        for q in range(orbits.period):
-            keep = np.flatnonzero(q * orbits.length % orbits.period == 0)
+        period = orbits.period
+        real = sector.offdiag.dtype.kind == "f"
+        for q in range(period // 2 + 1 if real else period):
+            keep = np.flatnonzero(q * orbits.length % period == 0)
             if keep.size:
                 block = _fold(sector.offdiag, orbits, q).toarray() + diag
-                levels.append(_solve_block(block[np.ix_(keep, keep)]))
+                solved = _solve_block(block[np.ix_(keep, keep)])
+                levels.extend([solved] * (2 if real and 0 < q < period - q else 1))
     return np.sort(np.concatenate(levels))
 
 

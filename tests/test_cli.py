@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -110,10 +113,11 @@ class TestSpectrum:
 
     def test_iterative_gap_matches_spectral_gap(self, tmp_path):
         # --max-levels counts on the iterative path too; the gap does not depend on it
-        levels = ts.dense_spectrum(ts.cluster_hamiltonian(13, 0.5))
+        n = cli._DENSE_SITE_MAX + 1
+        levels = ts.dense_spectrum(ts.cluster_hamiltonian(n, 0.5))
         for max_levels in (20, 1):
             out = tmp_path / str(max_levels)
-            assert cli.main(["spectrum", "--n", "13", "--b", "0.5",
+            assert cli.main(["spectrum", "--n", str(n), "--b", "0.5",
                              "--max-levels", str(max_levels), "--out", str(out)]) == 0
             payload = json.loads((out / "spectrum.json").read_text())
             assert payload["dense"] is False
@@ -152,6 +156,27 @@ class TestSpectrum:
         assert payload["dense"] is True
         assert np.max(np.abs(np.array(payload["energies"]) - oracle)) < 1e-10
         assert payload["gap"] == pytest.approx(oracle[1] - oracle[0], abs=1e-10)
+
+
+def test_library_loads_no_scipy_linalg(tmp_path):
+    # in a fresh interpreter: these tests import scipy.linalg as an oracle
+    script = f"""
+import sys
+import trispin as ts
+from trispin import cli
+spec = ts.cluster_hamiltonian(9, 0.5)
+ts.ground_state(spec)
+ts.spectral_gap(spec)
+ts.dense_spectrum(spec)
+for n in ("9", "14"):  # the dense path, then Lanczos levels
+    assert cli.main(["spectrum", "--n", n, "--max-levels", "8", "--out", {str(tmp_path)!r} + "/" + n]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.linalg"))
+assert not loaded, loaded
+"""
+    src = str(Path(ts.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("argv", [

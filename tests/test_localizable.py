@@ -481,11 +481,11 @@ class TestSeedPass:
         assert read[0] == max(values)
 
     @pytest.mark.parametrize("b,pair,restarts,value", [
-        pytest.param(0.5, (0, 4), 1, 0.9309815188920396, id="0.5-pair0-0.9309815188920396"),
+        pytest.param(0.5, (0, 4), 1, 0.9309815188920395, id="0.5-pair0-0.9309815188920395"),
         # the walk beats the best seed here
-        pytest.param(1.5, (0, 5), 1, 0.06584525988879195, id="1.5-pair1-0.06584525988879195"),
+        pytest.param(1.5, (0, 5), 1, 0.0658452598887916, id="1.5-pair1-0.0658452598887916"),
         # and the random restart beats both
-        pytest.param(1.5, (0, 5), 2, 0.07461586893549284, id="1.5-pair1-restarts2"),
+        pytest.param(1.5, (0, 5), 2, 0.07461586893549266, id="1.5-pair1-restarts2"),
     ])
     def test_short_anneal_keeps_its_value(self, b, pair, restarts, value):
         gs = ts.ground_state(ts.cluster_hamiltonian(13, b), seed=7)[1]
@@ -595,6 +595,30 @@ class TestOptimizer:
             assert res.plan.angles == plan.angles
             assert res.value == pytest.approx(value, abs=1e-12)
             assert res.value == branch_average(state, res.plan).value
+
+    @pytest.mark.parametrize("restarts,n_temps,fresh", [
+        (1, 0, 0),  # the best seed stays best
+        (2, 0, 0),  # a restart's start beats the seeds
+        (1, 3, 1),  # a proposal beats the seeds
+    ])
+    def test_reads_the_best_plan_once(self, monkeypatch, restarts, n_temps, fresh):
+        # the best plan's value and branch count are those of branch_average,
+        # which runs again only for a plan that a proposal found
+        state, pair = random_state(8, 44), (1, 5)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return branch_average(*args, **kwargs)
+
+        monkeypatch.setattr(localizable, "branch_average", recording)
+        cfg = ts.AnnealConfig(n_temps=n_temps, proposals_per_temp=6, restarts=restarts, seed=5)
+        res = optimize_plan(state, pair, cfg)
+        assert len(calls) == fresh
+        seed_best = max(branch_average(state, plan).value for plan in scheme_seed_plans(8, pair))
+        assert (res.value > seed_best) == (restarts + n_temps > 1)
+        want = branch_average(state, res.plan)
+        assert (res.value, res.branch_count, res.branches) == (want.value, want.branch_count, None)
 
     def test_unnormalized_state_rejected(self):
         st = ts.StateVector(6, np.ones(64))

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse import csr_matrix, diags, identity, kron
 
 import trispin as ts
@@ -452,13 +452,13 @@ class TestMomentumBlocks:
         assert spin_core._translation_step(spec) == step
         period = n // step
         solved = solved_blocks(spec, monkeypatch)
-        for sector in spec.operator().sectors:  # every momentum has orbits here
-            blocks, solved = solved[:period], solved[period:]
-            assert sum(block.shape[0] for block in blocks) == sector.basis.size
-            # H is real here, so the q and M - q blocks share a spectrum
-            for q, block in enumerate(blocks):
-                pair = np.linalg.eigvalsh(blocks[(period - q) % period])
-                assert np.max(np.abs(np.linalg.eigvalsh(block) - pair)) < 1e-10
+        # H is real here, so only q = 0..M/2 are solved (every momentum has
+        # orbits here), and each 0 < q < M - q block also stands for M - q
+        half = period // 2 + 1
+        for sector in spec.operator().sectors:
+            blocks, solved = solved[:half], solved[half:]
+            copies = [2 if 0 < q < period - q else 1 for q in range(half)]
+            assert sum(c * block.shape[0] for c, block in zip(copies, blocks)) == sector.basis.size
         assert solved == []
 
     @pytest.mark.parametrize("spec", [
@@ -471,25 +471,58 @@ class TestMomentumBlocks:
             "cluster10", "cluster11"])
     def test_every_block_is_the_kronecker_momentum_block(self, spec, monkeypatch):
         # Q_q^H H Q_q with Q_q summed over every translate of the Kronecker
-        # basis, against each block dense_spectrum solves, in its order
+        # basis, against each block dense_spectrum solves, in its order; a
+        # real sector's block at q > M - q is the conjugate of the one at
+        # M - q, which stands for it
         n, d = spec.n_sites, spin_core._translation_step(spec)
+        period = n // d
         h = kron_sparse(spec)
         moved = rotate(np.arange(1 << n), d, n)
         assert abs(h[moved][:, moved] - h).max() < 1e-12
         expected = []
         for sector in spec.operator().sectors:
             h_sector = h[sector.basis][:, sector.basis]
-            dims = 0
-            for q in range(n // d):
+            real = sector.offdiag.dtype.kind == "f"
+            dims, blocks = 0, {}
+            for q in range(period):
                 q_basis = momentum_basis(sector.basis, n, d, q)
                 dims += q_basis.shape[1]
                 if q_basis.shape[1]:
-                    expected.append(q_basis.conj().T @ (h_sector @ q_basis))
+                    blocks[q] = q_basis.conj().T @ (h_sector @ q_basis)
             assert dims == sector.basis.size
+            for q, block in blocks.items():
+                if real and q > period - q:
+                    assert np.max(np.abs(block - blocks[period - q].conj())) < 1e-12
+                else:
+                    expected.append(block)
         solved = solved_blocks(spec, monkeypatch)
         assert [block.shape for block in solved] == [block.shape for block in expected]
         for block, oracle in zip(solved, expected):
             assert np.max(np.abs(block - oracle)) < 1e-12
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_paired_blocks_match_the_full_loop_bit_for_bit(self, n):
+        # every momentum block of every sector solved, as before the pairing
+        for b in (0.0, 0.7):
+            spec = ts.cluster_hamiltonian(n, b)
+            op = spec.operator()
+            levels = []
+            d = spin_core._translation_step(spec)
+            for sector, orbits in zip(op.sectors, spin_core._orbits(*op.offdiag_key, d)):
+                diag = np.diag(sector.diag[orbits.reps])
+                for q in range(orbits.period):
+                    keep = np.flatnonzero(q * orbits.length % orbits.period == 0)
+                    if keep.size:
+                        block = spin_core._fold(sector.offdiag, orbits, q).toarray() + diag
+                        levels.append(spin_core._solve_block(block[np.ix_(keep, keep)]))
+            assert np.array_equal(ts.dense_spectrum(spec), np.sort(np.concatenate(levels)))
+
+    def test_complex_triangle_chain_solves_every_block(self):
+        coup = ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0)
+        spec = ts.triangle_chain_hamiltonian(coup, (0.1, 0.2, 0.4), 9)
+        assert [s.offdiag.dtype.kind for s in spec.operator().sectors] == ["c"]
+        oracle = eigh(ts.dense_matrix(spec), eigvals_only=True)
+        assert np.max(np.abs(ts.dense_spectrum(spec) - oracle)) < 1e-10
 
 
 class TestDegenerateGroundState:
@@ -578,6 +611,48 @@ def zz_ring(n):
     return ts.SpinChainSpec(
         n, [ts.PauliString(1.0, ((i, "Z"), ((i + 1) % n, "Z"))) for i in range(n)]
     )
+
+
+class TestLowestRitz:
+    """_lowest_ritz (dense eigh of T_j) against scipy's tridiagonal solver."""
+
+    @staticmethod
+    def check(alphas, betas):
+        theta, s = spin_core._lowest_ritz(alphas, betas)
+        values, vectors = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+        assert s.shape == (len(alphas),)
+        assert abs(theta - values[0]) <= 1e-13 * max(1.0, abs(theta))
+        assert abs(abs(s[-1]) - abs(vectors[-1, 0])) <= 1e-10
+        assert abs(np.linalg.norm(s) - 1.0) < 1e-13
+
+    def test_random_tridiagonals(self):
+        rng = np.random.default_rng(5)
+        for j in range(1, 201):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            self.check(scale * rng.standard_normal(j), scale * rng.uniform(0.0, 2.0, j - 1))
+
+    def test_lanczos_tridiagonals(self, monkeypatch):
+        # every T_j that _lanczos checks in ground states and gaps of cluster
+        # rings, deflated solves included
+        seen = []
+        lowest_ritz = spin_core._lowest_ritz
+
+        def recording(alphas, betas):
+            seen.append((list(alphas), list(betas)))
+            return lowest_ritz(alphas, betas)
+
+        monkeypatch.setattr(spin_core, "_lowest_ritz", recording)
+        for n, b in ((10, 0.5), (11, 1.0), (12, 0.3)):
+            spec = ts.cluster_hamiltonian(n, b)
+            ts.spectral_gap(spec)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ts.DegenerateGroundStateWarning)
+                ts.ground_state(spec)
+        monkeypatch.undo()
+        assert len(seen) > 50
+        assert max(len(alphas) for alphas, _ in seen) >= 4 * spin_core.LANCZOS_CHECK_EVERY
+        for alphas, betas in seen:
+            self.check(alphas, betas)
 
 
 class TestLanczosGroundState:
