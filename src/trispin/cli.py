@@ -139,6 +139,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _threshold(text: str) -> float:
     value = float(text)
     if not 0.0 <= value < math.inf:
@@ -163,13 +170,13 @@ def _figure2_ring(text: str) -> int:
 
 
 def _add_bh_flags(p) -> None:
-    p.add_argument("--j", type=float, default=None, help="tunneling for both species")
-    p.add_argument("--ja", type=float, default=None)
-    p.add_argument("--jb", type=float, default=None)
-    p.add_argument("--u", type=float, default=None, help="all three collisional couplings")
-    p.add_argument("--uaa", type=float, default=None)
-    p.add_argument("--ubb", type=float, default=None)
-    p.add_argument("--uab", type=float, default=None)
+    p.add_argument("--j", type=_finite_float, default=None, help="tunneling for both species")
+    p.add_argument("--ja", type=_finite_float, default=None)
+    p.add_argument("--jb", type=_finite_float, default=None)
+    p.add_argument("--u", type=_finite_float, default=None, help="all three collisional couplings")
+    p.add_argument("--uaa", type=_finite_float, default=None)
+    p.add_argument("--ubb", type=_finite_float, default=None)
+    p.add_argument("--uab", type=_finite_float, default=None)
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -304,19 +311,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="exact spectrum / gap of a chain model")
     p.add_argument("--model", choices=("cluster", "triangle"), default="cluster")
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--bx", type=float, default=0.0)
-    p.add_argument("--by", type=float, default=0.0)
-    p.add_argument("--lambda1", type=float, default=0.0)
-    p.add_argument("--lambda2", type=float, default=0.0)
-    p.add_argument("--lambda3", type=float, default=0.0)
-    p.add_argument("--lambda4", type=float, default=0.0)
+    p.add_argument("--b", type=_finite_float, default=0.0)
+    p.add_argument("--bx", type=_finite_float, default=0.0)
+    p.add_argument("--by", type=_finite_float, default=0.0)
+    p.add_argument("--lambda1", type=_finite_float, default=0.0)
+    p.add_argument("--lambda2", type=_finite_float, default=0.0)
+    p.add_argument("--lambda3", type=_finite_float, default=0.0)
+    p.add_argument("--lambda4", type=_finite_float, default=0.0)
     p.add_argument("--max-levels", type=_positive_int, default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("corr", help="connected two-point correlator sweep")
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--b", type=_finite_float, required=True)
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--alpha", choices=("x", "y", "z"), default="z")
     p.add_argument("--beta", choices=("x", "y", "z"), default="z")
@@ -327,7 +334,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_corr)
 
     p = sub.add_parser("locent", help="localizable entanglement of one pair")
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--b", type=_finite_float, required=True)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--pair", default="0,4", help="comma-separated 0-based sites")
     p.add_argument("--scheme", choices=("cluster", "lower-bound", "anneal"), default="cluster")

@@ -16,9 +16,13 @@ Conventions shared by every module in this package:
   further into every lattice-momentum block, and :func:`ground_state`
   takes one such block of a related matrix (below), both by one fold
   (``_fold``) over one orbit table per ring (``_orbits``).  Each sector is
-  a real diagonal plus an off-diagonal CSR block; the off-diagonal part
+  a real diagonal plus an off-diagonal CSR block.  The off-diagonal part
   depends only on n and the off-diagonal terms, so consecutive specs that
-  differ only in their Z fields (a field sweep) build it once and share it.
+  differ only in their Z fields (a field sweep) share it: one column table
+  per ring, the same for every sector because each sector's basis is the
+  first's moved by a fixed bit pattern (``_off_diagonal``), and each
+  sector's values, built the first time its H is applied.  A gauged ground
+  state applies the H of one sector only, in its residual check.
 * Every sector, whatever its size, has one eigensolver, a three-term
   Lanczos (``_lanczos``), and one stream of levels, ``_lanczos_levels``:
   an energy-only pass for the sector's lowest level, then for each next
@@ -49,7 +53,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -243,17 +247,27 @@ class Sector:
 
     ``basis`` holds the sector's basis-state indices in ascending order.  H
     restricted to them, rows and columns in ``basis`` order, is
-    ``diag(diag) + offdiag``: ``diag`` is real, and ``offdiag`` holds every
-    off-diagonal entry, one per row and off-diagonal flip mask, in
-    ascending flip order.  ``basis`` and ``offdiag`` depend only on n and
-    the off-diagonal terms, and consecutive specs with those terms share
-    them (``_off_diagonal``).
+    ``diag(diag) + offdiag``: ``diag`` is real, and ``offdiag``, of dtype
+    ``dtype``, holds every off-diagonal entry, one per row and off-diagonal
+    flip mask, in ascending flip order.
+
+    ``basis`` and ``offdiag`` depend only on n and the off-diagonal terms,
+    and consecutive specs with those terms share them (``_off_diagonal``).
+    Every sector's ``offdiag`` takes its columns from the ring's one column
+    table, and its values are built on the first read of ``offdiag``, by the
+    ring's memoised ``_offdiag``: only a sector whose H is applied builds
+    them, once per ring.  ``dtype`` is known without that build.
     """
 
     label: str
     basis: np.ndarray
     diag: np.ndarray
-    offdiag: csr_matrix
+    dtype: np.dtype
+    _offdiag: Callable[[], csr_matrix] = field(repr=False, compare=False)
+
+    @property
+    def offdiag(self) -> csr_matrix:
+        return self._offdiag()
 
 
 @dataclass(frozen=True)
@@ -265,7 +279,10 @@ class BlockedOperator:
     in M, so prod_{i in M} Z_i commutes with H.  ``sectors`` is ordered by
     the parities: sector s has parity bit j of s for ``masks[j]``.
     ``offdiag_key`` is ``(n, groups, is_complex)``, the hashable arguments
-    of ``_off_diagonal`` that built the off-diagonal blocks.
+    of ``_off_diagonal`` that built the ring's column table.  The sectors
+    share that one table, since each is the first sector moved by a fixed
+    bit pattern, and each builds its values only when its H is first
+    applied: a gauged ground state applies the H of one sector alone.
     """
 
     masks: tuple[int, ...]
@@ -327,67 +344,109 @@ def _build_operator(spec: SpinChainSpec) -> BlockedOperator:
         is_complex = is_complex or n_y % 2 == 1
     diagonal = groups.pop(0, ())
     key = (spec.n_sites, tuple((flip, tuple(groups[flip])) for flip in sorted(groups)), is_complex)
-    masks, blocks = _off_diagonal(*key)
+    masks, _, blocks = _off_diagonal(*key)
+    dtype = np.dtype(np.complex128 if is_complex else np.float64)
     sectors = []
     for label, basis, offdiag in blocks:
         diag = np.zeros(basis.size)
         for zy, pref in diagonal:
             diag += pref.real * _sign(basis, zy)
-        sectors.append(Sector(label, basis, diag, offdiag))
+        sectors.append(Sector(label, basis, diag, dtype, offdiag))
     return BlockedOperator(masks, tuple(sectors), key)
 
 
 @functools.lru_cache(maxsize=1)
 def _off_diagonal(n: int, groups: tuple, is_complex: bool):
-    """The field-independent part of ``_build_operator``, built once for
+    """The field-independent part of ``_build_operator``, made once for
     consecutive specs with the same n and off-diagonal terms ``groups``,
     ``(flip, ((zy, coeff i^{n_Y}), ...))`` in ascending flip order; the
     blocks are complex when some term has an odd number of Y factors.
 
-    Returns ``(masks, blocks)`` with one ``(label, basis, offdiag)`` per
-    sector, their arrays read-only.  Every row of ``offdiag`` has exactly
-    one entry per flip, so ``indptr`` is an arange; an entry whose terms
-    cancel is stored as an explicit zero.
+    Returns ``(masks, cols, blocks)``.  ``cols`` is the ring's read-only
+    (dim, m) int32 column table: row r holds, per flip, the row of
+    basis[r] ^ flip.  It is one table for every sector.  Sector s's basis is
+    the first sector's XOR the lowest bit of each mask whose parity s flips,
+    in the same ascending order, since a mask's lowest bit is fixed by its
+    higher bits; a flip conserves every mask, so it maps the first sector's
+    row r and sector s's row r to the same row of their own sectors.
+
+    ``blocks`` holds one ``(label, basis, offdiag)`` per sector, ``basis``
+    read-only and ``offdiag`` a memoised thunk of ``_offdiag_block``: a
+    sector's values are built on the first call, so a sector whose H is
+    never applied never builds them, and a field sweep builds each once.
     """
-    dtype = np.complex128 if is_complex else np.float64
     flips = [flip for flip, _ in groups]
     named = _conserved_masks(n, flips)
 
     states = np.arange(1 << n, dtype=np.int64)
-    key = np.zeros(1 << n, dtype=np.int64)
-    for j, (_, mask) in enumerate(named):
-        key |= (np.bitwise_count(states & mask) & 1).astype(np.int64) << j
-    bases = [np.flatnonzero(key == s) for s in range(1 << len(named))]
-    position = np.empty(1 << n, dtype=np.int32)
-    for basis in bases:
-        position[basis] = np.arange(basis.size, dtype=np.int32)
+    parity = np.zeros(1 << n, dtype=np.uint8)
+    for _, mask in named:
+        parity |= np.bitwise_count(states & mask) & 1
+    first = np.flatnonzero(parity == 0)
+    position = np.empty(1 << n, dtype=np.int32)  # set, and read, on the first sector only
+    position[first] = np.arange(first.size, dtype=np.int32)
+    dim, m = first.size, len(flips)
+    cols = np.empty((dim, m), dtype=np.int32)
+    for j, flip in enumerate(flips):
+        cols[:, j] = position[first ^ flip]
+    # every row has exactly one entry per flip; int32 as cols, so that no
+    # sector's CSR copies either
+    indptr = np.arange(dim + 1, dtype=np.int32 if dim * m < 2**31 else np.int64) * m
+    cols.flags.writeable = indptr.flags.writeable = False
 
     blocks = []
-    for s, basis in enumerate(bases):
-        dim, m = basis.size, len(flips)
-        data = np.zeros((m, dim), dtype=dtype)  # one row per flip
-        indices = np.empty((dim, m), dtype=np.int32)
-        for j, (flip, terms) in enumerate(groups):
-            cols = basis ^ flip
-            indices[:, j] = position[cols]
-            for zy, pref in terms:
-                data[j] += (pref if is_complex else pref.real) * _sign(cols, zy)
-        # CSR wants data row by row, so it is copied transposed.  Freeing the
-        # (m, dim) array raises glibc's dynamic mmap threshold to its size, as
-        # freeing each spec's own operator did before the blocks were shared;
-        # without it the 2^n-sized temporaries of later calls (expectation,
-        # branch_average) were fresh mappings, faulted in on every call.
-        indptr = np.arange(dim + 1) * m
-        offdiag = csr_matrix((data.T.ravel(), indices.ravel(), indptr), shape=(dim, dim))
-        # shared by every spec with these terms: an in-place edit (scipy's
-        # sort_indices, say) would move every later product's bits
-        for array in (basis, offdiag.data, offdiag.indices, offdiag.indptr):
-            array.flags.writeable = False
-        label = ",".join(
-            f"{name}{'-' if (s >> j) & 1 else '+'}" for j, (name, _) in enumerate(named)
-        )
-        blocks.append((label or "all states", basis, offdiag))
-    return tuple(m for _, m in named), tuple(blocks)
+    for s in range(1 << len(named)):
+        moved = [j for j in range(len(named)) if (s >> j) & 1]
+        basis = first ^ sum(named[j][1] & -named[j][1] for j in moved)
+        basis.flags.writeable = False
+        label = ",".join(f"{name}{'-' if j in moved else '+'}" for j, (name, _) in enumerate(named))
+        offdiag = functools.partial(_offdiag_block, basis, cols, indptr, groups, is_complex)
+        blocks.append((label or "all states", basis, functools.cache(offdiag)))
+    return tuple(mask for _, mask in named), cols, tuple(blocks)
+
+
+def _offdiag_block(basis, cols, indptr, groups, is_complex: bool) -> csr_matrix:
+    """One sector's off-diagonal block: the ring's shared ``cols`` and
+    ``indptr``, and the sector's values from ``_entries``.  Every array is
+    read-only, and an entry whose terms cancel is stored as an explicit
+    zero."""
+    dim = basis.size
+    data = _entries(basis, groups, is_complex)  # one row per flip
+    # CSR wants data row by row, so it is copied transposed.  Freeing the
+    # (m, dim) array raises glibc's dynamic mmap threshold to its size; the
+    # first such free now comes when the first sector's values are built,
+    # which every ground state does for its residual check.  Without it the
+    # 2^n-sized temporaries of later calls (expectation, branch_average)
+    # were fresh mappings, faulted in on every call.
+    offdiag = csr_matrix((data.T.ravel(), cols.ravel(), indptr), shape=(dim, dim))
+    # shared by every spec with these terms: an in-place edit (scipy's
+    # sort_indices, say) would move every later product's bits
+    for array in (offdiag.data, offdiag.indices, offdiag.indptr):
+        array.flags.writeable = False
+    return offdiag
+
+
+def _flip_entries(rows: np.ndarray, flip: int, terms, is_complex: bool) -> np.ndarray:
+    """H[r, r ^ flip] for each basis state r of ``rows``, from the flip's
+    ``terms`` ``((zy, coeff i^{n_Y}), ...)`` added in order; complex when
+    ``is_complex``, else the real parts.  Each term adds pref or -pref by
+    the parity of its zy bits: the sum pref times ``_sign``'s +-1 gives, with
+    two 2^n-sized temporaries fewer per term."""
+    cols = rows ^ flip
+    out = np.zeros(rows.size, dtype=np.complex128 if is_complex else np.float64)
+    for zy, pref in terms:
+        pref = pref if is_complex else pref.real
+        out += np.where(np.bitwise_count(cols & zy) & 1, -pref, pref) if zy else pref
+    return out
+
+
+def _entries(rows: np.ndarray, groups, is_complex: bool) -> np.ndarray:
+    """The (m, len(rows)) stored entries of ``rows``, row j from the j-th
+    flip of ``groups`` (``_flip_entries``)."""
+    out = np.empty((len(groups), rows.size), dtype=np.complex128 if is_complex else np.float64)
+    for j, (flip, terms) in enumerate(groups):
+        out[j] = _flip_entries(rows, flip, terms, is_complex)
+    return out
 
 
 # --- Hamiltonian builders ---------------------------------------------------
@@ -460,7 +519,7 @@ def apply(spec: SpinChainSpec, state: StateVector) -> StateVector:
     out = np.empty_like(amps)
     for sector in spec.operator().sectors:
         x = amps[sector.basis]
-        if sector.offdiag.dtype.kind == "c":
+        if sector.dtype.kind == "c":
             out[sector.basis] = _sector_matvec(sector, x, np.empty_like(x))
             continue
         # a real block takes the real and imaginary parts apart, so that its
@@ -500,7 +559,7 @@ def dense_matrix(spec: SpinChainSpec) -> np.ndarray:
     _check_dense_cap(spec.n_sites)
     op = spec.operator()
     dim = 1 << spec.n_sites
-    h = np.zeros((dim, dim), dtype=op.sectors[0].offdiag.dtype)
+    h = np.zeros((dim, dim), dtype=op.sectors[0].dtype)
     for sector in op.sectors:
         h[np.ix_(sector.basis, sector.basis)] = sector.offdiag.toarray()
         h[sector.basis, sector.basis] = sector.diag
@@ -568,7 +627,7 @@ def _lanczos(
     Each pass works in place in three preallocated vectors (a fourth holds
     the deflation term).
     """
-    dim, dtype = sector.basis.size, sector.offdiag.dtype
+    dim, dtype = sector.basis.size, sector.dtype
 
     def start_vector() -> np.ndarray:  # formed again for the replay, not kept
         v = start if isinstance(start, np.ndarray) else np.random.default_rng(start).standard_normal(dim)
@@ -682,7 +741,7 @@ def _orbits(n: int, groups: tuple, is_complex: bool, d: int) -> tuple[Orbits, ..
     translates, so no (M, sector) array of them is made."""
     period = n // d
     out = []
-    for _, basis, _ in _off_diagonal(n, groups, is_complex)[1]:
+    for _, basis, _ in _off_diagonal(n, groups, is_complex)[2]:
         rep, moved = basis.copy(), basis
         back = np.zeros(basis.size, dtype=np.uint8)  # back < n <= GROUND_SITE_CAP
         count = np.ones(basis.size, dtype=np.int64)  # T^(dj) s = s for M/p of the j
@@ -702,31 +761,29 @@ def _orbits(n: int, groups: tuple, is_complex: bool, d: int) -> tuple[Orbits, ..
     return tuple(out)
 
 
-def _fold(off: csr_matrix, orbits: Orbits, q: int, stoquastic: bool = False) -> csr_matrix:
+def _fold(cols: np.ndarray, data: np.ndarray, orbits: Orbits, q: int) -> csr_matrix:
     """The off-diagonal part of the momentum-q block Q_q^H H Q_q from the
-    sector's ``off``; with ``stoquastic``, that of S = diag(H) - |offdiag(H)|.
+    (reps, m) columns ``cols`` and entries ``data`` of a sector's stored
+    off-diagonal entries in the rows of ``orbits.reps``; with ``data`` their
+    -|entries|, that of S = diag(H) - |offdiag(H)|.
 
     Column r of Q_q is p^(-1/2) sum_{j<p} exp(2 pi i q j / M) |T^(-dj) r>,
     for each orbit with q p = 0 (mod M).  As H commutes with T^d, entry (r,
     t) sums sqrt(p_r / p_t) exp(2 pi i q j_c / M) H[r, c] over row r's
     stored entries with c = T^(-d j_c) t: one per flip, so a column may
     repeat (``toarray`` sums them).  Rows and columns of the other orbits are
-    not entries of the block.  A real ``off`` at q = 0 or M/2 folds real.
+    not entries of the block.  A real ``data`` at q = 0 or M/2 folds real.
     """
-    dim, m = off.shape[0], off.indptr[1]  # one entry per row and off-diagonal flip
-    reps, period = orbits.reps, orbits.period
-    cols = off.indices.reshape(dim, m)[reps]
-    data = off.data.reshape(dim, m)[reps]
-    if stoquastic:
-        data = -np.abs(data)
+    rows, m = cols.shape
+    period = orbits.period
     column = orbits.orbit[cols]
     data = np.sqrt(orbits.length[:, None] / orbits.length[column]) * data
     if q:
         phase = np.exp(2j * np.pi * (q * np.arange(period) % period) / period)[orbits.back[cols]]
         data = data * (phase.real if data.dtype.kind == "f" and 2 * q == period else phase)
     return csr_matrix(
-        (data.ravel(), column.ravel(), np.arange(reps.size + 1) * m),
-        shape=(reps.size, reps.size),
+        (data.ravel(), column.ravel(), np.arange(rows + 1) * m),
+        shape=(rows, rows),
     )
 
 
@@ -746,15 +803,19 @@ def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
     """
     _check_dense_cap(spec.n_sites)
     op = spec.operator()
+    table = _off_diagonal(*op.offdiag_key)[1]
     levels = []
     for sector, orbits in zip(op.sectors, _orbits(*op.offdiag_key, _translation_step(spec))):
-        diag = np.diag(sector.diag[orbits.reps])
+        reps = orbits.reps
+        diag = np.diag(sector.diag[reps])
+        # the stored entries, the very blocks the iterative solvers apply
+        cols, data = table[reps], sector.offdiag.data.reshape(table.shape)[reps]
         period = orbits.period
-        real = sector.offdiag.dtype.kind == "f"
+        real = sector.dtype.kind == "f"
         for q in range(period // 2 + 1 if real else period):
             keep = np.flatnonzero(q * orbits.length % period == 0)
             if keep.size:
-                block = _fold(sector.offdiag, orbits, q).toarray() + diag
+                block = _fold(cols, data, orbits, q).toarray() + diag
                 solved = _solve_block(block[np.ix_(keep, keep)])
                 levels.extend([solved] * (2 if real and 0 < q < period - q else 1))
     return np.sort(np.concatenate(levels))
@@ -792,7 +853,7 @@ def _lanczos_levels(sector: Sector, seed: int, shift: float):
     and only its first dim(block) levels are levels of H; the caller stops
     it.
     """
-    below = np.empty((sector.basis.size, 0), dtype=sector.offdiag.dtype)
+    below = np.empty((sector.basis.size, 0), dtype=sector.dtype)
     theta, ritz_vector = _lanczos(sector, seed)
     while True:
         vector = _checked_vector(sector, theta, ritz_vector)
@@ -855,7 +916,8 @@ class SymmetricBlock:
         """The block at the fields of ``sector``: its diagonal is H's at the
         representatives."""
         reps = self.orbits.reps
-        return Sector(sector.label, sector.basis[reps], sector.diag[reps], self.offdiag)
+        return Sector(sector.label, sector.basis[reps], sector.diag[reps], self.offdiag.dtype,
+                      lambda: self.offdiag)
 
     def expand(self, vector: np.ndarray) -> np.ndarray:
         """G Q u: the sector vector of the block vector u, each orbit's
@@ -867,16 +929,21 @@ class SymmetricBlock:
 def _symmetric_blocks(n: int, groups: tuple, is_complex: bool, d: int) -> tuple[SymmetricBlock, ...]:
     """One :class:`SymmetricBlock` per sector of ``_off_diagonal(n, groups,
     is_complex)`` under T^d, read-only and built once per ring as
-    ``_orbits`` is.  The gauge is sought only when the blocks are real and a
-    GF(2) basis of the flips has n - len(masks) members, so that the flips
-    connect every sector (``_sign_gauge``)."""
-    masks, blocks = _off_diagonal(n, groups, is_complex)
+    ``_orbits`` is.  Each folds the entries of its representatives' rows
+    alone, and the gauge reads one flip's entries at a time, so no sector's
+    values are built here.  The gauge is sought only when the blocks are
+    real and a GF(2) basis of the flips has n - len(masks) members, so that
+    the flips connect every sector (``_sign_gauge``)."""
+    masks, cols, blocks = _off_diagonal(n, groups, is_complex)
     spanning = _gf2_basis([flip for flip, _ in groups])
     connected = not is_complex and len(spanning) == n - len(masks)
     out = []
-    for (_, _, off), orbits in zip(blocks, _orbits(n, groups, is_complex, d)):
-        folded = _fold(off, orbits, 0, stoquastic=True)
-        block = SymmetricBlock(orbits, folded, _sign_gauge(off, spanning) if connected else None)
+    for (_, basis, _), orbits in zip(blocks, _orbits(n, groups, is_complex, d)):
+        reps = orbits.reps
+        stoquastic = -np.abs(_entries(basis[reps], groups, is_complex).T)
+        folded = _fold(cols[reps], stoquastic, orbits, 0)
+        gauge = _sign_gauge(basis, cols, groups, spanning) if connected else None
+        block = SymmetricBlock(orbits, folded, gauge)
         for array in (block.gauge, folded.data, folded.indices, folded.indptr):
             if array is not None:
                 array.flags.writeable = False
@@ -884,35 +951,35 @@ def _symmetric_blocks(n: int, groups: tuple, is_complex: bool, d: int) -> tuple[
     return tuple(out)
 
 
-def _sign_gauge(off: csr_matrix, spanning) -> np.ndarray | None:
-    """The gauge g = +-1 of a real off-diagonal block ``off`` whose flips
-    ``spanning`` (column indices of ``off``'s per-row entries) form a GF(2)
-    basis that spans the sector, or None when none exists.
+def _sign_gauge(basis: np.ndarray, cols: np.ndarray, groups, spanning) -> np.ndarray | None:
+    """The gauge g = +-1 of the real sector with rows ``basis``, column
+    table ``cols`` and flips ``groups``, whose flips ``spanning`` (indices
+    into ``groups``) form a GF(2) basis that spans the sector, or None when
+    none exists.
 
     Row 0 gets +1; each flip of ``spanning`` in turn carries the signs of
     the rows reached so far across its entries, doubling them, so that
     g_r g_c H[r, c] < 0 on those entries.  Then every stored entry is
     checked (``_is_gauge``), with no tolerance.
     """
-    dim, m = off.shape[0], off.indptr[1]
-    data, cols = off.data.reshape(dim, m), off.indices.reshape(dim, m)
-    gauge = np.ones(dim)
+    gauge = np.ones(basis.size)
     reached = np.zeros(1, dtype=np.intp)
     for j in spanning:
+        flip, terms = groups[j]
         ahead = cols[reached, j]
-        gauge[ahead] = np.where(np.signbit(data[reached, j]), gauge[reached], -gauge[reached])
+        negative = np.signbit(_flip_entries(basis[reached], flip, terms, False))
+        gauge[ahead] = np.where(negative, gauge[reached], -gauge[reached])
         reached = np.concatenate([reached, ahead])
-    return gauge if _is_gauge(off, gauge) else None
+    return gauge if _is_gauge(basis, cols, groups, gauge) else None
 
 
-def _is_gauge(off: csr_matrix, gauge: np.ndarray) -> bool:
-    """Whether every stored entry of the real off-diagonal block ``off`` is
-    nonzero and has g_r g_c H[r, c] < 0, by sign bits alone."""
-    dim, m = off.shape[0], off.indptr[1]
-    data, cols = off.data.reshape(dim, m), off.indices.reshape(dim, m)
+def _is_gauge(basis: np.ndarray, cols: np.ndarray, groups, gauge: np.ndarray) -> bool:
+    """Whether every stored off-diagonal entry of the real sector with rows
+    ``basis``, column table ``cols`` and flips ``groups`` is nonzero and has
+    g_r g_c H[r, c] < 0, by sign bits alone."""
     negative = np.signbit(gauge)
-    for j in range(m):  # one flip at a time keeps the temporaries small
-        entries = data[:, j]
+    for j, (flip, terms) in enumerate(groups):  # one flip at a time keeps the temporaries small
+        entries = _flip_entries(basis, flip, terms, False)
         if not (entries.all() and np.all(np.signbit(entries) ^ negative ^ negative[cols[:, j]])):
             return False
     return True

@@ -68,11 +68,11 @@ class TestCouplings:
 
     @pytest.mark.parametrize("flags", [["--j", "nan", "--u", "1"], ["--j", "0.1", "--u", "inf"]])
     def test_non_finite_parameters(self, tmp_path, flags, capsys):
-        code, out = run(tmp_path, "couplings", *flags)
-        assert code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, "couplings", *flags)
+        assert excinfo.value.code == 64
         assert "finite" in capsys.readouterr().err
-        # a failed run keeps its config echo and writes no data and no manifest
-        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+        assert not (tmp_path / "run").exists()
 
 
 class TestValidate:
@@ -107,9 +107,11 @@ class TestSpectrum:
         assert "min gap 2" in capsys.readouterr().out
 
     def test_non_finite_field_is_an_error(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "spectrum", "--n", "6", "--b", "nan")
-        assert code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, "spectrum", "--n", "6", "--b", "nan")
+        assert excinfo.value.code == 64
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_iterative_gap_matches_spectral_gap(self, tmp_path):
         # --max-levels counts on the iterative path too; the gap does not depend on it
@@ -329,6 +331,28 @@ class TestUsage:
         assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["locent", "--b", "nan"],
+    ["corr", "--b", "inf"],
+    ["corr", "--b=-inf", "--channel", "analytic"],
+    ["spectrum", "--b", "nan"],
+    *(["spectrum", "--model", "triangle", flag, "inf"]
+      for flag in ("--bx", "--by", "--lambda1", "--lambda2", "--lambda3", "--lambda4")),
+    ["validate", "--j", "nan", "--u", "1"],
+    ["validate", "--j", "0.1", "--u=-inf"],
+    ["couplings", "--j", "inf", "--u", "1"],
+    *(["couplings", "--j", "0.1", "--u", "1", flag, "nan"]
+      for flag in ("--ja", "--jb", "--uaa", "--ubb", "--uab")),
+], ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_non_finite_floats_are_a_usage_error(tmp_path, capsys, argv):
+    # every float option is parsed as finite, before the run directory is made
+    with pytest.raises(SystemExit) as excinfo:
+        run(tmp_path, *argv)
+    assert excinfo.value.code == 64
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("ignoring,reading,flags,at_default", [
     (["corr", "--b", "0.5", "--channel", "analytic"], ["corr", "--b", "0.5"],
      ["--n", "10"], ["--n", "12"]),
@@ -400,9 +424,11 @@ class TestCorr:
         assert rows == [f"0.5,{L},z,z,{v:.12g}" for L, v in zip(range(2, 41), values)]
 
     def test_analytic_channel_non_finite_field(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "corr", "--b", "inf", "--channel", "analytic")
-        assert code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, "corr", "--b", "inf", "--channel", "analytic")
+        assert excinfo.value.code == 64
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_analytic_channel_zz_only(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -510,10 +510,12 @@ class TestMomentumBlocks:
             d = spin_core._translation_step(spec)
             for sector, orbits in zip(op.sectors, spin_core._orbits(*op.offdiag_key, d)):
                 diag = np.diag(sector.diag[orbits.reps])
+                off = sector.offdiag
+                stored = [a.reshape(sector.basis.size, -1)[orbits.reps] for a in (off.indices, off.data)]
                 for q in range(orbits.period):
                     keep = np.flatnonzero(q * orbits.length % orbits.period == 0)
                     if keep.size:
-                        block = spin_core._fold(sector.offdiag, orbits, q).toarray() + diag
+                        block = spin_core._fold(*stored, orbits, q).toarray() + diag
                         levels.append(spin_core._solve_block(block[np.ix_(keep, keep)]))
             assert np.array_equal(ts.dense_spectrum(spec), np.sort(np.concatenate(levels)))
 
@@ -1011,7 +1013,9 @@ class TestPerronFrobenius:
                     # this gauge gives every nonzero entry the right sign, and
                     # opposite signs across every zero entry
                     gauge = (-1.0) ** (np.bitwise_count(sector.basis) // 2)
-                    assert not spin_core._is_gauge(off, gauge)
+                    _, groups, _ = op.offdiag_key
+                    cols = spin_core._off_diagonal(*op.offdiag_key)[1]
+                    assert not spin_core._is_gauge(sector.basis, cols, groups, gauge)
                     nonzero = off.data != 0.0
                     rows = np.repeat(np.arange(sector.basis.size), off.indptr[1])
                     signs = gauge[rows] * gauge[off.indices] * off.data
@@ -1078,3 +1082,163 @@ class TestSharedOffDiagonal:
         for (n, b), found in energies.items():
             oracle = min(vals[0] for vals, _ in dense_sector_levels(n, b))
             assert np.max(np.abs(np.array(found) - oracle)) < 1e-10
+
+
+def masked_chain(case):
+    """A chain for each set of conserved masks, real and complex, ring and
+    open; ``diagonal`` has no off-diagonal term at all (m = 0)."""
+    p = ts.PauliString
+    fields = lambda n: [p(0.3 + 0.1 * i, ((i, "Z"),)) for i in range(n)]  # noqa: E731
+    if case == "both-ring":
+        return ts.cluster_hamiltonian(8, 0.5)
+    if case == "both-open-complex":  # flips {i, i+2}, one Y each
+        return ts.SpinChainSpec(7, [p(0.7, ((i, "X"), (i + 1, "Z"), (i + 2, "Y"))) for i in range(5)]
+                                + fields(7))
+    if case == "even-open":  # single flips on odd sites only
+        return ts.SpinChainSpec(7, [p(0.4, ((i, "X"),)) for i in (1, 3, 5)]
+                                + [p(-0.6, ((i, "X"), (i + 2, "X"))) for i in (0, 2, 4)] + fields(7))
+    if case == "odd-ring-complex":  # single flips on even sites only
+        return ts.SpinChainSpec(8, [p(0.4, ((i, "X"),)) for i in (0, 2, 4, 6)]
+                                + [p(-0.6, ((i, "Y"), ((i + 2) % 8, "X"))) for i in (1, 3, 5, 7)] + fields(8))
+    if case == "all-ring":
+        return ts.cluster_hamiltonian(9, 0.5)
+    if case == "all-open-cancelling":  # flips {i, i+1}, XX + YY: explicit zeros
+        return cancelling_hop_chain(7)
+    if case == "all-open-complex":  # flips {i, i+1}
+        return ts.SpinChainSpec(6, [p(0.5 - 0.1 * i, ((i, "X"), (i + 1, "Y"))) for i in range(5)] + fields(6))
+    if case == "none-ring-complex":
+        coup = ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0)
+        return ts.triangle_chain_hamiltonian(coup, (0.1, 0.2, 0.4), 7)
+    if case == "none-ring":
+        spec = ts.cluster_hamiltonian(8, 0.5)
+        return ts.SpinChainSpec(8, spec.terms + [p(0.2, ((i, "X"),)) for i in range(8)])
+    assert case == "diagonal"
+    return zz_ring(8)
+
+
+def eager_offdiag(n, sector, groups, is_complex):
+    """The sector's off-diagonal CSR ``(indices, data)`` built on its own
+    position table, flip by flip and term by term."""
+    basis = sector.basis
+    position = np.full(1 << n, -1, dtype=np.int32)
+    position[basis] = np.arange(basis.size)
+    data = np.zeros((len(groups), basis.size), dtype=np.complex128 if is_complex else np.float64)
+    indices = np.empty((basis.size, len(groups)), dtype=np.int32)
+    for j, (flip, terms) in enumerate(groups):
+        cols = basis ^ flip
+        indices[:, j] = position[cols]
+        for zy, pref in terms:
+            sign = 1.0 - 2.0 * (np.bitwise_count(cols & zy) & 1) if zy else 1.0
+            data[j] += (pref if is_complex else pref.real) * sign
+    return indices.ravel(), data.T.ravel()
+
+
+class TestColumnTable:
+    """One column table per ring serves every Z-parity sector."""
+
+    @pytest.mark.parametrize("case, masks, kind", [
+        ("both-ring", ("even", "odd"), "f"),
+        ("both-open-complex", ("even", "odd"), "c"),
+        ("even-open", ("even",), "f"),
+        ("odd-ring-complex", ("odd",), "c"),
+        ("all-ring", ("all",), "f"),
+        ("all-open-cancelling", ("all",), "f"),
+        ("all-open-complex", ("all",), "c"),
+        ("none-ring-complex", (), "c"),
+        ("none-ring", (), "f"),
+        ("diagonal", ("even", "odd"), "f"),
+    ])
+    def test_every_sector_reads_the_shared_table(self, case, masks, kind):
+        spec = masked_chain(case)
+        n = spec.n_sites
+        op = spec.operator()
+        _, groups, is_complex = op.offdiag_key
+        named = {"even": sum(1 << i for i in range(0, n, 2)), "odd": sum(1 << i for i in range(1, n, 2)),
+                 "all": (1 << n) - 1}
+        assert op.masks == tuple(named[name] for name in masks)
+        assert (len(groups) == 0) == (case == "diagonal")
+        _, cols, _ = spin_core._off_diagonal(*op.offdiag_key)
+        assert cols.shape == (op.sectors[0].basis.size, len(groups)) and not cols.flags.writeable
+        assert np.array_equal(np.sort(np.concatenate([s.basis for s in op.sectors])), np.arange(1 << n))
+        for s, sector in enumerate(op.sectors):
+            basis = sector.basis
+            assert np.all(np.diff(basis) > 0)
+            for j, mask in enumerate(op.masks):
+                assert np.all(np.bitwise_count(basis & mask) % 2 == (s >> j) & 1)
+            position = np.full(1 << n, -1)
+            position[basis] = np.arange(basis.size)
+            for j, (flip, _) in enumerate(groups):
+                assert np.array_equal(position[basis ^ flip], cols[:, j])
+            assert sector.dtype.kind == kind
+            off = sector.offdiag
+            indices, data = eager_offdiag(n, sector, groups, is_complex)
+            assert off.indices.dtype == indices.dtype and np.array_equal(off.indices, indices)
+            assert off.data.dtype == data.dtype and off.data.tobytes() == data.tobytes()
+            assert np.array_equal(off.indptr, np.arange(basis.size + 1) * len(groups))
+            # the table itself, and one indptr for every sector
+            assert np.shares_memory(off.indices, cols) or not groups
+            assert np.shares_memory(off.indptr, op.sectors[0].offdiag.indptr)
+            assert not (off.data.flags.writeable or off.indices.flags.writeable or off.indptr.flags.writeable)
+        assert np.max(np.abs(ts.dense_matrix(spec) - kron_oracle(spec))) < 1e-12
+
+
+class TestLazyValues:
+    """A sector's off-diagonal values are built only when its H is applied,
+    and at most once per ring."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_rings(self):
+        caches = (spin_core._off_diagonal, spin_core._orbits, spin_core._symmetric_blocks)
+        for cache in caches:
+            cache.cache_clear()
+        yield
+        for cache in caches:
+            cache.cache_clear()
+
+    @staticmethod
+    def builds(spec):
+        """How many times each sector's values have been built."""
+        return [sector._offdiag.cache_info().misses for sector in spec.operator().sectors]
+
+    def test_gauged_ground_state_builds_the_ground_sector_alone(self):
+        spec = ts.cluster_hamiltonian(13, 1.5)
+        assert self.builds(spec) == [0, 0]
+        _, psi = ts.ground_state(spec)
+        ground = [int(np.any(psi.amplitudes[sector.basis])) for sector in spec.operator().sectors]
+        assert sorted(ground) == [0, 1]
+        assert self.builds(spec) == ground
+
+    def test_zero_field_ground_state_builds_both(self):
+        # the sector without a gauge ties: it is solved in full
+        spec = ts.cluster_hamiltonian(13, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ts.DegenerateGroundStateWarning)
+            ts.ground_state(spec)
+        assert self.builds(spec) == [1, 1]
+
+    @pytest.mark.parametrize("solve", [
+        ts.spectral_gap,
+        ts.dense_spectrum,
+        lambda spec: ts.apply(spec, random_state(spec.n_sites, 3)),
+    ], ids=["spectral_gap", "dense_spectrum", "apply"])
+    def test_solvers_of_every_sector_build_every_sector(self, solve):
+        spec = ts.cluster_hamiltonian(10, 0.5)
+        solve(spec)
+        assert self.builds(spec) == [1, 1, 1, 1]
+
+    def test_symmetric_blocks_and_dtypes_build_none(self):
+        spec = ts.cluster_hamiltonian(13, 1.5)
+        op = spec.operator()
+        blocks = spin_core._symmetric_blocks(*op.offdiag_key, spin_core._translation_step(spec))
+        assert any(block.gauge is not None for block in blocks)
+        assert [sector.dtype.kind for sector in op.sectors] == ["f", "f"]
+        assert self.builds(spec) == [0, 0]
+
+    def test_a_field_sweep_builds_each_sector_once(self):
+        specs = [ts.cluster_hamiltonian(13, b) for b in (1.5, 0.0, 0.5, 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ts.DegenerateGroundStateWarning)
+            for spec in specs:
+                ts.ground_state(spec)
+                ts.spectral_gap(spec)
+        assert self.builds(specs[0]) == [1, 1]
