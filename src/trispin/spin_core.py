@@ -16,7 +16,8 @@ Conventions shared by every module in this package:
   further into every lattice-momentum block, and :func:`ground_state`
   takes one such block of a related matrix (below), both by one fold
   (``_fold``) over one orbit table per ring (``_orbits``).  Each sector is
-  a real diagonal plus an off-diagonal CSR block.  The off-diagonal part
+  a real diagonal plus an off-diagonal :class:`FixedWidthBlock`, m entries
+  per row for m off-diagonal flip masks.  The off-diagonal part
   depends only on n and the off-diagonal terms, so consecutive specs that
   differ only in their Z fields (a field sweep) share it: one column table
   per ring, the same for every sector because each sector's basis is the
@@ -40,15 +41,21 @@ Conventions shared by every module in this package:
   second level is the tie check.
 * Dense eigensolves are numpy's LAPACK: ``_lowest_ritz`` on each Lanczos
   tridiagonal, and :func:`dense_spectrum`, the independent oracle, on every
-  lattice-momentum block.  Of scipy only ``scipy.sparse`` is loaded, for its
-  CSR product kernel.
+  lattice-momentum block.  Of scipy only one compiled extension file is
+  loaded, ``scipy/sparse/_sparsetools``, for the two CSR kernels behind
+  scipy's sparse product and dense fill (``_load_sparsetools``); no scipy
+  subpackage is imported, but scipy stays a runtime dependency for that
+  file.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import importlib.machinery
+import importlib.util
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from itertools import islice
@@ -56,8 +63,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse._sparsetools import csr_matvec
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .bose_hubbard import EffectiveCouplings
@@ -106,6 +111,93 @@ class ConvergenceError(RuntimeError):
 
 class DegenerateGroundStateWarning(UserWarning):
     """The ground level is degenerate within :data:`DEGENERACY_TOL`."""
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, ``scipy/sparse/_sparsetools``, loaded
+    from that extension file alone under the private name
+    ``trispin._sparsetools``, so that ``scipy/sparse/__init__.py`` never runs.
+    Loaded as ``scipy.sparse._sparsetools`` it would take that name in
+    ``sys.modules``, and a later ``import scipy.sparse`` would then lack it
+    as an attribute.
+    Raises ImportError when scipy or the file is missing."""
+    name = "trispin._sparsetools"
+    scipy_spec = importlib.util.find_spec("scipy")
+    locations = (scipy_spec.submodule_search_locations or []) if scipy_spec else []
+    for location in locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(location, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+                return module
+    raise ImportError(
+        f"trispin needs scipy's compiled sparse kernels: no scipy/sparse/_sparsetools "
+        f"extension under {list(locations) or 'any installed scipy'}"
+    )
+
+
+_sparsetools = _load_sparsetools()
+
+
+def _row_pointers(rows: int, m: int) -> np.ndarray:
+    """CSR row pointers of ``rows`` rows of m entries each, int32 as the
+    column tables unless the entry count needs int64."""
+    return np.arange(rows + 1, dtype=np.int32 if rows * m < 2**31 else np.int64) * m
+
+
+@dataclass(frozen=True)
+class FixedWidthBlock:
+    """A square block with exactly m stored entries in every row: the form
+    of every off-diagonal block here, one entry per flip mask.
+
+    ``cols`` is the (rows, m) int32 column table and ``values`` the (rows,
+    m) entries, row r's entry j at column ``cols[r, j]``; a column may repeat
+    within a row, and its entries then add.  ``indptr``, m times 0..rows, is
+    the pair's CSR row pointer array, so that scipy's compiled CSR kernels
+    read the tables as they stand; blocks of one shape may share it.  Each
+    array is made C-contiguous and read-only: one ring's blocks serve every
+    spec with its terms, and an in-place edit would move every later
+    product's bits.
+    """
+
+    cols: np.ndarray
+    values: np.ndarray
+    indptr: np.ndarray
+
+    def __post_init__(self):
+        for name in ("cols", "values", "indptr"):
+            array = np.ascontiguousarray(getattr(self, name))
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        rows = self.cols.shape[0]
+        if (self.values.shape != self.cols.shape or self.indptr.shape != (rows + 1,)
+                or self.indptr[-1] != self.cols.size):
+            raise ValueError(f"block tables of shapes {self.cols.shape}, {self.values.shape} "
+                             f"and {self.indptr.shape} do not match")
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
+
+    def matvec_add(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out += A x in place, each row summed onto out's entry in stored
+        order: the kernel of scipy's CSR product with a vector, which reads
+        and writes rows entries of each without bounds checks."""
+        rows = self.cols.shape[0]
+        if x.shape != (rows,) or out.shape != (rows,):
+            raise ValueError(f"vectors of shapes {x.shape} and {out.shape} on a block of {rows} rows")
+        _sparsetools.csr_matvec(rows, rows, self.indptr, self.cols, self.values, x, out)
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """A as a dense C-ordered array, repeated columns summed: the kernel
+        of scipy's CSR ``toarray``."""
+        rows = self.cols.shape[0]
+        out = np.zeros((rows, rows), dtype=self.dtype)
+        _sparsetools.csr_todense(rows, rows, self.indptr, self.cols, self.values, out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -247,9 +339,9 @@ class Sector:
 
     ``basis`` holds the sector's basis-state indices in ascending order.  H
     restricted to them, rows and columns in ``basis`` order, is
-    ``diag(diag) + offdiag``: ``diag`` is real, and ``offdiag``, of dtype
-    ``dtype``, holds every off-diagonal entry, one per row and off-diagonal
-    flip mask, in ascending flip order.
+    ``diag(diag) + offdiag``: ``diag`` is real, and ``offdiag``, a
+    :class:`FixedWidthBlock` of dtype ``dtype``, holds every off-diagonal
+    entry, one per row and off-diagonal flip mask, in ascending flip order.
 
     ``basis`` and ``offdiag`` depend only on n and the off-diagonal terms,
     and consecutive specs with those terms share them (``_off_diagonal``).
@@ -263,17 +355,17 @@ class Sector:
     basis: np.ndarray
     diag: np.ndarray
     dtype: np.dtype
-    _offdiag: Callable[[], csr_matrix] = field(repr=False, compare=False)
+    _offdiag: Callable[[], FixedWidthBlock] = field(repr=False, compare=False)
 
     @property
-    def offdiag(self) -> csr_matrix:
+    def offdiag(self) -> FixedWidthBlock:
         return self._offdiag()
 
 
 @dataclass(frozen=True)
 class BlockedOperator:
-    """H as a diagonal plus an off-diagonal CSR block per sector of the
-    conserved Z-parity masks.
+    """H as a diagonal plus an off-diagonal :class:`FixedWidthBlock` per
+    sector of the conserved Z-parity masks.
 
     A mask M is conserved when every term flips an even number of the sites
     in M, so prod_{i in M} Z_i commutes with H.  ``sectors`` is ordered by
@@ -389,9 +481,7 @@ def _off_diagonal(n: int, groups: tuple, is_complex: bool):
     cols = np.empty((dim, m), dtype=np.int32)
     for j, flip in enumerate(flips):
         cols[:, j] = position[first ^ flip]
-    # every row has exactly one entry per flip; int32 as cols, so that no
-    # sector's CSR copies either
-    indptr = np.arange(dim + 1, dtype=np.int32 if dim * m < 2**31 else np.int64) * m
+    indptr = _row_pointers(dim, m)
     cols.flags.writeable = indptr.flags.writeable = False
 
     blocks = []
@@ -405,25 +495,18 @@ def _off_diagonal(n: int, groups: tuple, is_complex: bool):
     return tuple(mask for _, mask in named), cols, tuple(blocks)
 
 
-def _offdiag_block(basis, cols, indptr, groups, is_complex: bool) -> csr_matrix:
+def _offdiag_block(basis, cols, indptr, groups, is_complex: bool) -> FixedWidthBlock:
     """One sector's off-diagonal block: the ring's shared ``cols`` and
-    ``indptr``, and the sector's values from ``_entries``.  Every array is
-    read-only, and an entry whose terms cancel is stored as an explicit
-    zero."""
-    dim = basis.size
+    ``indptr``, and the sector's values from ``_entries``.  An entry whose
+    terms cancel is stored as an explicit zero."""
     data = _entries(basis, groups, is_complex)  # one row per flip
-    # CSR wants data row by row, so it is copied transposed.  Freeing the
-    # (m, dim) array raises glibc's dynamic mmap threshold to its size; the
-    # first such free now comes when the first sector's values are built,
-    # which every ground state does for its residual check.  Without it the
-    # 2^n-sized temporaries of later calls (expectation, branch_average)
-    # were fresh mappings, faulted in on every call.
-    offdiag = csr_matrix((data.T.ravel(), cols.ravel(), indptr), shape=(dim, dim))
-    # shared by every spec with these terms: an in-place edit (scipy's
-    # sort_indices, say) would move every later product's bits
-    for array in (offdiag.data, offdiag.indices, offdiag.indptr):
-        array.flags.writeable = False
-    return offdiag
+    # the block wants the values row by row, so they are copied transposed.
+    # Freeing the (m, dim) array raises glibc's dynamic mmap threshold to its
+    # size; the first such free now comes when the first sector's values are
+    # built, which every ground state does for its residual check.  Without
+    # it the 2^n-sized temporaries of later calls (expectation,
+    # branch_average) were fresh mappings, faulted in on every call.
+    return FixedWidthBlock(cols, data.T.copy(), indptr)
 
 
 def _flip_entries(rows: np.ndarray, flip: int, terms, is_complex: bool) -> np.ndarray:
@@ -533,13 +616,11 @@ def apply(spec: SpinChainSpec, state: StateVector) -> StateVector:
 
 def _sector_matvec(sector: Sector, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out <- H x on one sector, without allocating: out = diag x first, then
-    scipy's private CSR kernel, the routine behind ``csr_matrix @ x``, adds
-    the off-diagonal part in place.  Each row is summed in the order of one
-    CSR product over the whole sector block with the diagonal first."""
+    the off-diagonal block adds its part in place (``matvec_add``).  Each row
+    is summed in the order of one CSR product over the whole sector block
+    with the diagonal first."""
     np.multiply(sector.diag, x, out=out)
-    off = sector.offdiag
-    csr_matvec(x.size, x.size, off.indptr, off.indices, off.data, x, out)
-    return out
+    return sector.offdiag.matvec_add(x, out)
 
 
 def _check_dense_cap(n: int) -> None:
@@ -761,7 +842,7 @@ def _orbits(n: int, groups: tuple, is_complex: bool, d: int) -> tuple[Orbits, ..
     return tuple(out)
 
 
-def _fold(cols: np.ndarray, data: np.ndarray, orbits: Orbits, q: int) -> csr_matrix:
+def _fold(cols: np.ndarray, data: np.ndarray, orbits: Orbits, q: int) -> FixedWidthBlock:
     """The off-diagonal part of the momentum-q block Q_q^H H Q_q from the
     (reps, m) columns ``cols`` and entries ``data`` of a sector's stored
     off-diagonal entries in the rows of ``orbits.reps``; with ``data`` their
@@ -774,17 +855,13 @@ def _fold(cols: np.ndarray, data: np.ndarray, orbits: Orbits, q: int) -> csr_mat
     repeat (``toarray`` sums them).  Rows and columns of the other orbits are
     not entries of the block.  A real ``data`` at q = 0 or M/2 folds real.
     """
-    rows, m = cols.shape
     period = orbits.period
     column = orbits.orbit[cols]
     data = np.sqrt(orbits.length[:, None] / orbits.length[column]) * data
     if q:
         phase = np.exp(2j * np.pi * (q * np.arange(period) % period) / period)[orbits.back[cols]]
         data = data * (phase.real if data.dtype.kind == "f" and 2 * q == period else phase)
-    return csr_matrix(
-        (data.ravel(), column.ravel(), np.arange(rows + 1) * m),
-        shape=(rows, rows),
-    )
+    return FixedWidthBlock(column, data, _row_pointers(*cols.shape))
 
 
 def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
@@ -803,13 +880,13 @@ def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
     """
     _check_dense_cap(spec.n_sites)
     op = spec.operator()
-    table = _off_diagonal(*op.offdiag_key)[1]
     levels = []
     for sector, orbits in zip(op.sectors, _orbits(*op.offdiag_key, _translation_step(spec))):
         reps = orbits.reps
         diag = np.diag(sector.diag[reps])
         # the stored entries, the very blocks the iterative solvers apply
-        cols, data = table[reps], sector.offdiag.data.reshape(table.shape)[reps]
+        off = sector.offdiag
+        cols, data = off.cols[reps], off.values[reps]
         period = orbits.period
         real = sector.dtype.kind == "f"
         for q in range(period // 2 + 1 if real else period):
@@ -909,7 +986,7 @@ class SymmetricBlock:
     """
 
     orbits: Orbits
-    offdiag: csr_matrix
+    offdiag: FixedWidthBlock
     gauge: np.ndarray | None
 
     def at(self, sector: Sector) -> Sector:
@@ -943,11 +1020,9 @@ def _symmetric_blocks(n: int, groups: tuple, is_complex: bool, d: int) -> tuple[
         stoquastic = -np.abs(_entries(basis[reps], groups, is_complex).T)
         folded = _fold(cols[reps], stoquastic, orbits, 0)
         gauge = _sign_gauge(basis, cols, groups, spanning) if connected else None
-        block = SymmetricBlock(orbits, folded, gauge)
-        for array in (block.gauge, folded.data, folded.indices, folded.indptr):
-            if array is not None:
-                array.flags.writeable = False
-        out.append(block)
+        if gauge is not None:
+            gauge.flags.writeable = False
+        out.append(SymmetricBlock(orbits, folded, gauge))
     return tuple(out)
 
 

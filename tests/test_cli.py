@@ -160,8 +160,9 @@ class TestSpectrum:
         assert payload["gap"] == pytest.approx(oracle[1] - oracle[0], abs=1e-10)
 
 
-def test_library_loads_no_scipy_linalg(tmp_path):
-    # in a fresh interpreter: these tests import scipy.linalg as an oracle
+def test_library_loads_no_scipy_subpackage(tmp_path):
+    # in a fresh interpreter: these tests import scipy.sparse and scipy.linalg
+    # as oracles; the library loads one extension file of scipy's alone
     script = f"""
 import sys
 import trispin as ts
@@ -170,9 +171,13 @@ spec = ts.cluster_hamiltonian(9, 0.5)
 ts.ground_state(spec)
 ts.spectral_gap(spec)
 ts.dense_spectrum(spec)
+ts.apply(spec, ts.StateVector.basis_state(9, 5))
+ts.dense_matrix(spec)
+out = {str(tmp_path)!r}
 for n in ("9", "14"):  # the dense path, then Lanczos levels
-    assert cli.main(["spectrum", "--n", n, "--max-levels", "8", "--out", {str(tmp_path)!r} + "/" + n]) == 0
-loaded = sorted(name for name in sys.modules if name.startswith("scipy.linalg"))
+    assert cli.main(["spectrum", "--n", n, "--max-levels", "8", "--out", out + "/" + n]) == 0
+assert cli.main(["figure2", "--n", "12", "--no-anneal", "--b-grid", "0.5:0.5:1", "--out", out + "/figure2"]) == 0
+loaded = sorted(name for name in sys.modules if name == "scipy.sparse" or name.startswith("scipy.linalg"))
 assert not loaded, loaded
 """
     src = str(Path(ts.__file__).resolve().parents[1])

@@ -1,5 +1,12 @@
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +37,12 @@ def kron_sparse(spec):
             prod = kron(prod, PAULI_MATRICES[ops.get(site, "I")], format="csr")
         h = h + term.coeff * prod
     return h
+
+
+def as_csr(block):
+    """A FixedWidthBlock as a scipy CSR matrix on the block's own arrays."""
+    rows = block.cols.shape[0]
+    return csr_matrix((block.values.ravel(), block.cols.ravel(), block.indptr), shape=(rows, rows))
 
 
 def kron_oracle(spec):
@@ -511,7 +524,7 @@ class TestMomentumBlocks:
             for sector, orbits in zip(op.sectors, spin_core._orbits(*op.offdiag_key, d)):
                 diag = np.diag(sector.diag[orbits.reps])
                 off = sector.offdiag
-                stored = [a.reshape(sector.basis.size, -1)[orbits.reps] for a in (off.indices, off.data)]
+                stored = [off.cols[orbits.reps], off.values[orbits.reps]]
                 for q in range(orbits.period):
                     keep = np.flatnonzero(q * orbits.length % orbits.period == 0)
                     if keep.size:
@@ -577,8 +590,8 @@ class TestResidualCheck:
 
 def sector_matrix(sector):
     """The sector's whole block H, its diagonal plus its off-diagonal part,
-    as a sparse matrix."""
-    return sector.offdiag + diags(sector.diag)
+    as a scipy sparse matrix."""
+    return as_csr(sector.offdiag) + diags(sector.diag)
 
 
 @functools.cache
@@ -1006,9 +1019,9 @@ class TestPerronFrobenius:
                 assert block.gauge is None
                 assert block.orbits.reps.size == orbit_count(spec, sector)
                 if case == "zz":
-                    assert block.offdiag.nnz == 0
+                    assert as_csr(block.offdiag).nnz == 0
                 if case == "cancelling":  # real and connected: refused for its zeros alone
-                    off = sector.offdiag
+                    off = as_csr(sector.offdiag)
                     assert off.dtype.kind == "f" and np.any(off.data == 0.0)
                     # this gauge gives every nonzero entry the right sign, and
                     # opposite signs across every zero entry
@@ -1117,8 +1130,8 @@ def masked_chain(case):
 
 
 def eager_offdiag(n, sector, groups, is_complex):
-    """The sector's off-diagonal CSR ``(indices, data)`` built on its own
-    position table, flip by flip and term by term."""
+    """The sector's off-diagonal ``(columns, values)``, each flattened row by
+    row, built on its own position table, flip by flip and term by term."""
     basis = sector.basis
     position = np.full(1 << n, -1, dtype=np.int32)
     position[basis] = np.arange(basis.size)
@@ -1172,13 +1185,13 @@ class TestColumnTable:
             assert sector.dtype.kind == kind
             off = sector.offdiag
             indices, data = eager_offdiag(n, sector, groups, is_complex)
-            assert off.indices.dtype == indices.dtype and np.array_equal(off.indices, indices)
-            assert off.data.dtype == data.dtype and off.data.tobytes() == data.tobytes()
+            assert off.cols.dtype == indices.dtype and np.array_equal(off.cols.ravel(), indices)
+            assert off.values.dtype == data.dtype and off.values.tobytes() == data.tobytes()
             assert np.array_equal(off.indptr, np.arange(basis.size + 1) * len(groups))
             # the table itself, and one indptr for every sector
-            assert np.shares_memory(off.indices, cols) or not groups
+            assert np.shares_memory(off.cols, cols) or not groups
             assert np.shares_memory(off.indptr, op.sectors[0].offdiag.indptr)
-            assert not (off.data.flags.writeable or off.indices.flags.writeable or off.indptr.flags.writeable)
+            assert not (off.values.flags.writeable or off.cols.flags.writeable or off.indptr.flags.writeable)
         assert np.max(np.abs(ts.dense_matrix(spec) - kron_oracle(spec))) < 1e-12
 
 
@@ -1242,3 +1255,144 @@ class TestLazyValues:
                 ts.ground_state(spec)
                 ts.spectral_gap(spec)
         assert self.builds(specs[0]) == [1, 1]
+
+
+def run_fresh(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    trispin; returns its stdout, and fails the test on a nonzero exit."""
+    src = str(Path(ts.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+KERNEL_ORACLE = """
+import sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.sparse
+import trispin as ts
+from trispin import spin_core
+from scipy.sparse import csr_matrix
+
+
+def as_csr(block):
+    rows = block.cols.shape[0]
+    return csr_matrix((block.values.ravel(), block.cols.ravel(), block.indptr), shape=(rows, rows))
+
+
+def same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def check_block(block, rng):
+    rows = block.cols.shape[0]
+    csr = as_csr(block)
+    assert same(block.toarray(), csr.toarray())
+    x = rng.standard_normal(rows).astype(block.dtype)
+    if block.dtype.kind == "c":
+        x += 1j * rng.standard_normal(rows)
+    assert same(block.matvec_add(x, np.zeros(rows, dtype=block.dtype)), csr @ x)
+
+
+rng = np.random.default_rng(5)
+coup = ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0)
+specs = [ts.cluster_hamiltonian(12, 0.5), ts.cluster_hamiltonian(13, -1.5),
+         ts.triangle_chain_hamiltonian(coup, (0.1, 0.2, 0.4), 9)]
+kinds, folds = set(), set()
+for spec in specs:
+    op = spec.operator()
+    d = spin_core._translation_step(spec)
+    for sector, orbits in zip(op.sectors, spin_core._orbits(*op.offdiag_key, d)):
+        off = sector.offdiag
+        kinds.add(off.dtype.kind)
+        check_block(off, rng)
+        # the whole sector H as one CSR matrix, each row's diagonal first
+        rows, m = off.cols.shape
+        whole = csr_matrix((np.column_stack([sector.diag, off.values]).ravel(),
+                            np.column_stack([np.arange(rows, dtype=np.int32), off.cols]).ravel(),
+                            np.arange(rows + 1) * (m + 1)), shape=(rows, rows))
+        x = rng.standard_normal(rows).astype(sector.dtype)
+        out = spin_core._sector_matvec(sector, x, np.empty_like(x))
+        assert same(out, whole @ x)
+        split = sector.diag * x + as_csr(off) @ x
+        assert np.max(np.abs(out - split)) <= 1e-13 * np.max(np.abs(split))
+        reps = orbits.reps
+        for q in sorted({0, 1, orbits.period // 2}):
+            folded = spin_core._fold(off.cols[reps], off.values[reps], orbits, q)
+            folds.add((q > 0, folded.dtype.kind))
+            check_block(folded, rng)
+    for block in spin_core._symmetric_blocks(*op.offdiag_key, d):
+        check_block(block.offdiag, rng)
+assert kinds == {"f", "c"}, kinds
+assert folds == {(False, "f"), (True, "f"), (True, "c"), (False, "c")}, folds
+import scipy.sparse
+print(scipy.sparse._sparsetools.__name__, spin_core._sparsetools.__name__)
+"""
+
+
+class TestStandaloneKernels:
+    """The block's two kernels, loaded from scipy's extension file alone,
+    are the ones behind scipy's CSR product and dense fill, bit for bit,
+    whether ``scipy.sparse`` is imported before trispin or after."""
+
+    @pytest.mark.parametrize("order", ["before", "after"])
+    def test_blocks_match_scipy_bit_for_bit(self, order):
+        # under its private name the file does not stand in for the
+        # submodule that ``import scipy.sparse`` makes its attribute
+        assert run_fresh(KERNEL_ORACLE, order).split() == ["scipy.sparse._sparsetools", "trispin._sparsetools"]
+
+    def test_missing_extension_file_raises(self, monkeypatch, tmp_path):
+        (tmp_path / "sparse").mkdir()
+        scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy_spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_spec)
+        with pytest.raises(ImportError, match="_sparsetools"):
+            spin_core._load_sparsetools()
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="any installed scipy"):
+            spin_core._load_sparsetools()
+
+    def test_blocks_are_read_only_and_checked(self):
+        off = ts.cluster_hamiltonian(8, 0.5).operator().sectors[0].offdiag
+        for array in (off.cols, off.values, off.indptr):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(ValueError, match="do not match"):
+            spin_core.FixedWidthBlock(off.cols, off.values[:-1], off.indptr)
+        with pytest.raises(ValueError, match="do not match"):
+            spin_core.FixedWidthBlock(off.cols, off.values, off.indptr + 1)
+        x = np.ones(off.cols.shape[0])
+        with pytest.raises(ValueError, match="rows"):
+            off.matvec_add(x[:-1], np.zeros_like(x))
+
+
+WARM_FAULTS = """
+import resource, sys
+import trispin as ts
+n = int(sys.argv[1])
+_, gs = ts.ground_state(ts.cluster_hamiltonian(n, 0.5))
+plan = ts.cluster_scheme_plan(n, (0, n // 2))
+calls = {
+    "branch_average": lambda: ts.branch_average(gs, plan),
+    "expectation": lambda: ts.expectation(gs, ts.PauliString(1.0, ((0, "X"), (1, "Z"), (2, "X")))),
+    "two_point_connected": lambda: ts.two_point_connected(gs, "z", "z", 0, 3),
+}
+for name, call in calls.items():
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        call()
+    print(name, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's dynamic mmap threshold")
+@pytest.mark.parametrize("n", [16, 17])
+def test_warm_calls_make_no_minor_faults(n):
+    # in a fresh process: the 2^n-sized temporaries of these calls come from
+    # the heap, not from fresh mappings faulted in on every call, once
+    # _offdiag_block's transposed copy has raised glibc's mmap threshold
+    faults = dict(line.split() for line in run_fresh(WARM_FAULTS, str(n)).splitlines())
+    assert faults == {name: "0" for name in ("branch_average", "expectation", "two_point_connected")}
