@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import PauliString, StateVector, _sites_last, expectation
+from .spin_core import PauliString, StateVector, _sites_last, _work, expectation
 
 AXIS_OPS = {"x": "X", "y": "Y", "z": "Z"}
 
@@ -69,7 +69,9 @@ def _window_pauli_transform(state: StateVector, sites: list[int]) -> np.ndarray:
     """
     w = len(sites)
     a = _sites_last(state, sites)
-    t = (a.T @ a.conj()).reshape((2,) * (2 * w))
+    # a real copy is its own conjugate; a complex one is conjugated into a work array
+    conj = a if a.dtype.kind == "f" else np.conjugate(a, out=_work(a.size).spare(a.shape, a.dtype, a))
+    t = (a.T @ conj).reshape((2,) * (2 * w))
     # axes: i_k..i_{w-1}, j_k..j_{w-1}, then the Pauli codes of sites[:k]
     for k in range(w):
         t = np.tensordot(t, _PAULIS, axes=([0, w - k], [2, 1]))

@@ -19,7 +19,14 @@ from .free_fermion import (
     correlation_length,
     czz_analytic,
 )
-from .spin_core import ResourceLimitError, StateVector, _sites_last, cluster_hamiltonian, ground_state
+from .spin_core import (
+    ResourceLimitError,
+    StateVector,
+    _sites_last,
+    _work,
+    cluster_hamiltonian,
+    ground_state,
+)
 
 #: Branches with joint probability below this are dropped from the average.
 PROB_CUTOFF = 1e-14
@@ -127,11 +134,21 @@ def _measurement_matrix(theta: float, phi: float) -> np.ndarray:
     return np.array([[ct, e * st], [-st, e * ct]])
 
 
-def _rotate_site(a: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
+def _rotate_site(a: np.ndarray, u: np.ndarray, k: int, *keep: np.ndarray) -> np.ndarray:
     """Apply the 2x2 matrix ``u`` to the middle axis of
-    ``x = a.reshape(2**k, 2, m)``; returns a new array of ``a``'s shape."""
+    ``x = a.reshape(2**k, 2, m)``; returns a work array (``_work``) of
+    ``a``'s shape that is neither ``a`` nor any array of ``keep``.  A real
+    ``a`` meeting a complex ``u`` is first cast into another work array,
+    and then ``a`` itself may be overwritten unless ``keep`` lists it."""
     batch = 1 << k
     m = a.size // (2 * batch)
+    work = _work(a.size)
+    dtype = u.dtype if u.dtype.kind == "c" else a.dtype  # float64 or complex128, as matmul's
+    if a.dtype != dtype:  # cast here, as matmul would, but into a work array
+        cast = work.spare(a.shape, dtype, a, *keep)
+        np.copyto(cast, a)
+        a = cast
+    out = work.spare(a.shape, dtype, a, *keep)
     x = a.reshape(batch, 2, m)
     # Two exact forms, picked by shape; each output entry is the same two
     # products in both, and they agree bit for bit on every tensor tested.
@@ -158,10 +175,10 @@ def _rotate_site(a: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
     # 30-45 us at n=17) and at n=9, k=6; one rule serves both dtypes.
     if m <= 16 and batch >= 8 * m:
         kron = (u.T[:, None, :, None] * np.eye(m)[:, None, :]).reshape(2 * m, 2 * m)
-        out = x.reshape(batch, 2 * m) @ kron
+        np.matmul(x.reshape(batch, 2 * m), kron, out=out.reshape(batch, 2 * m))
     else:
-        out = np.matmul(u, x)
-    return out.reshape(a.shape)
+        np.matmul(u, x, out=out.reshape(batch, 2, m))
+    return out
 
 
 def _plan_bras(plan: MeasurementPlan) -> list[np.ndarray]:
@@ -171,13 +188,15 @@ def _plan_bras(plan: MeasurementPlan) -> list[np.ndarray]:
     return [matrices[plan.angles[site]] for site in sorted(plan.angles)]
 
 
-def _rotate_all(a: np.ndarray, bras: list[np.ndarray]) -> np.ndarray:
+def _rotate_all(a: np.ndarray, bras: list[np.ndarray], *keep: np.ndarray) -> np.ndarray:
     """Pair-last tensor ``a`` (``_best_plan``'s) rotated by ``bras``, one per
-    measured site in ascending site order; identity (Z) bras are skipped, so
-    with no other bra ``a`` itself is returned."""
+    measured site in ascending site order, into work arrays that leave ``a``
+    and every array of ``keep`` as they are; identity (Z) bras are skipped,
+    so with no other bra ``a`` itself is returned."""
+    base = a
     for k, u in enumerate(reversed(bras)):
         if u.tolist() != _IDENTITY:
-            a = _rotate_site(a, u, k)
+            a = _rotate_site(a, u, k, base, *keep)
     return a
 
 
@@ -187,17 +206,19 @@ def _read(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
 
     Returns ``(value, probs, keep, dets)``: the average, each branch's
     probability, the mask of branches above ``PROB_CUTOFF``, and each
-    branch's unnormalized concurrence 2|a00 a11 - a01 a10|.
+    branch's unnormalized concurrence 2|a00 a11 - a01 a10|.  The three
+    arrays are work arrays (``_work``), overwritten by the next read.
     """
+    work = _work(a.size)
     re_im = a.view(np.float64)
-    probs = np.einsum("bi,bi->b", re_im, re_im)
+    probs = np.einsum("bi,bi->b", re_im, re_im, out=work.probs)
     total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-10:  # NaN fails too
         raise AssertionError(f"branch probabilities sum to {total}, not 1")
-    keep = probs > PROB_CUTOFF
-    det = a[:, 0] * a[:, 3]
-    det -= a[:, 1] * a[:, 2]
-    dets = np.abs(det)
+    keep = np.greater(probs, PROB_CUTOFF, out=work.keep)
+    det = np.multiply(a[:, 0], a[:, 3], out=work.det[a.dtype.kind])
+    det -= np.multiply(a[:, 1], a[:, 2], out=work.product[a.dtype.kind])
+    dets = np.abs(det, out=work.dets)
     dets *= 2.0
     if keep.all():
         return float(dets.sum() / total), probs, keep, dets
@@ -216,10 +237,12 @@ def _check_state(state: StateVector) -> None:
 
 def _best_plan(
     state: StateVector, plans: list[MeasurementPlan]
-) -> tuple[MeasurementPlan, list[np.ndarray], np.ndarray, tuple]:
+) -> tuple[MeasurementPlan, list[np.ndarray], np.ndarray, tuple[float, int]]:
     """The best of ``plans``, all on one target pair, on ``state``, the first
-    on ties: ``(plan, bras, tensor, read)``, with ``bras`` its ``_plan_bras``,
-    ``tensor`` the state rotated into them and ``read`` the tensor's ``_read``.
+    on ties: ``(plan, bras, tensor, (value, kept))``, with ``bras`` its
+    ``_plan_bras``, ``tensor`` the state rotated into them, a work array
+    (``_work``), and ``value`` and ``kept`` the tensor's ``_read`` value and
+    count of kept branches.
 
     The state is checked and its ``_sites_last`` copy (pair last, larger site
     first; float64 for a real state, so rotated in real arithmetic until its
@@ -228,17 +251,18 @@ def _best_plan(
     in descending order, so measured site s is the middle axis of
     ``tensor.reshape(2**k, 2, -1)``, k the number of measured sites above s.
     No tensor shares memory with the state; a real one holds the real parts
-    of the complex computation, bit for bit.
+    of the complex computation, bit for bit.  ``branch_average`` takes the
+    same path for its one plan.
     """
     _check_state(state)
     base = _sites_last(state, plans[0].target_pair[::-1])
     best = None
     for plan in plans:
         bras = _plan_bras(plan)
-        a = _rotate_all(base, bras)
-        read = _read(a)
-        if best is None or read[0] > best[3][0]:
-            best = (plan, bras, a, read)
+        a = _rotate_all(base, bras, best[2] if best else base)  # the best tensor so far is kept
+        value, _, keep, _ = _read(a)
+        if best is None or value > best[3][0]:
+            best = (plan, bras, a, (value, int(np.count_nonzero(keep))))
     return best
 
 
@@ -258,7 +282,9 @@ def branch_average(
     n = state.n_sites
     if plan.n_sites != n:
         raise ValueError("plan and state sizes do not match")
-    _, _, a, (value, probs, keep, dets) = _best_plan(state, [plan])
+    _check_state(state)
+    a = _rotate_all(_sites_last(state, plan.target_pair[::-1]), _plan_bras(plan))
+    value, probs, keep, dets = _read(a)
 
     branches = None
     if keep_branches:
@@ -275,7 +301,7 @@ def branch_average(
                     concurrence=float(dets[row] / probs[row]),
                 )
             )
-    return LocEntResult(value, plan, int(keep.sum()), branches)
+    return LocEntResult(value, plan, int(np.count_nonzero(keep)), branches)
 
 
 # --- prescribed schemes ---------------------------------------------------------
@@ -392,8 +418,8 @@ def optimize_plan(
     pair = (int(pair[0]), int(pair[1]))
     measured = sorted(set(range(n)) - set(pair))
     # Restart 0 walks from the best seed; its bras are in ``measured`` order.
-    best_plan, bras, a, (best_val, _, keep, _) = _best_plan(state, scheme_seed_plans(n, pair))
-    best_count = int(keep.sum())  # None once a proposal's plan is the best
+    # best_count is None once a proposal's plan is the best
+    best_plan, bras, a, (best_val, best_count) = _best_plan(state, scheme_seed_plans(n, pair))
     thetas, phis = (list(x) for x in zip(*(best_plan.angles[site] for site in measured)))
     current_val = best_val
 
@@ -405,9 +431,9 @@ def optimize_plan(
         if restart > 0:
             drawn = rng.uniform((0.0, 0.0), (math.pi, 2.0 * math.pi), size=(len(measured), 2))
             thetas, phis = drawn.T.tolist()
-            plan, bras, a, (current_val, _, keep, _) = _best_plan(state, [plan_of(thetas, phis)])
+            plan, bras, a, (current_val, count) = _best_plan(state, [plan_of(thetas, phis)])
             if current_val > best_val:
-                best_plan, best_val, best_count = plan, current_val, int(keep.sum())
+                best_plan, best_val, best_count = plan, current_val, count
         temp = T_START
         for _ in range(cfg.n_temps):
             sigma = SIGMA0 * temp / T_START
@@ -420,7 +446,7 @@ def optimize_plan(
                 phi = (phis[idx] + sigma * rng.standard_normal()) % (2.0 * math.pi)
                 bra = _measurement_matrix(theta, phi)
                 k = len(measured) - 1 - idx  # measured sites above this one
-                cand_a = _rotate_site(a, bra @ bras[idx].conj().T, k)
+                cand_a = _rotate_site(a, bra @ bras[idx].conj().T, k, a)
                 cand_val = _read(cand_a)[0]
                 delta = cand_val - current_val
                 if delta >= 0.0 or rng.random() < math.exp(delta / max(temp, 1e-12)):

@@ -16,14 +16,21 @@ Conventions shared by every module in this package:
   further into every lattice-momentum block, and :func:`ground_state`
   takes one such block of a related matrix (below), both by one fold
   (``_fold``) over one orbit table per ring (``_orbits``).  Each sector is
-  a real diagonal plus an off-diagonal :class:`FixedWidthBlock`, m entries
-  per row for m off-diagonal flip masks.  The off-diagonal part
-  depends only on n and the off-diagonal terms, so consecutive specs that
-  differ only in their Z fields (a field sweep) share it: one column table
-  per ring, the same for every sector because each sector's basis is the
-  first's moved by a fixed bit pattern (``_off_diagonal``), and each
-  sector's values, built the first time its H is applied.  A gauged ground
-  state applies the H of one sector only, in its residual check.
+  a real diagonal plus m off-diagonal entries per row, one per flip mask.
+  In every sector row r's column under flip j is r ^ s_j, with s_j the
+  flip with each conserved mask's lowest bit deleted (``_off_diagonal``).
+  The off-diagonal part depends only on n and the off-diagonal terms, so
+  consecutive specs that differ only in their Z fields (a field sweep)
+  share it.  Only the solvers of whole sectors (``_lanczos_levels``,
+  :func:`apply`, :func:`dense_spectrum`, :func:`dense_matrix`) store it,
+  as a :class:`FixedWidthBlock` per sector built the first time its H is
+  applied, over one column table per ring.  A gauged ground state builds
+  none: its residual check applies the sector's H flip by flip
+  (``_flip_matvec``).
+* The read-outs of a state (``localizable``'s branch averages,
+  :func:`expectation`, ``correlations``' Pauli transforms) work in one set
+  of work arrays per thread, sized for one n at a time (``_work``), so a
+  warm read-out allocates nothing of the state's size.
 * Every sector, whatever its size, has one eigensolver, a three-term
   Lanczos (``_lanczos``), and one stream of levels, ``_lanczos_levels``:
   an energy-only pass for the sector's lowest level, then for each next
@@ -56,6 +63,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from itertools import islice
@@ -267,19 +275,82 @@ class StateVector:
         return StateVector(self.n_sites, self.amplitudes / nrm)
 
 
+class _Work:
+    """One thread's work arrays for the read-outs of states of ``size``
+    amplitudes (``_work``), so that a warm read-out allocates nothing of
+    the state's size.
+
+    ``slots`` are four complex128 arrays of ``size`` entries, and a real
+    tensor is the float64 view of a slot's first half.  ``_sites_last``
+    writes slot 0 and every other user takes a ``spare`` slot.  ``probs``,
+    ``keep``, ``dets`` and, per dtype, ``det`` and ``product`` hold one
+    entry per row of a pair-last tensor, ``size // 4``, for ``_read``;
+    ``index``, ``parity`` and ``states`` serve ``expectation``.  A page
+    counts as resident only once it is written.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.slots = [np.empty(size, dtype=np.complex128) for _ in range(4)]
+        self._views: dict = {}
+        rows = size // 4
+        self.probs, self.dets = np.empty(rows), np.empty(rows)
+        self.keep = np.empty(rows, dtype=bool)
+        det, product = np.empty(rows, dtype=np.complex128), np.empty(rows, dtype=np.complex128)
+        self.det = {"c": det, "f": det.view(np.float64)[:rows]}
+        self.product = {"c": product, "f": product.view(np.float64)[:rows]}
+        self.index = np.empty(size, dtype=np.int64)
+        self.parity = np.empty(size, dtype=np.uint8)
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        return np.arange(self.size, dtype=np.int64)
+
+    def spare(self, shape, dtype, *busy) -> np.ndarray:
+        """A C-contiguous view of ``shape`` and ``dtype`` (complex128 or
+        float64) of the first slot that is the base of none of the arrays
+        ``busy``: every view of a slot has the slot as its base."""
+        taken = {id(array.base) for array in busy}
+        for i, slot in enumerate(self.slots):
+            if id(slot) not in taken:
+                key = (i, shape, dtype)
+                view = self._views.get(key)
+                if view is None:
+                    view = self._views[key] = slot.view(dtype)[:math.prod(shape)].reshape(shape)
+                return view
+        raise RuntimeError("every work slot is busy")
+
+
+_WORK = threading.local()
+
+
+def _work(size: int) -> _Work:
+    """This thread's :class:`_Work` for states of ``size`` amplitudes, made
+    anew when the size changes: one n at a time.  Its arrays hold their
+    values only until the next read-out on this thread, so no public
+    function returns or keeps one."""
+    work = getattr(_WORK, "work", None)
+    if work is None or work.size != size:
+        work = _WORK.work = _Work(size)
+    return work
+
+
 def _sites_last(state: StateVector, sites: Sequence[int]) -> np.ndarray:
     """The state tensor as a C-contiguous ``(2^(n-w), 2^w)`` copy with the
     axes of the w listed ``sites`` last, in the order given (the first site
     most significant), and the other sites' axes before them in descending
     site order.  The copy is float64 when every imaginary part of the state is
-    exactly zero.  The one place that maps sites to tensor axes."""
+    exactly zero, and it is slot 0 of the work arrays (``_work``).  The one
+    place that maps sites to tensor axes."""
     n, w = state.n_sites, len(sites)
     amps = state.amplitudes
     if not amps.imag.any():
         amps = amps.real
     psi = amps.reshape((2,) * n)  # axis k is site n-1-k
     moved = np.moveaxis(psi, [n - 1 - s for s in sites], range(n - w, n))
-    return np.array(moved, order="C").reshape(-1, 1 << w)
+    out = _work(amps.size).slots[0].view(amps.dtype)[:amps.size].reshape(-1, 1 << w)
+    np.copyto(out.reshape(moved.shape), moved)
+    return out
 
 
 @dataclass
@@ -342,19 +413,24 @@ class Sector:
     ``diag(diag) + offdiag``: ``diag`` is real, and ``offdiag``, a
     :class:`FixedWidthBlock` of dtype ``dtype``, holds every off-diagonal
     entry, one per row and off-diagonal flip mask, in ascending flip order.
+    ``flips`` holds ``(s_j, flip_j, terms_j)`` per flip in that order: row
+    r's entry j is at column r ^ s_j and is the sum of ``terms_j``
+    (``_flip_entries``), so the entries can be formed one flip at a time
+    with no table (``_flip_matvec``); it is None on a folded block.
 
-    ``basis`` and ``offdiag`` depend only on n and the off-diagonal terms,
-    and consecutive specs with those terms share them (``_off_diagonal``).
-    Every sector's ``offdiag`` takes its columns from the ring's one column
-    table, and its values are built on the first read of ``offdiag``, by the
-    ring's memoised ``_offdiag``: only a sector whose H is applied builds
-    them, once per ring.  ``dtype`` is known without that build.
+    ``basis``, ``flips`` and ``offdiag`` depend only on n and the
+    off-diagonal terms, and consecutive specs with those terms share them
+    (``_off_diagonal``).  ``offdiag`` is built on its first read, by the
+    ring's memoised ``_offdiag``, over the ring's one column table: only the
+    solvers of whole sectors read it, once per ring.  ``dtype`` is known
+    without that build.
     """
 
     label: str
     basis: np.ndarray
     diag: np.ndarray
     dtype: np.dtype
+    flips: tuple | None = field(repr=False, compare=False)
     _offdiag: Callable[[], FixedWidthBlock] = field(repr=False, compare=False)
 
     @property
@@ -371,10 +447,10 @@ class BlockedOperator:
     in M, so prod_{i in M} Z_i commutes with H.  ``sectors`` is ordered by
     the parities: sector s has parity bit j of s for ``masks[j]``.
     ``offdiag_key`` is ``(n, groups, is_complex)``, the hashable arguments
-    of ``_off_diagonal`` that built the ring's column table.  The sectors
-    share that one table, since each is the first sector moved by a fixed
-    bit pattern, and each builds its values only when its H is first
-    applied: a gauged ground state applies the H of one sector alone.
+    of ``_off_diagonal`` that made the sectors.  In every sector row r's
+    column under flip j is r ^ s_j, so the sectors share one column table,
+    and each builds its block only when a solver of the whole sector first
+    applies its H: a gauged ground state builds none.
     """
 
     masks: tuple[int, ...]
@@ -436,14 +512,15 @@ def _build_operator(spec: SpinChainSpec) -> BlockedOperator:
         is_complex = is_complex or n_y % 2 == 1
     diagonal = groups.pop(0, ())
     key = (spec.n_sites, tuple((flip, tuple(groups[flip])) for flip in sorted(groups)), is_complex)
-    masks, _, blocks = _off_diagonal(*key)
+    masks, steps, blocks = _off_diagonal(*key)
     dtype = np.dtype(np.complex128 if is_complex else np.float64)
+    flips = tuple((step, flip, terms) for step, (flip, terms) in zip(steps, key[1]))
     sectors = []
     for label, basis, offdiag in blocks:
         diag = np.zeros(basis.size)
         for zy, pref in diagonal:
             diag += pref.real * _sign(basis, zy)
-        sectors.append(Sector(label, basis, diag, dtype, offdiag))
+        sectors.append(Sector(label, basis, diag, dtype, flips, offdiag))
     return BlockedOperator(masks, tuple(sectors), key)
 
 
@@ -454,18 +531,21 @@ def _off_diagonal(n: int, groups: tuple, is_complex: bool):
     ``(flip, ((zy, coeff i^{n_Y}), ...))`` in ascending flip order; the
     blocks are complex when some term has an odd number of Y factors.
 
-    Returns ``(masks, cols, blocks)``.  ``cols`` is the ring's read-only
-    (dim, m) int32 column table: row r holds, per flip, the row of
-    basis[r] ^ flip.  It is one table for every sector.  Sector s's basis is
-    the first sector's XOR the lowest bit of each mask whose parity s flips,
-    in the same ascending order, since a mask's lowest bit is fixed by its
-    higher bits; a flip conserves every mask, so it maps the first sector's
-    row r and sector s's row r to the same row of their own sectors.
+    Returns ``(masks, steps, blocks)``.  ``steps`` holds one row step s_j
+    per flip: flip_j with each conserved mask's lowest bit deleted.  In
+    every sector row r's column under flip j is r ^ s_j.  A mask's lowest
+    bit is fixed by its higher bits and the sector's parity, so deleting
+    those bits maps each sector's basis, in ascending order, onto 0..dim-1,
+    and it maps b ^ flip_j to r ^ s_j because it is linear over XOR.
+    Sector s's basis is the first sector's XOR the lowest bit of each mask
+    whose parity s flips.
 
     ``blocks`` holds one ``(label, basis, offdiag)`` per sector, ``basis``
     read-only and ``offdiag`` a memoised thunk of ``_offdiag_block``: a
     sector's values are built on the first call, so a sector whose H is
     never applied never builds them, and a field sweep builds each once.
+    The sectors share one (dim, m) int32 column table, ``cols[r, j] = r ^
+    s_j``, built with the first sector's values.
     """
     flips = [flip for flip, _ in groups]
     named = _conserved_masks(n, flips)
@@ -475,14 +555,13 @@ def _off_diagonal(n: int, groups: tuple, is_complex: bool):
     for _, mask in named:
         parity |= np.bitwise_count(states & mask) & 1
     first = np.flatnonzero(parity == 0)
-    position = np.empty(1 << n, dtype=np.int32)  # set, and read, on the first sector only
-    position[first] = np.arange(first.size, dtype=np.int32)
-    dim, m = first.size, len(flips)
-    cols = np.empty((dim, m), dtype=np.int32)
-    for j, flip in enumerate(flips):
-        cols[:, j] = position[first ^ flip]
-    indptr = _row_pointers(dim, m)
-    cols.flags.writeable = indptr.flags.writeable = False
+    lowest = sorted(mask & -mask for _, mask in named)
+    steps = []
+    for flip in flips:
+        for bit in reversed(lowest):  # the highest first, so the lower ones stay put
+            flip = ((flip >> 1) & ~(bit - 1)) | (flip & (bit - 1))
+        steps.append(flip)
+    table = functools.cache(functools.partial(_column_table, first.size, tuple(steps)))
 
     blocks = []
     for s in range(1 << len(named)):
@@ -490,23 +569,27 @@ def _off_diagonal(n: int, groups: tuple, is_complex: bool):
         basis = first ^ sum(named[j][1] & -named[j][1] for j in moved)
         basis.flags.writeable = False
         label = ",".join(f"{name}{'-' if j in moved else '+'}" for j, (name, _) in enumerate(named))
-        offdiag = functools.partial(_offdiag_block, basis, cols, indptr, groups, is_complex)
+        offdiag = functools.partial(_offdiag_block, basis, table, groups, is_complex)
         blocks.append((label or "all states", basis, functools.cache(offdiag)))
-    return tuple(mask for _, mask in named), cols, tuple(blocks)
+    return tuple(mask for _, mask in named), tuple(steps), tuple(blocks)
 
 
-def _offdiag_block(basis, cols, indptr, groups, is_complex: bool) -> FixedWidthBlock:
-    """One sector's off-diagonal block: the ring's shared ``cols`` and
-    ``indptr``, and the sector's values from ``_entries``.  An entry whose
-    terms cancel is stored as an explicit zero."""
-    data = _entries(basis, groups, is_complex)  # one row per flip
-    # the block wants the values row by row, so they are copied transposed.
-    # Freeing the (m, dim) array raises glibc's dynamic mmap threshold to its
-    # size; the first such free now comes when the first sector's values are
-    # built, which every ground state does for its residual check.  Without
-    # it the 2^n-sized temporaries of later calls (expectation,
-    # branch_average) were fresh mappings, faulted in on every call.
-    return FixedWidthBlock(cols, data.T.copy(), indptr)
+def _column_table(dim: int, steps: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (dim, m) int32 column table ``cols[r, j] = r ^ steps[j]``
+    of every sector of a ring, and its row pointers."""
+    cols = np.arange(dim, dtype=np.int32)[:, None] ^ np.array(steps, dtype=np.int32)
+    indptr = _row_pointers(dim, len(steps))
+    cols.flags.writeable = indptr.flags.writeable = False
+    return cols, indptr
+
+
+def _offdiag_block(basis, table, groups, is_complex: bool) -> FixedWidthBlock:
+    """One sector's off-diagonal block: the ring's shared column table and
+    row pointers from the memoised ``table``, and the sector's values from
+    ``_entries``.  An entry whose terms cancel is stored as an explicit
+    zero."""
+    cols, indptr = table()
+    return FixedWidthBlock(cols, _entries(basis, groups, is_complex), indptr)
 
 
 def _flip_entries(rows: np.ndarray, flip: int, terms, is_complex: bool) -> np.ndarray:
@@ -524,11 +607,11 @@ def _flip_entries(rows: np.ndarray, flip: int, terms, is_complex: bool) -> np.nd
 
 
 def _entries(rows: np.ndarray, groups, is_complex: bool) -> np.ndarray:
-    """The (m, len(rows)) stored entries of ``rows``, row j from the j-th
-    flip of ``groups`` (``_flip_entries``)."""
-    out = np.empty((len(groups), rows.size), dtype=np.complex128 if is_complex else np.float64)
+    """The (len(rows), m) stored entries of ``rows`` in row layout, column j
+    from the j-th flip of ``groups`` (``_flip_entries``)."""
+    out = np.empty((rows.size, len(groups)), dtype=np.complex128 if is_complex else np.float64)
     for j, (flip, terms) in enumerate(groups):
-        out[j] = _flip_entries(rows, flip, terms, is_complex)
+        out[:, j] = _flip_entries(rows, flip, terms, is_complex)
     return out
 
 
@@ -601,16 +684,19 @@ def apply(spec: SpinChainSpec, state: StateVector) -> StateVector:
     amps = state.amplitudes
     out = np.empty_like(amps)
     for sector in spec.operator().sectors:
-        x = amps[sector.basis]
+        basis = sector.basis
         if sector.dtype.kind == "c":
-            out[sector.basis] = _sector_matvec(sector, x, np.empty_like(x))
+            x = amps[basis]
+            out[basis] = _sector_matvec(sector, x, np.empty_like(x))
             continue
-        # a real block takes the real and imaginary parts apart, so that its
-        # data is never cast to complex; a real x costs one product
-        re = _sector_matvec(sector, x.real, np.empty(x.size))
-        if x.imag.any():
-            re = re + 1j * _sector_matvec(sector, x.imag, np.empty(x.size))
-        out[sector.basis] = re
+        # a real block takes the real and imaginary parts apart, each gathered
+        # contiguous, so that its data is never cast to complex and the kernel
+        # copies no strided view; a real x costs one product
+        re = _sector_matvec(sector, amps.real[basis], np.empty(basis.size))
+        imag = amps.imag[basis]
+        if imag.any():
+            re = re + 1j * _sector_matvec(sector, imag, np.empty(basis.size))
+        out[basis] = re
     return StateVector(spec.n_sites, out)
 
 
@@ -663,10 +749,25 @@ def _lowest_ritz(alphas: Sequence[float], betas: Sequence[float]) -> tuple[float
     return float(values[0]), vectors[:, 0]
 
 
+def _flip_matvec(sector: Sector, x: np.ndarray) -> np.ndarray:
+    """H x on one sector from its ``flips``, with no table: diag x, then
+    each flip's entries (``_flip_entries``) times x at the rows r ^ s_j,
+    added in ascending flip order, the order in which ``_sector_matvec``
+    sums each row.  The same bits as ``_sector_matvec`` on a real sector;
+    a complex product may round differently in the last bit."""
+    rows = np.arange(x.size)
+    out = sector.diag * x
+    is_complex = sector.dtype.kind == "c"
+    for step, flip, terms in sector.flips:
+        out += _flip_entries(sector.basis, flip, terms, is_complex) * x[rows ^ step]
+    return out
+
+
 def _check_residual(sector: Sector, energy: float, psi: np.ndarray) -> None:
     """Raise :class:`ConvergenceError` unless the normalized pair (``psi``,
-    ``energy``) has |H psi - E psi| <= ``RESIDUAL_TOL`` max(1, |E|)."""
-    residual = _sector_matvec(sector, psi, np.empty_like(psi))
+    ``energy``) has |H psi - E psi| <= ``RESIDUAL_TOL`` max(1, |E|).  H psi
+    is ``_flip_matvec``'s, so a check builds no table of the sector."""
+    residual = _flip_matvec(sector, psi)
     residual -= energy * psi
     norm = float(np.linalg.norm(residual))
     bound = RESIDUAL_TOL * max(1.0, abs(energy))
@@ -994,7 +1095,7 @@ class SymmetricBlock:
         representatives."""
         reps = self.orbits.reps
         return Sector(sector.label, sector.basis[reps], sector.diag[reps], self.offdiag.dtype,
-                      lambda: self.offdiag)
+                      None, lambda: self.offdiag)
 
     def expand(self, vector: np.ndarray) -> np.ndarray:
         """G Q u: the sector vector of the block vector u, each orbit's
@@ -1011,24 +1112,24 @@ def _symmetric_blocks(n: int, groups: tuple, is_complex: bool, d: int) -> tuple[
     values are built here.  The gauge is sought only when the blocks are
     real and a GF(2) basis of the flips has n - len(masks) members, so that
     the flips connect every sector (``_sign_gauge``)."""
-    masks, cols, blocks = _off_diagonal(n, groups, is_complex)
+    masks, steps, blocks = _off_diagonal(n, groups, is_complex)
     spanning = _gf2_basis([flip for flip, _ in groups])
     connected = not is_complex and len(spanning) == n - len(masks)
     out = []
     for (_, basis, _), orbits in zip(blocks, _orbits(n, groups, is_complex, d)):
         reps = orbits.reps
-        stoquastic = -np.abs(_entries(basis[reps], groups, is_complex).T)
-        folded = _fold(cols[reps], stoquastic, orbits, 0)
-        gauge = _sign_gauge(basis, cols, groups, spanning) if connected else None
+        stoquastic = -np.abs(_entries(basis[reps], groups, is_complex))
+        folded = _fold(reps[:, None] ^ np.array(steps, dtype=np.intp), stoquastic, orbits, 0)
+        gauge = _sign_gauge(basis, steps, groups, spanning) if connected else None
         if gauge is not None:
             gauge.flags.writeable = False
         out.append(SymmetricBlock(orbits, folded, gauge))
     return tuple(out)
 
 
-def _sign_gauge(basis: np.ndarray, cols: np.ndarray, groups, spanning) -> np.ndarray | None:
-    """The gauge g = +-1 of the real sector with rows ``basis``, column
-    table ``cols`` and flips ``groups``, whose flips ``spanning`` (indices
+def _sign_gauge(basis: np.ndarray, steps: tuple, groups, spanning) -> np.ndarray | None:
+    """The gauge g = +-1 of the real sector with rows ``basis``, row steps
+    ``steps`` and flips ``groups``, whose flips ``spanning`` (indices
     into ``groups``) form a GF(2) basis that spans the sector, or None when
     none exists.
 
@@ -1041,21 +1142,22 @@ def _sign_gauge(basis: np.ndarray, cols: np.ndarray, groups, spanning) -> np.nda
     reached = np.zeros(1, dtype=np.intp)
     for j in spanning:
         flip, terms = groups[j]
-        ahead = cols[reached, j]
+        ahead = reached ^ steps[j]
         negative = np.signbit(_flip_entries(basis[reached], flip, terms, False))
         gauge[ahead] = np.where(negative, gauge[reached], -gauge[reached])
         reached = np.concatenate([reached, ahead])
-    return gauge if _is_gauge(basis, cols, groups, gauge) else None
+    return gauge if _is_gauge(basis, steps, groups, gauge) else None
 
 
-def _is_gauge(basis: np.ndarray, cols: np.ndarray, groups, gauge: np.ndarray) -> bool:
+def _is_gauge(basis: np.ndarray, steps: tuple, groups, gauge: np.ndarray) -> bool:
     """Whether every stored off-diagonal entry of the real sector with rows
-    ``basis``, column table ``cols`` and flips ``groups`` is nonzero and has
+    ``basis``, row steps ``steps`` and flips ``groups`` is nonzero and has
     g_r g_c H[r, c] < 0, by sign bits alone."""
     negative = np.signbit(gauge)
-    for j, (flip, terms) in enumerate(groups):  # one flip at a time keeps the temporaries small
+    rows = np.arange(basis.size)
+    for step, (flip, terms) in zip(steps, groups):  # one flip at a time keeps the temporaries small
         entries = _flip_entries(basis, flip, terms, False)
-        if not (entries.all() and np.all(np.signbit(entries) ^ negative ^ negative[cols[:, j]])):
+        if not (entries.all() and np.all(np.signbit(entries) ^ negative ^ negative[rows ^ step])):
             return False
     return True
 
@@ -1168,13 +1270,29 @@ def expectation(state: StateVector, op: PauliString) -> float:
     if any(s >= n for s in op.sites):
         raise ValueError("operator acts outside the state's sites")
     flip, zy, n_y = _term_masks(op.factors)
-    b = np.arange(1 << n)
-    # P|b> = coeff i^{n_Y} (-1)^{popcount(b & zy)} |b ^ flip>; a Z string
-    # flips nothing, so its bra is the state itself
-    sign = _sign(b, zy)
     amps = state.amplitudes
-    bra = amps[b ^ flip] if flip else amps
-    val = op.coeff * 1j**n_y * np.vdot(bra, sign * amps)
+    work = _work(amps.size)
+    # P|b> = coeff i^{n_Y} (-1)^{popcount(b & zy)} |b ^ flip>, in work arrays.
+    # The signs are the complex (+-1, +0) that a float sign casts to, so the
+    # product has the bits of the float sign times the state
+    signed = work.spare(amps.shape, np.complex128)
+    if zy:
+        parity = np.bitwise_count(np.bitwise_and(work.states, zy, out=work.index), out=work.parity)
+        parity &= 1
+        sign = signed.real
+        np.copyto(sign, parity)
+        sign *= -2.0
+        sign += 1.0
+        signed.imag = 0.0
+        np.multiply(signed, amps, out=signed)
+    else:
+        np.multiply(1.0, amps, out=signed)
+    # a Z string flips nothing, so its bra is the state itself
+    bra = amps
+    if flip:
+        bra = np.take(amps, np.bitwise_xor(work.states, flip, out=work.index), mode="clip",
+                      out=work.spare(amps.shape, np.complex128, signed))
+    val = op.coeff * 1j**n_y * np.vdot(bra, signed)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise ValueError(f"expectation of Hermitian string came out complex: {val}")
     return float(val.real)

@@ -42,6 +42,13 @@ def random_state(n, seed):
     return ts.StateVector(n, amps / np.linalg.norm(amps))
 
 
+def read_copy(a):
+    """``_read(a)`` with its arrays copied out of the work arrays, which the
+    next read-out overwrites."""
+    value, *arrays = _read(a)
+    return (value, *(array.copy() for array in arrays))
+
+
 def brute_force_branches(state, plan):
     """{outcome: (probability, concurrence)} from Kronecker products of the
     per-site measurement bras, outcomes in ascending site order."""
@@ -331,8 +338,10 @@ class TestKernels:
             a = np.moveaxis(psi, (n - 1 - hi, n - 1 - lo), (-2, -1)).reshape(-1, 4)
             for k, u in enumerate(reversed(bras)):
                 a = _rotate_site(a, u, k)
-            value, probs, keep, dets = _best_plan(state, [plan])[3]
-            want = _read(a)
+            want = read_copy(a)
+            tensor, (value, kept) = _best_plan(state, [plan])[2:]
+            assert kept == want[2].sum()
+            _, probs, keep, dets = _read(tensor)
             assert value == want[0]
             assert np.array_equal(probs, want[1])
             assert np.array_equal(keep, want[2])
@@ -373,7 +382,9 @@ class TestKernels:
             amps /= np.linalg.norm(amps)
             angles[basis_site] = Z
         state = ts.StateVector(n, amps)
-        value, probs, keep, dets = _best_plan(state, [MeasurementPlan(n, (0, 3), angles)])[3]
+        tensor, (value, kept) = _best_plan(state, [MeasurementPlan(n, (0, 3), angles)])[2:]
+        _, probs, keep, dets = _read(tensor)
+        assert kept == keep.sum()
         assert value == float(dets[keep].sum() / probs[keep].sum())
         if basis_site is None:
             assert keep.all()
@@ -385,9 +396,10 @@ class TestKernels:
 
 def forced_complex(state, plan):
     """``plan``'s rotated tensor computed in complex128 throughout: the
-    pair-last base cast to complex128 and rotated by complex bras."""
+    pair-last base cast to complex128 and rotated by complex bras, copied out
+    of the work arrays."""
     base = _sites_last(state, plan.target_pair[::-1]).astype(np.complex128)
-    return _rotate_all(base, [u.astype(np.complex128) for u in _plan_bras(plan)])
+    return _rotate_all(base, [u.astype(np.complex128) for u in _plan_bras(plan)]).copy()
 
 
 class TestRealPath:
@@ -400,7 +412,7 @@ class TestRealPath:
             assert not gs.amplitudes.imag.any()
             for pair in itertools.permutations(range(n), 2):
                 for plan in scheme_seed_plans(n, pair):
-                    real = _best_plan(gs, [plan])[2]
+                    real = _best_plan(gs, [plan])[2].copy()
                     cplx = forced_complex(gs, plan)
                     assert real.dtype == np.float64 and cplx.dtype == np.complex128
                     assert np.array_equal(real, cplx.real)
@@ -443,10 +455,10 @@ class TestRealPath:
                 }
                 plan = MeasurementPlan(n, pair, angles)
                 a = forced_complex(gs, plan)
-                value, probs, keep, dets = _read(a)
-                got = _best_plan(gs, [plan])[3]
-                assert got[0] == value
-                for array, want in zip(got[1:], (probs, keep, dets)):
+                value, probs, keep, dets = read_copy(a)
+                tensor, (got, kept) = _best_plan(gs, [plan])[2:]
+                assert got == value and kept == keep.sum()
+                for array, want in zip(_read(tensor)[1:], (probs, keep, dets)):
                     assert np.array_equal(array, want)
                 result = branch_average(gs, plan, keep_branches=True)
                 assert result.value == value
@@ -476,9 +488,13 @@ class TestSeedPass:
         values = [branch_average(gs, plan).value for plan in plans]
         first = plans[values.index(max(values))]
         twin = MeasurementPlan(9, (0, 4), dict(first.angles))  # an exact tie, listed last
-        plan, _, _, read = _best_plan(gs, [*plans, twin])
+        plan, _, tensor, read = _best_plan(gs, [*plans, twin])
         assert plan is first
         assert read[0] == max(values)
+        # the best tensor is kept while the plans after it are rotated
+        tensor = tensor.copy()
+        alone = _best_plan(gs, [first])
+        assert alone[3] == read and np.array_equal(alone[2], tensor)
 
     @pytest.mark.parametrize("b,pair,restarts,value", [
         pytest.param(0.5, (0, 4), 1, 0.9309815188920395, id="0.5-pair0-0.9309815188920395"),

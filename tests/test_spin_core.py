@@ -218,6 +218,46 @@ class TestApply:
         with pytest.raises(ValueError):
             ts.apply(ts.cluster_hamiltonian(4, 0.0), ts.StateVector.basis_state(5))
 
+    @pytest.mark.parametrize("spec", [
+        ts.cluster_hamiltonian(9, 0.7),
+        ts.cluster_hamiltonian(12, -1.3),
+        ts.triangle_chain_hamiltonian(ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.0, 0.4), 8),
+        ts.triangle_chain_hamiltonian(ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.2, 0.4), 8),
+    ], ids=["cluster-9", "cluster-12", "triangle-real", "triangle-complex"])
+    def test_contiguous_parts_keep_every_bit(self, spec, monkeypatch):
+        # the form that gathered the complex amplitudes and handed the kernel
+        # their strided real and imaginary views, which it then copied
+        def strided_views(spec, state):
+            amps = state.amplitudes
+            out = np.empty_like(amps)
+            for sector in spec.operator().sectors:
+                x = amps[sector.basis]
+                if sector.dtype.kind == "c":
+                    out[sector.basis] = spin_core._sector_matvec(sector, x, np.empty_like(x))
+                    continue
+                re = spin_core._sector_matvec(sector, x.real, np.empty(x.size))
+                if x.imag.any():
+                    re = re + 1j * spin_core._sector_matvec(sector, x.imag, np.empty(x.size))
+                out[sector.basis] = re
+            return out
+
+        kernel = spin_core._sparsetools.csr_matvec
+        strided = []
+
+        def recording(*args):
+            strided.append(not args[-2].flags.c_contiguous)
+            return kernel(*args)
+
+        n = spec.n_sites
+        amps = random_state(n, 4).amplitudes
+        for state in (ts.StateVector(n, amps), ts.StateVector(n, amps.real / np.linalg.norm(amps.real))):
+            want = strided_views(spec, state)
+            monkeypatch.setattr(spin_core, "_sparsetools", type("Kernels", (), {"csr_matvec": staticmethod(recording)}))
+            got = ts.apply(spec, state).amplitudes
+            monkeypatch.undo()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert strided and not any(strided)
+
 
 class TestSolvers:
     def test_cluster_ground_energy_small(self):
@@ -1027,8 +1067,8 @@ class TestPerronFrobenius:
                     # opposite signs across every zero entry
                     gauge = (-1.0) ** (np.bitwise_count(sector.basis) // 2)
                     _, groups, _ = op.offdiag_key
-                    cols = spin_core._off_diagonal(*op.offdiag_key)[1]
-                    assert not spin_core._is_gauge(sector.basis, cols, groups, gauge)
+                    steps = spin_core._off_diagonal(*op.offdiag_key)[1]
+                    assert not spin_core._is_gauge(sector.basis, steps, groups, gauge)
                     nonzero = off.data != 0.0
                     rows = np.repeat(np.arange(sector.basis.size), off.indptr[1])
                     signs = gauge[rows] * gauge[off.indices] * off.data
@@ -1146,21 +1186,25 @@ def eager_offdiag(n, sector, groups, is_complex):
     return indices.ravel(), data.T.ravel()
 
 
-class TestColumnTable:
-    """One column table per ring serves every Z-parity sector."""
+MASKED_CASES = [
+    ("both-ring", ("even", "odd"), "f"),
+    ("both-open-complex", ("even", "odd"), "c"),
+    ("even-open", ("even",), "f"),
+    ("odd-ring-complex", ("odd",), "c"),
+    ("all-ring", ("all",), "f"),
+    ("all-open-cancelling", ("all",), "f"),
+    ("all-open-complex", ("all",), "c"),
+    ("none-ring-complex", (), "c"),
+    ("none-ring", (), "f"),
+    ("diagonal", ("even", "odd"), "f"),
+]
 
-    @pytest.mark.parametrize("case, masks, kind", [
-        ("both-ring", ("even", "odd"), "f"),
-        ("both-open-complex", ("even", "odd"), "c"),
-        ("even-open", ("even",), "f"),
-        ("odd-ring-complex", ("odd",), "c"),
-        ("all-ring", ("all",), "f"),
-        ("all-open-cancelling", ("all",), "f"),
-        ("all-open-complex", ("all",), "c"),
-        ("none-ring-complex", (), "c"),
-        ("none-ring", (), "f"),
-        ("diagonal", ("even", "odd"), "f"),
-    ])
+
+class TestColumnTable:
+    """In every Z-parity sector row r's column under flip j is r ^ s_j, and
+    the sectors that build a table share one."""
+
+    @pytest.mark.parametrize("case, masks, kind", MASKED_CASES)
     def test_every_sector_reads_the_shared_table(self, case, masks, kind):
         spec = masked_chain(case)
         n = spec.n_sites
@@ -1170,8 +1214,8 @@ class TestColumnTable:
                  "all": (1 << n) - 1}
         assert op.masks == tuple(named[name] for name in masks)
         assert (len(groups) == 0) == (case == "diagonal")
-        _, cols, _ = spin_core._off_diagonal(*op.offdiag_key)
-        assert cols.shape == (op.sectors[0].basis.size, len(groups)) and not cols.flags.writeable
+        _, steps, _ = spin_core._off_diagonal(*op.offdiag_key)
+        assert len(steps) == len(groups)
         assert np.array_equal(np.sort(np.concatenate([s.basis for s in op.sectors])), np.arange(1 << n))
         for s, sector in enumerate(op.sectors):
             basis = sector.basis
@@ -1180,19 +1224,60 @@ class TestColumnTable:
                 assert np.all(np.bitwise_count(basis & mask) % 2 == (s >> j) & 1)
             position = np.full(1 << n, -1)
             position[basis] = np.arange(basis.size)
-            for j, (flip, _) in enumerate(groups):
-                assert np.array_equal(position[basis ^ flip], cols[:, j])
+            rows = np.arange(basis.size)
+            for step, (flip, _) in zip(steps, groups):
+                assert np.array_equal(position[basis ^ flip], rows ^ step)
             assert sector.dtype.kind == kind
             off = sector.offdiag
             indices, data = eager_offdiag(n, sector, groups, is_complex)
             assert off.cols.dtype == indices.dtype and np.array_equal(off.cols.ravel(), indices)
             assert off.values.dtype == data.dtype and off.values.tobytes() == data.tobytes()
             assert np.array_equal(off.indptr, np.arange(basis.size + 1) * len(groups))
-            # the table itself, and one indptr for every sector
-            assert np.shares_memory(off.cols, cols) or not groups
+            # one column table and one indptr for every sector, once built
+            assert np.shares_memory(off.cols, op.sectors[0].offdiag.cols) or not groups
             assert np.shares_memory(off.indptr, op.sectors[0].offdiag.indptr)
             assert not (off.values.flags.writeable or off.cols.flags.writeable or off.indptr.flags.writeable)
         assert np.max(np.abs(ts.dense_matrix(spec) - kron_oracle(spec))) < 1e-12
+
+
+class TestTableFreeCheck:
+    """The residual check applies a sector's H flip by flip, with no table."""
+
+    @pytest.mark.parametrize("case", [case for case, _, _ in MASKED_CASES])
+    def test_matches_the_table_product(self, case):
+        rng = np.random.default_rng(len(case))
+        for sector in masked_chain(case).operator().sectors:
+            x = rng.standard_normal(sector.basis.size).astype(sector.dtype)
+            if sector.dtype.kind == "c":
+                x += 1j * rng.standard_normal(sector.basis.size)
+            got = spin_core._flip_matvec(sector, x)
+            want = spin_core._sector_matvec(sector, x, np.empty_like(x))
+            assert got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            if sector.dtype.kind == "f":  # the same sums in the same order
+                assert got.tobytes() == want.tobytes()
+
+    def test_gauged_ground_state_builds_no_table(self):
+        # a fresh process: no table of another test, and a peak of its own
+        peak = run_fresh(GAUGED_GROUND)
+        assert int(peak) < 12 * 2**20
+
+
+GAUGED_GROUND = """
+import tracemalloc
+import trispin as ts
+from trispin import spin_core
+
+
+def refuse(*args):
+    raise AssertionError("a gauged ground state built a table")
+
+
+spin_core._offdiag_block = spin_core._column_table = refuse
+tracemalloc.start()
+_, state = ts.ground_state(ts.cluster_hamiltonian(17, 0.5))
+print(tracemalloc.get_traced_memory()[1])
+"""
 
 
 class TestLazyValues:
@@ -1213,21 +1298,24 @@ class TestLazyValues:
         """How many times each sector's values have been built."""
         return [sector._offdiag.cache_info().misses for sector in spec.operator().sectors]
 
-    def test_gauged_ground_state_builds_the_ground_sector_alone(self):
+    def test_gauged_ground_state_builds_no_sector(self):
+        # its residual check applies the ground sector's H flip by flip
         spec = ts.cluster_hamiltonian(13, 1.5)
         assert self.builds(spec) == [0, 0]
         _, psi = ts.ground_state(spec)
         ground = [int(np.any(psi.amplitudes[sector.basis])) for sector in spec.operator().sectors]
         assert sorted(ground) == [0, 1]
-        assert self.builds(spec) == ground
+        assert self.builds(spec) == [0, 0]
 
-    def test_zero_field_ground_state_builds_both(self):
-        # the sector without a gauge ties: it is solved in full
+    def test_zero_field_ground_state_builds_the_ungauged_sector(self):
+        # the sector without a gauge ties: it is solved in full, by a table
         spec = ts.cluster_hamiltonian(13, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ts.DegenerateGroundStateWarning)
             ts.ground_state(spec)
-        assert self.builds(spec) == [1, 1]
+        blocks = spin_core._symmetric_blocks(*spec.operator().offdiag_key, spin_core._translation_step(spec))
+        assert self.builds(spec) == [int(block.gauge is None) for block in blocks]
+        assert sorted(self.builds(spec)) == [0, 1]
 
     @pytest.mark.parametrize("solve", [
         ts.spectral_gap,
@@ -1370,15 +1458,36 @@ class TestStandaloneKernels:
 
 WARM_FAULTS = """
 import resource, sys
+import numpy as np
 import trispin as ts
-n = int(sys.argv[1])
-_, gs = ts.ground_state(ts.cluster_hamiltonian(n, 0.5))
-plan = ts.cluster_scheme_plan(n, (0, n // 2))
+n, source = int(sys.argv[1]), sys.argv[2]
+if source == "ground":
+    _, state = ts.ground_state(ts.cluster_hamiltonian(n, 0.5))
+else:
+    # no ground state, and the state made in place: no array of its size is
+    # freed before the read-outs
+    amps = np.empty(1 << n, dtype=np.complex128)
+    np.random.default_rng(n).standard_normal(out=amps.view(np.float64))
+    amps /= np.linalg.norm(amps)
+    state = ts.StateVector(n, amps)
+pair = (0, n // 2)
+plan = ts.cluster_scheme_plan(n, pair)
+anneal = ts.AnnealConfig(n_temps=2, proposals_per_temp=3, restarts=2, seed=1)
 calls = {
-    "branch_average": lambda: ts.branch_average(gs, plan),
-    "expectation": lambda: ts.expectation(gs, ts.PauliString(1.0, ((0, "X"), (1, "Z"), (2, "X")))),
-    "two_point_connected": lambda: ts.two_point_connected(gs, "z", "z", 0, 3),
+    "branch_average": lambda: ts.branch_average(state, plan),
+    "expectation": lambda: ts.expectation(state, ts.PauliString(1.0, ((0, "X"), (1, "Z"), (2, "X")))),
+    "two_point_connected": lambda: ts.two_point_connected(state, "z", "z", 0, 3),
+    "optimize_plan": lambda: ts.optimize_plan(state, pair, anneal),
 }
+# Python's small-object allocator touches its pools a page at a time as
+# objects come and go; touch them first, so that every fault left is an
+# array's.  A chain of pairs, so that no large block of the C heap is made
+# and freed on the way
+chain = None
+for _ in range(4000):
+    for size in range(0, 480, 8):
+        chain = (chain, bytes(size))
+del chain
 for name, call in calls.items():
     call()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -1391,8 +1500,12 @@ for name, call in calls.items():
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's dynamic mmap threshold")
 @pytest.mark.parametrize("n", [16, 17])
 def test_warm_calls_make_no_minor_faults(n):
-    # in a fresh process: the 2^n-sized temporaries of these calls come from
-    # the heap, not from fresh mappings faulted in on every call, once
-    # _offdiag_block's transposed copy has raised glibc's mmap threshold
-    faults = dict(line.split() for line in run_fresh(WARM_FAULTS, str(n)).splitlines())
-    assert faults == {name: "0" for name in ("branch_average", "expectation", "two_point_connected")}
+    # in a fresh process: a warm read-out writes into the thread's work
+    # arrays and allocates nothing of the state's size.  Without them its
+    # 2^n-sized temporaries are fresh mappings, faulted in on every call,
+    # unless an earlier free raised glibc's dynamic mmap threshold: after a
+    # ground state, and with no such free on a random state
+    for source in ("ground", "random"):
+        faults = dict(line.split() for line in run_fresh(WARM_FAULTS, str(n), source).splitlines())
+        names = ("branch_average", "expectation", "two_point_connected", "optimize_plan")
+        assert faults == {name: "0" for name in names}, source
