@@ -134,21 +134,25 @@ def _measurement_matrix(theta: float, phi: float) -> np.ndarray:
     return np.array([[ct, e * st], [-st, e * ct]])
 
 
-def _rotate_site(a: np.ndarray, u: np.ndarray, k: int, *keep: np.ndarray) -> np.ndarray:
+def _rotate_site(a: np.ndarray, u: np.ndarray, k: int, *keep: np.ndarray, pair=None) -> np.ndarray:
     """Apply the 2x2 matrix ``u`` to the middle axis of
     ``x = a.reshape(2**k, 2, m)``; returns a work array (``_work``) of
-    ``a``'s shape that is neither ``a`` nor any array of ``keep``.  A real
-    ``a`` meeting a complex ``u`` is first cast into another work array,
-    and then ``a`` itself may be overwritten unless ``keep`` lists it."""
+    ``a``'s shape that is neither ``a`` nor any array of ``keep``.  It
+    writes views of two work slots, ``pair`` when given (``_rotate_all``
+    keeps one pair for all its rotations), else the first two ``free`` of
+    ``a`` and ``keep``: each write goes to the slot that does not hold its
+    input.  A real ``a`` meeting a complex ``u`` is first cast into one
+    slot and then rotated into the other."""
     batch = 1 << k
     m = a.size // (2 * batch)
     work = _work(a.size)
+    pair = pair or work.free(a, *keep)
     dtype = u.dtype if u.dtype.kind == "c" else a.dtype  # float64 or complex128, as matmul's
     if a.dtype != dtype:  # cast here, as matmul would, but into a work array
-        cast = work.spare(a.shape, dtype, a, *keep)
+        cast = work.view(pair[a.base is work.slots[pair[0]]], a.shape, dtype)
         np.copyto(cast, a)
         a = cast
-    out = work.spare(a.shape, dtype, a, *keep)
+    out = work.view(pair[a.base is work.slots[pair[0]]], a.shape, dtype)
     x = a.reshape(batch, 2, m)
     # Two exact forms, picked by shape; each output entry is the same two
     # products in both, and they agree bit for bit on every tensor tested.
@@ -190,13 +194,14 @@ def _plan_bras(plan: MeasurementPlan) -> list[np.ndarray]:
 
 def _rotate_all(a: np.ndarray, bras: list[np.ndarray], *keep: np.ndarray) -> np.ndarray:
     """Pair-last tensor ``a`` (``_best_plan``'s) rotated by ``bras``, one per
-    measured site in ascending site order, into work arrays that leave ``a``
-    and every array of ``keep`` as they are; identity (Z) bras are skipped,
-    so with no other bra ``a`` itself is returned."""
-    base = a
+    measured site in ascending site order, back and forth between two work
+    slots, picked once, that leave ``a`` and every array of ``keep`` as
+    they are; identity (Z) bras are skipped, so with no other bra ``a``
+    itself is returned."""
+    pair = _work(a.size).free(a, *keep)[:2]
     for k, u in enumerate(reversed(bras)):
         if u.tolist() != _IDENTITY:
-            a = _rotate_site(a, u, k, base, *keep)
+            a = _rotate_site(a, u, k, pair=pair)
     return a
 
 

@@ -15,18 +15,20 @@ Conventions shared by every module in this package:
   conserved sublattice masks; :func:`dense_spectrum` splits each sector
   further into every lattice-momentum block, and :func:`ground_state`
   takes one such block of a related matrix (below), both by one fold
-  (``_fold``) over one orbit table per ring (``_orbits``).  Each sector is
-  a real diagonal plus m off-diagonal entries per row, one per flip mask.
-  In every sector row r's column under flip j is r ^ s_j, with s_j the
-  flip with each conserved mask's lowest bit deleted (``_off_diagonal``).
-  The off-diagonal part depends only on n and the off-diagonal terms, so
-  consecutive specs that differ only in their Z fields (a field sweep)
-  share it.  Only the solvers of whole sectors (``_lanczos_levels``,
-  :func:`apply`, :func:`dense_spectrum`, :func:`dense_matrix`) store it,
-  as a :class:`FixedWidthBlock` per sector built the first time its H is
-  applied, over one column table per ring.  A gauged ground state builds
-  none: its residual check applies the sector's H flip by flip
-  (``_flip_matvec``).
+  (``_fold``) over the ring's orbit tables (``_Ring.orbits``).  Each
+  sector is a real diagonal plus m off-diagonal entries per row, one per
+  flip mask.  In every sector row r's column under flip j is r ^ s_j, with
+  s_j the flip with each conserved mask's lowest bit deleted.  Everything
+  but the diagonals depends only on n and the off-diagonal terms, and one
+  object, the ring (``_Ring``), owns it all, made once for consecutive
+  specs that differ only in their Z fields (a field sweep).  Only the
+  solvers of whole sectors (``_lanczos_levels``, :func:`apply`,
+  :func:`dense_matrix`) store a sector's entries, as a
+  :class:`FixedWidthBlock` built the first time its H is applied
+  (``_Ring.block``), over one column table per ring.  A gauged ground
+  state builds none: its residual check applies the sector's H flip by
+  flip (``_flip_matvec``); nor does :func:`dense_spectrum`, which folds
+  the representatives' rows alone.
 * The read-outs of a state (``localizable``'s branch averages,
   :func:`expectation`, ``correlations``' Pauli transforms) work in one set
   of work arrays per thread, sized for one n at a time (``_work``), so a
@@ -38,9 +40,10 @@ Conventions shared by every module in this package:
   levels below it.  :func:`lowest_eigenvalues` and :func:`spectral_gap`
   read the sectors' streams merged in ascending order (``_levels``).
 * :func:`ground_state` first solves each sector's small stoquastic
-  symmetric block (``SymmetricBlock``, built once per ring): the q = 0
-  lattice-momentum block of S = diag(H) - |offdiag(H)|, whose lowest level
-  bounds the sector's from below.  Where an exact sign gauge G gives H = G
+  symmetric block (``SymmetricBlock``, built once per ring,
+  ``_Ring.symmetric_blocks``): the q = 0 lattice-momentum block of S =
+  diag(H) - |offdiag(H)|, whose lowest level bounds the sector's from
+  below.  Where an exact sign gauge G gives H = G
   S G, that level is the sector's, simple, and its vector is the block's
   spread over each orbit and gauged; no seed enters.  A sector without a
   gauge is solved in full, by its stream, only when its bound comes within
@@ -68,7 +71,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -282,7 +285,7 @@ class _Work:
 
     ``slots`` are four complex128 arrays of ``size`` entries, and a real
     tensor is the float64 view of a slot's first half.  ``_sites_last``
-    writes slot 0 and every other user takes a ``spare`` slot.  ``probs``,
+    writes slot 0 and every other user takes a ``free`` slot.  ``probs``,
     ``keep``, ``dets`` and, per dtype, ``det`` and ``product`` hold one
     entry per row of a pair-last tensor, ``size // 4``, for ``_read``;
     ``index``, ``parity`` and ``states`` serve ``expectation``.  A page
@@ -306,19 +309,27 @@ class _Work:
     def states(self) -> np.ndarray:
         return np.arange(self.size, dtype=np.int64)
 
-    def spare(self, shape, dtype, *busy) -> np.ndarray:
-        """A C-contiguous view of ``shape`` and ``dtype`` (complex128 or
-        float64) of the first slot that is the base of none of the arrays
+    def free(self, *busy) -> list[int]:
+        """The indices of the slots that are the base of none of the arrays
         ``busy``: every view of a slot has the slot as its base."""
         taken = {id(array.base) for array in busy}
-        for i, slot in enumerate(self.slots):
-            if id(slot) not in taken:
-                key = (i, shape, dtype)
-                view = self._views.get(key)
-                if view is None:
-                    view = self._views[key] = slot.view(dtype)[:math.prod(shape)].reshape(shape)
-                return view
-        raise RuntimeError("every work slot is busy")
+        return [i for i, slot in enumerate(self.slots) if id(slot) not in taken]
+
+    def view(self, i: int, shape, dtype) -> np.ndarray:
+        """A C-contiguous view of ``shape`` and ``dtype`` (complex128 or
+        float64) of slot i."""
+        key = (i, shape, dtype)
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = self.slots[i].view(dtype)[:math.prod(shape)].reshape(shape)
+        return view
+
+    def spare(self, shape, dtype, *busy) -> np.ndarray:
+        """A view of ``shape`` and ``dtype`` of the first ``free`` slot."""
+        free = self.free(*busy)
+        if not free:
+            raise RuntimeError("every work slot is busy")
+        return self.view(free[0], shape, dtype)
 
 
 _WORK = threading.local()
@@ -405,57 +416,14 @@ def _term_masks(factors) -> tuple[int, int, int]:
 
 
 @dataclass(frozen=True)
-class Sector:
-    """One joint eigenspace of the conserved Z-parity operators.
-
-    ``basis`` holds the sector's basis-state indices in ascending order.  H
-    restricted to them, rows and columns in ``basis`` order, is
-    ``diag(diag) + offdiag``: ``diag`` is real, and ``offdiag``, a
-    :class:`FixedWidthBlock` of dtype ``dtype``, holds every off-diagonal
-    entry, one per row and off-diagonal flip mask, in ascending flip order.
-    ``flips`` holds ``(s_j, flip_j, terms_j)`` per flip in that order: row
-    r's entry j is at column r ^ s_j and is the sum of ``terms_j``
-    (``_flip_entries``), so the entries can be formed one flip at a time
-    with no table (``_flip_matvec``); it is None on a folded block.
-
-    ``basis``, ``flips`` and ``offdiag`` depend only on n and the
-    off-diagonal terms, and consecutive specs with those terms share them
-    (``_off_diagonal``).  ``offdiag`` is built on its first read, by the
-    ring's memoised ``_offdiag``, over the ring's one column table: only the
-    solvers of whole sectors read it, once per ring.  ``dtype`` is known
-    without that build.
-    """
-
-    label: str
-    basis: np.ndarray
-    diag: np.ndarray
-    dtype: np.dtype
-    flips: tuple | None = field(repr=False, compare=False)
-    _offdiag: Callable[[], FixedWidthBlock] = field(repr=False, compare=False)
-
-    @property
-    def offdiag(self) -> FixedWidthBlock:
-        return self._offdiag()
-
-
-@dataclass(frozen=True)
 class BlockedOperator:
-    """H as a diagonal plus an off-diagonal :class:`FixedWidthBlock` per
-    sector of the conserved Z-parity masks.
+    """H split into the sectors of the conserved Z-parity masks: on sector
+    s, rows and columns in ``ring.bases[s]`` order, H is ``diag(diags[s]) +
+    ring.block(s)``, a real diagonal that depends on the fields plus the
+    off-diagonal block of the ring (``_Ring``), which does not."""
 
-    A mask M is conserved when every term flips an even number of the sites
-    in M, so prod_{i in M} Z_i commutes with H.  ``sectors`` is ordered by
-    the parities: sector s has parity bit j of s for ``masks[j]``.
-    ``offdiag_key`` is ``(n, groups, is_complex)``, the hashable arguments
-    of ``_off_diagonal`` that made the sectors.  In every sector row r's
-    column under flip j is r ^ s_j, so the sectors share one column table,
-    and each builds its block only when a solver of the whole sector first
-    applies its H: a gauged ground state builds none.
-    """
-
-    masks: tuple[int, ...]
-    sectors: tuple[Sector, ...]
-    offdiag_key: tuple
+    ring: "_Ring"
+    diags: tuple[np.ndarray, ...]
 
 
 def _conserved_masks(n: int, flips) -> tuple[tuple[str, int], ...]:
@@ -497,8 +465,7 @@ def _sign(states: np.ndarray, zy: int):
 
 def _build_operator(spec: SpinChainSpec) -> BlockedOperator:
     """Sum the terms per flip mask: the flip-0 terms give each sector's
-    diagonal, and the rest the shared off-diagonal blocks of
-    ``_off_diagonal``.
+    diagonal, and the rest the ring (``_ring``).
 
     Row b of H holds sum_t coeff_t i^{n_Y,t} (-1)^{popcount((b ^ flip) & zy_t)}
     at column b ^ flip for each distinct flip; flip 0 has no Y factor, so
@@ -511,98 +478,165 @@ def _build_operator(spec: SpinChainSpec) -> BlockedOperator:
         groups.setdefault(flip, []).append((zy, term.coeff * 1j**n_y))
         is_complex = is_complex or n_y % 2 == 1
     diagonal = groups.pop(0, ())
-    key = (spec.n_sites, tuple((flip, tuple(groups[flip])) for flip in sorted(groups)), is_complex)
-    masks, steps, blocks = _off_diagonal(*key)
-    dtype = np.dtype(np.complex128 if is_complex else np.float64)
-    flips = tuple((step, flip, terms) for step, (flip, terms) in zip(steps, key[1]))
-    sectors = []
-    for label, basis, offdiag in blocks:
+    ring = _ring(spec.n_sites, tuple((flip, tuple(groups[flip])) for flip in sorted(groups)), is_complex)
+    diags = []
+    for basis in ring.bases:
         diag = np.zeros(basis.size)
         for zy, pref in diagonal:
             diag += pref.real * _sign(basis, zy)
-        sectors.append(Sector(label, basis, diag, dtype, flips, offdiag))
-    return BlockedOperator(masks, tuple(sectors), key)
+        diags.append(diag)
+    return BlockedOperator(ring, tuple(diags))
 
 
-@functools.lru_cache(maxsize=1)
-def _off_diagonal(n: int, groups: tuple, is_complex: bool):
-    """The field-independent part of ``_build_operator``, made once for
-    consecutive specs with the same n and off-diagonal terms ``groups``,
-    ``(flip, ((zy, coeff i^{n_Y}), ...))`` in ascending flip order; the
-    blocks are complex when some term has an odd number of Y factors.
+class _Ring:
+    """The field-independent part of the operator of every spec with n
+    sites and the off-diagonal terms ``groups``, ``(flip, ((zy, coeff
+    i^{n_Y}), ...))`` in ascending flip order: all of it but the diagonals.
+    Its entries are complex (``dtype``) when some term has an odd number of
+    Y factors.
 
-    Returns ``(masks, steps, blocks)``.  ``steps`` holds one row step s_j
-    per flip: flip_j with each conserved mask's lowest bit deleted.  In
-    every sector row r's column under flip j is r ^ s_j.  A mask's lowest
-    bit is fixed by its higher bits and the sector's parity, so deleting
-    those bits maps each sector's basis, in ascending order, onto 0..dim-1,
-    and it maps b ^ flip_j to r ^ s_j because it is linear over XOR.
-    Sector s's basis is the first sector's XOR the lowest bit of each mask
-    whose parity s flips.
+    A mask M is conserved when every term flips an even number of the sites
+    in M, so prod_{i in M} Z_i commutes with H.  Sector s, named
+    ``labels[s]``, has parity bit j of s for ``masks[j]``, and ``bases[s]``
+    holds its basis-state indices in ascending order, read-only.  ``steps``
+    holds one row step s_j per flip: flip_j with each conserved mask's
+    lowest bit deleted.  In every sector row r's column under flip j is r ^
+    s_j.  A mask's lowest bit is fixed by its higher bits and the sector's
+    parity, so deleting those bits maps each sector's basis, in ascending
+    order, onto 0..dim-1, and it maps b ^ flip_j to r ^ s_j because it is
+    linear over XOR.  Sector s's basis is the first sector's XOR the lowest
+    bit of each mask whose parity s flips.
 
-    ``blocks`` holds one ``(label, basis, offdiag)`` per sector, ``basis``
-    read-only and ``offdiag`` a memoised thunk of ``_offdiag_block``: a
-    sector's values are built on the first call, so a sector whose H is
-    never applied never builds them, and a field sweep builds each once.
-    The sectors share one (dim, m) int32 column table, ``cols[r, j] = r ^
-    s_j``, built with the first sector's values.
+    The rest is built on first use and kept with the ring: each sector's
+    off-diagonal block (``block``) and, per translation step d, the
+    sectors' :class:`Orbits` (``orbits``) and :class:`SymmetricBlock`
+    (``symmetric_blocks``).  They are memoised on the instance, so they go
+    when ``_ring`` drops the ring and no spec holds it.
     """
-    flips = [flip for flip, _ in groups]
-    named = _conserved_masks(n, flips)
 
-    states = np.arange(1 << n, dtype=np.int64)
-    parity = np.zeros(1 << n, dtype=np.uint8)
-    for _, mask in named:
-        parity |= np.bitwise_count(states & mask) & 1
-    first = np.flatnonzero(parity == 0)
-    lowest = sorted(mask & -mask for _, mask in named)
-    steps = []
-    for flip in flips:
-        for bit in reversed(lowest):  # the highest first, so the lower ones stay put
-            flip = ((flip >> 1) & ~(bit - 1)) | (flip & (bit - 1))
-        steps.append(flip)
-    table = functools.cache(functools.partial(_column_table, first.size, tuple(steps)))
+    def __init__(self, n: int, groups: tuple, is_complex: bool):
+        self.n, self.groups, self.is_complex = n, groups, is_complex
+        self.dtype = np.dtype(np.complex128 if is_complex else np.float64)
+        named = _conserved_masks(n, [flip for flip, _ in groups])
+        states = np.arange(1 << n, dtype=np.int64)
+        parity = np.zeros(1 << n, dtype=np.uint8)
+        for _, mask in named:
+            parity |= np.bitwise_count(states & mask) & 1
+        first = np.flatnonzero(parity == 0)
+        lowest = sorted(mask & -mask for _, mask in named)
+        steps = []
+        for flip, _ in groups:
+            for bit in reversed(lowest):  # the highest first, so the lower ones stay put
+                flip = ((flip >> 1) & ~(bit - 1)) | (flip & (bit - 1))
+            steps.append(flip)
+        self.masks = tuple(mask for _, mask in named)
+        self.steps = tuple(steps)
+        labels, bases = [], []
+        for s in range(1 << len(named)):
+            moved = [j for j in range(len(named)) if (s >> j) & 1]
+            basis = first ^ sum(named[j][1] & -named[j][1] for j in moved)
+            basis.flags.writeable = False
+            bases.append(basis)
+            labels.append(",".join(f"{name}{'-' if j in moved else '+'}"
+                                   for j, (name, _) in enumerate(named)) or "all states")
+        self.labels, self.bases = tuple(labels), tuple(bases)
+        self._blocks: list[FixedWidthBlock | None] = [None] * len(bases)
+        self._orbits_at: dict[int, tuple[Orbits, ...]] = {}
+        self._symmetric_at: dict[int, tuple[SymmetricBlock, ...]] = {}
 
-    blocks = []
-    for s in range(1 << len(named)):
-        moved = [j for j in range(len(named)) if (s >> j) & 1]
-        basis = first ^ sum(named[j][1] & -named[j][1] for j in moved)
-        basis.flags.writeable = False
-        label = ",".join(f"{name}{'-' if j in moved else '+'}" for j, (name, _) in enumerate(named))
-        offdiag = functools.partial(_offdiag_block, basis, table, groups, is_complex)
-        blocks.append((label or "all states", basis, functools.cache(offdiag)))
-    return tuple(mask for _, mask in named), tuple(steps), tuple(blocks)
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (dim, m) int32 column table ``cols[r, j] = r ^ s_j`` of every
+        sector, and its row pointers."""
+        dim = self.bases[0].size
+        return (np.arange(dim, dtype=np.int32)[:, None] ^ np.array(self.steps, dtype=np.int32),
+                _row_pointers(dim, len(self.steps)))
+
+    def block(self, s: int) -> FixedWidthBlock:
+        """Sector s's off-diagonal block, built on the first call: the shared
+        column table (``_table``) and the sector's entries (``_entries``),
+        an entry whose terms cancel stored as an explicit zero.  Only the
+        solvers of whole sectors call it, so a field sweep builds each
+        sector's block once, and a sector whose H is never applied none."""
+        if self._blocks[s] is None:
+            cols, indptr = self._table
+            self._blocks[s] = FixedWidthBlock(cols, _entries(self.bases[s], self.groups, self.is_complex),
+                                              indptr)
+        return self._blocks[s]
+
+    def rep_rows(self, s: int, orbits: Orbits) -> tuple[np.ndarray, np.ndarray]:
+        """The (reps, m) columns ``reps ^ s_j`` and entries of sector s's
+        off-diagonal rows at ``orbits.reps``, formed with no block."""
+        reps = orbits.reps
+        return (reps[:, None] ^ np.array(self.steps, dtype=np.intp),
+                _entries(self.bases[s][reps], self.groups, self.is_complex))
+
+    def orbits(self, d: int) -> tuple[Orbits, ...]:
+        """One read-only :class:`Orbits` per sector under T^d, built on the
+        first call for d from one running minimum over the translates, so
+        no (M, sector) array of them is made."""
+        if d not in self._orbits_at:
+            period, out = self.n // d, []
+            for basis in self.bases:
+                rep, moved = basis.copy(), basis
+                back = np.zeros(basis.size, dtype=np.uint8)  # back < n <= GROUND_SITE_CAP
+                count = np.ones(basis.size, dtype=np.int64)  # T^(dj) s = s for M/p of the j
+                for j in range(1, period):
+                    moved = _rotate_sites(moved, d, self.n)
+                    lower = moved < rep
+                    np.copyto(rep, moved, where=lower)
+                    back[lower] = j
+                    count += moved == basis
+                is_rep = rep == basis
+                reps = np.flatnonzero(is_rep)
+                orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[np.searchsorted(basis, rep)]
+                orbits = Orbits(period, reps, (period // count)[reps], orbit, back)
+                for array in (orbits.reps, orbits.length, orbits.orbit, orbits.back):
+                    array.flags.writeable = False
+                out.append(orbits)
+            self._orbits_at[d] = tuple(out)
+        return self._orbits_at[d]
+
+    def symmetric_blocks(self, d: int) -> tuple[SymmetricBlock, ...]:
+        """One :class:`SymmetricBlock` per sector under T^d, built on the
+        first call for d.  Each folds its representatives' rows alone
+        (``rep_rows``), and the gauge reads one flip's entries at a time, so
+        no sector block is built here.  The gauge is sought only when the
+        blocks are real and a GF(2) basis of the flips has n - len(masks)
+        members, so that the flips connect every sector (``_sign_gauge``)."""
+        if d not in self._symmetric_at:
+            spanning = _gf2_basis([flip for flip, _ in self.groups])
+            connected = not self.is_complex and len(spanning) == self.n - len(self.masks)
+            out = []
+            for s, orbits in enumerate(self.orbits(d)):
+                cols, entries = self.rep_rows(s, orbits)
+                folded = _fold(cols, -np.abs(entries), orbits, 0)
+                gauge = _sign_gauge(self.bases[s], self.steps, self.groups, spanning) if connected else None
+                if gauge is not None:
+                    gauge.flags.writeable = False
+                out.append(SymmetricBlock(orbits, folded, gauge))
+            self._symmetric_at[d] = tuple(out)
+        return self._symmetric_at[d]
 
 
-def _column_table(dim: int, steps: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only (dim, m) int32 column table ``cols[r, j] = r ^ steps[j]``
-    of every sector of a ring, and its row pointers."""
-    cols = np.arange(dim, dtype=np.int32)[:, None] ^ np.array(steps, dtype=np.int32)
-    indptr = _row_pointers(dim, len(steps))
-    cols.flags.writeable = indptr.flags.writeable = False
-    return cols, indptr
-
-
-def _offdiag_block(basis, table, groups, is_complex: bool) -> FixedWidthBlock:
-    """One sector's off-diagonal block: the ring's shared column table and
-    row pointers from the memoised ``table``, and the sector's values from
-    ``_entries``.  An entry whose terms cancel is stored as an explicit
-    zero."""
-    cols, indptr = table()
-    return FixedWidthBlock(cols, _entries(basis, groups, is_complex), indptr)
+#: The ring of the latest spec built, made anew when n or the off-diagonal
+#: terms change: the one cache of field-independent tables.
+_ring = functools.lru_cache(maxsize=1)(_Ring)
 
 
 def _flip_entries(rows: np.ndarray, flip: int, terms, is_complex: bool) -> np.ndarray:
     """H[r, r ^ flip] for each basis state r of ``rows``, from the flip's
     ``terms`` ``((zy, coeff i^{n_Y}), ...)`` added in order; complex when
     ``is_complex``, else the real parts.  Each term adds pref or -pref by
-    the parity of its zy bits: the sum pref times ``_sign``'s +-1 gives, with
-    two 2^n-sized temporaries fewer per term."""
-    cols = rows ^ flip
+    the parity of (r ^ flip) & zy, which is that of r & zy, flipped when
+    flip & zy has odd parity: the sum pref times ``_sign``'s +-1 gives,
+    with no r ^ flip array and two 2^n-sized temporaries fewer per term."""
     out = np.zeros(rows.size, dtype=np.complex128 if is_complex else np.float64)
     for zy, pref in terms:
         pref = pref if is_complex else pref.real
-        out += np.where(np.bitwise_count(cols & zy) & 1, -pref, pref) if zy else pref
+        if (flip & zy).bit_count() % 2:
+            pref = -pref
+        out += np.where(np.bitwise_count(rows & zy) & 1, -pref, pref) if zy else pref
     return out
 
 
@@ -683,30 +717,31 @@ def apply(spec: SpinChainSpec, state: StateVector) -> StateVector:
         raise ValueError("state and Hamiltonian dimensions do not match")
     amps = state.amplitudes
     out = np.empty_like(amps)
-    for sector in spec.operator().sectors:
-        basis = sector.basis
-        if sector.dtype.kind == "c":
+    op = spec.operator()
+    for s, (basis, diag) in enumerate(zip(op.ring.bases, op.diags)):
+        block = op.ring.block(s)
+        if block.dtype.kind == "c":
             x = amps[basis]
-            out[basis] = _sector_matvec(sector, x, np.empty_like(x))
+            out[basis] = _sector_matvec(diag, block, x, np.empty_like(x))
             continue
         # a real block takes the real and imaginary parts apart, each gathered
         # contiguous, so that its data is never cast to complex and the kernel
         # copies no strided view; a real x costs one product
-        re = _sector_matvec(sector, amps.real[basis], np.empty(basis.size))
+        re = _sector_matvec(diag, block, amps.real[basis], np.empty(basis.size))
         imag = amps.imag[basis]
         if imag.any():
-            re = re + 1j * _sector_matvec(sector, imag, np.empty(basis.size))
+            re = re + 1j * _sector_matvec(diag, block, imag, np.empty(basis.size))
         out[basis] = re
     return StateVector(spec.n_sites, out)
 
 
-def _sector_matvec(sector: Sector, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out <- H x on one sector, without allocating: out = diag x first, then
-    the off-diagonal block adds its part in place (``matvec_add``).  Each row
-    is summed in the order of one CSR product over the whole sector block
-    with the diagonal first."""
-    np.multiply(sector.diag, x, out=out)
-    return sector.offdiag.matvec_add(x, out)
+def _sector_matvec(diag: np.ndarray, block: FixedWidthBlock, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- (diag(diag) + block) x, without allocating: out = diag x
+    first, then the off-diagonal block adds its part in place
+    (``matvec_add``).  Each row is summed in the order of one CSR product
+    over the whole block with the diagonal first."""
+    np.multiply(diag, x, out=out)
+    return block.matvec_add(x, out)
 
 
 def _check_dense_cap(n: int) -> None:
@@ -726,10 +761,10 @@ def dense_matrix(spec: SpinChainSpec) -> np.ndarray:
     _check_dense_cap(spec.n_sites)
     op = spec.operator()
     dim = 1 << spec.n_sites
-    h = np.zeros((dim, dim), dtype=op.sectors[0].dtype)
-    for sector in op.sectors:
-        h[np.ix_(sector.basis, sector.basis)] = sector.offdiag.toarray()
-        h[sector.basis, sector.basis] = sector.diag
+    h = np.zeros((dim, dim), dtype=op.ring.dtype)
+    for s, (basis, diag) in enumerate(zip(op.ring.bases, op.diags)):
+        h[np.ix_(basis, basis)] = op.ring.block(s).toarray()
+        h[basis, basis] = diag
     return h
 
 
@@ -749,25 +784,25 @@ def _lowest_ritz(alphas: Sequence[float], betas: Sequence[float]) -> tuple[float
     return float(values[0]), vectors[:, 0]
 
 
-def _flip_matvec(sector: Sector, x: np.ndarray) -> np.ndarray:
-    """H x on one sector from its ``flips``, with no table: diag x, then
+def _flip_matvec(op: BlockedOperator, s: int, x: np.ndarray) -> np.ndarray:
+    """H x on sector s from the ring's flips, with no table: diag x, then
     each flip's entries (``_flip_entries``) times x at the rows r ^ s_j,
     added in ascending flip order, the order in which ``_sector_matvec``
     sums each row.  The same bits as ``_sector_matvec`` on a real sector;
     a complex product may round differently in the last bit."""
+    ring = op.ring
     rows = np.arange(x.size)
-    out = sector.diag * x
-    is_complex = sector.dtype.kind == "c"
-    for step, flip, terms in sector.flips:
-        out += _flip_entries(sector.basis, flip, terms, is_complex) * x[rows ^ step]
+    out = op.diags[s] * x
+    for step, (flip, terms) in zip(ring.steps, ring.groups):
+        out += _flip_entries(ring.bases[s], flip, terms, ring.is_complex) * x[rows ^ step]
     return out
 
 
-def _check_residual(sector: Sector, energy: float, psi: np.ndarray) -> None:
+def _check_residual(op: BlockedOperator, s: int, energy: float, psi: np.ndarray) -> None:
     """Raise :class:`ConvergenceError` unless the normalized pair (``psi``,
-    ``energy``) has |H psi - E psi| <= ``RESIDUAL_TOL`` max(1, |E|).  H psi
-    is ``_flip_matvec``'s, so a check builds no table of the sector."""
-    residual = _flip_matvec(sector, psi)
+    ``energy``) of sector s has |H psi - E psi| <= ``RESIDUAL_TOL`` max(1,
+    |E|).  H psi is ``_flip_matvec``'s, so a check builds no table."""
+    residual = _flip_matvec(op, s, psi)
     residual -= energy * psi
     norm = float(np.linalg.norm(residual))
     bound = RESIDUAL_TOL * max(1.0, abs(energy))
@@ -780,16 +815,18 @@ def _check_residual(sector: Sector, energy: float, psi: np.ndarray) -> None:
 
 
 def _lanczos(
-    sector: Sector,
+    diag: np.ndarray,
+    block: FixedWidthBlock,
     start: int | np.ndarray,
     deflate: np.ndarray | None = None,
     shift: float | None = None,
 ):
-    """Lowest eigenvalue of the sector's block H, or of H + shift Psi Psi^H for
-    ``deflate=Psi``, a normalized vector or a matrix of orthonormal columns
-    (``shift`` is then required; see ``_deflation_shift``), by plain
-    three-term Lanczos from ``start`` normalized when it is an array, else
-    from a random vector drawn from the seed ``start``.
+    """Lowest eigenvalue of H = diag(diag) + block, a sector's or a folded
+    block's, or of H + shift Psi Psi^H for ``deflate=Psi``, a normalized
+    vector or a matrix of orthonormal columns (``shift`` is then required;
+    see ``_deflation_shift``), by plain three-term Lanczos from ``start``
+    normalized when it is an array, else from a random vector drawn from
+    the seed ``start``.
 
     Returns ``(theta, ritz_vector)``.  Only three Krylov vectors are kept and
     none is reorthogonalized: lost orthogonality adds spurious copies of
@@ -809,7 +846,7 @@ def _lanczos(
     Each pass works in place in three preallocated vectors (a fourth holds
     the deflation term).
     """
-    dim, dtype = sector.basis.size, sector.dtype
+    dim, dtype = diag.size, block.dtype
 
     def start_vector() -> np.ndarray:  # formed again for the replay, not kept
         v = start if isinstance(start, np.ndarray) else np.random.default_rng(start).standard_normal(dim)
@@ -823,7 +860,7 @@ def _lanczos(
     def step(v_prev, v, w, beta_prev, alpha=None):
         """w <- H v - alpha v - beta_prev v_prev, unnormalized, with alpha =
         <v|H v> unless given; leaves v_prev as scratch and returns alpha."""
-        _sector_matvec(sector, v, w)
+        _sector_matvec(diag, block, v, w)
         if deflate is not None:
             np.dot(deflate, shift * (deflate_h @ v), out=extra)
             w += extra
@@ -887,7 +924,7 @@ def _translation_step(spec: SpinChainSpec) -> int:
         key = _term_masks(term.factors)
         coeffs[key] = coeffs.get(key, 0.0) + term.coeff
     coeffs = {key: c for key, c in coeffs.items() if c != 0.0}
-    masks = spec.operator().masks
+    masks = spec.operator().ring.masks
     for d in range(1, n):
         if n % d or any(_rotate_sites(m, d, n) != m for m in masks):
             continue
@@ -913,34 +950,6 @@ class Orbits:
     length: np.ndarray
     orbit: np.ndarray
     back: np.ndarray
-
-
-@functools.lru_cache(maxsize=1)
-def _orbits(n: int, groups: tuple, is_complex: bool, d: int) -> tuple[Orbits, ...]:
-    """One :class:`Orbits` per sector of ``_off_diagonal(n, groups,
-    is_complex)`` under T^d, read-only and built once for consecutive calls
-    with these arguments (a field sweep), from one running minimum over the
-    translates, so no (M, sector) array of them is made."""
-    period = n // d
-    out = []
-    for _, basis, _ in _off_diagonal(n, groups, is_complex)[2]:
-        rep, moved = basis.copy(), basis
-        back = np.zeros(basis.size, dtype=np.uint8)  # back < n <= GROUND_SITE_CAP
-        count = np.ones(basis.size, dtype=np.int64)  # T^(dj) s = s for M/p of the j
-        for j in range(1, period):
-            moved = _rotate_sites(moved, d, n)
-            lower = moved < rep
-            np.copyto(rep, moved, where=lower)
-            back[lower] = j
-            count += moved == basis
-        is_rep = rep == basis
-        reps = np.flatnonzero(is_rep)
-        orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[np.searchsorted(basis, rep)]
-        orbits = Orbits(period, reps, (period // count)[reps], orbit, back)
-        for array in (orbits.reps, orbits.length, orbits.orbit, orbits.back):
-            array.flags.writeable = False
-        out.append(orbits)
-    return tuple(out)
 
 
 def _fold(cols: np.ndarray, data: np.ndarray, orbits: Orbits, q: int) -> FixedWidthBlock:
@@ -970,9 +979,11 @@ def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
 
     Each Z-parity sector's block at each momentum q = 0..M-1 under T^d
     (``_translation_step``; d = n, so M = 1, for a chain that is not exactly
-    invariant) is its ``_fold`` plus the diagonal at the representatives, on
-    the orbits with q p = 0 (mod M); every block that is not empty is solved
-    dense.  Only this solver reads every momentum block of H.
+    invariant) is its ``_fold`` of the representatives' rows
+    (``_Ring.rep_rows``) plus the diagonal at the representatives, on the
+    orbits with q p = 0 (mod M); every block that is not empty is solved
+    dense.  Only this solver reads every momentum block of H, and it builds
+    no sector block.
 
     In a real sector the block at M - q is the complex conjugate of the
     block at q, on the same orbits, so it has the same levels: only q =
@@ -981,15 +992,12 @@ def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
     """
     _check_dense_cap(spec.n_sites)
     op = spec.operator()
+    real = op.ring.dtype.kind == "f"
     levels = []
-    for sector, orbits in zip(op.sectors, _orbits(*op.offdiag_key, _translation_step(spec))):
-        reps = orbits.reps
-        diag = np.diag(sector.diag[reps])
-        # the stored entries, the very blocks the iterative solvers apply
-        off = sector.offdiag
-        cols, data = off.cols[reps], off.values[reps]
+    for s, orbits in enumerate(op.ring.orbits(_translation_step(spec))):
+        diag = np.diag(op.diags[s][orbits.reps])
+        cols, data = op.ring.rep_rows(s, orbits)
         period = orbits.period
-        real = sector.dtype.kind == "f"
         for q in range(period // 2 + 1 if real else period):
             keep = np.flatnonzero(q * orbits.length % period == 0)
             if keep.size:
@@ -1017,8 +1025,8 @@ def _deflation_shift(spec: SpinChainSpec) -> float:
     return 2.0 * sum(abs(t.coeff) for t in spec.terms) + 1.0
 
 
-def _lanczos_levels(sector: Sector, seed: int, shift: float):
-    """Yield ``(level, vector)`` for the levels of the sector's block in
+def _lanczos_levels(op: BlockedOperator, s: int, seed: int, shift: float):
+    """Yield ``(level, vector)`` for the levels of sector s's block in
     ascending order, every degenerate copy included; ``vector()`` returns
     the level's normalized vector, replayed and residual-checked on the
     first call only (``_checked_vector``).
@@ -1031,23 +1039,25 @@ def _lanczos_levels(sector: Sector, seed: int, shift: float):
     and only its first dim(block) levels are levels of H; the caller stops
     it.
     """
-    below = np.empty((sector.basis.size, 0), dtype=sector.dtype)
-    theta, ritz_vector = _lanczos(sector, seed)
+    diag, block = op.diags[s], op.ring.block(s)
+    below = np.empty((diag.size, 0), dtype=block.dtype)
+    theta, ritz_vector = _lanczos(diag, block, seed)
     while True:
-        vector = _checked_vector(sector, theta, ritz_vector)
+        vector = _checked_vector(op, s, theta, ritz_vector)
         yield theta, vector
         below = np.column_stack([below, vector()])
-        theta, ritz_vector = _lanczos(sector, seed + below.shape[1], deflate=below, shift=shift)
+        theta, ritz_vector = _lanczos(diag, block, seed + below.shape[1], deflate=below, shift=shift)
 
 
-def _checked_vector(sector: Sector, energy: float, ritz_vector):
-    """Memoised thunk of ``ritz_vector()``, residual-checked against
-    ``energy`` (``_check_residual``) when it is first called."""
+def _checked_vector(op: BlockedOperator, s: int, energy: float, ritz_vector):
+    """Memoised thunk of ``ritz_vector()``, a vector of sector s,
+    residual-checked against ``energy`` (``_check_residual``) when it is
+    first called."""
 
     @functools.cache
     def vector() -> np.ndarray:
         psi = ritz_vector()
-        _check_residual(sector, energy, psi)
+        _check_residual(op, s, energy, psi)
         return psi
 
     return vector
@@ -1058,9 +1068,10 @@ def _levels(spec: SpinChainSpec, seed: int):
     dimension, merged in ascending order of level: a sector solves its next
     level only after its latest level has been read."""
     shift = _deflation_shift(spec)
+    op = spec.operator()
     return heapq.merge(
-        *(islice(_lanczos_levels(sector, seed, shift), sector.basis.size)
-          for sector in spec.operator().sectors),
+        *(islice(_lanczos_levels(op, s, seed, shift), basis.size)
+          for s, basis in enumerate(op.ring.bases)),
         key=itemgetter(0),
     )
 
@@ -1090,41 +1101,10 @@ class SymmetricBlock:
     offdiag: FixedWidthBlock
     gauge: np.ndarray | None
 
-    def at(self, sector: Sector) -> Sector:
-        """The block at the fields of ``sector``: its diagonal is H's at the
-        representatives."""
-        reps = self.orbits.reps
-        return Sector(sector.label, sector.basis[reps], sector.diag[reps], self.offdiag.dtype,
-                      None, lambda: self.offdiag)
-
     def expand(self, vector: np.ndarray) -> np.ndarray:
         """G Q u: the sector vector of the block vector u, each orbit's
         entry spread over the orbit with weight 1/sqrt(p), then gauged."""
         return self.gauge * (vector / np.sqrt(self.orbits.length))[self.orbits.orbit]
-
-
-@functools.lru_cache(maxsize=1)
-def _symmetric_blocks(n: int, groups: tuple, is_complex: bool, d: int) -> tuple[SymmetricBlock, ...]:
-    """One :class:`SymmetricBlock` per sector of ``_off_diagonal(n, groups,
-    is_complex)`` under T^d, read-only and built once per ring as
-    ``_orbits`` is.  Each folds the entries of its representatives' rows
-    alone, and the gauge reads one flip's entries at a time, so no sector's
-    values are built here.  The gauge is sought only when the blocks are
-    real and a GF(2) basis of the flips has n - len(masks) members, so that
-    the flips connect every sector (``_sign_gauge``)."""
-    masks, steps, blocks = _off_diagonal(n, groups, is_complex)
-    spanning = _gf2_basis([flip for flip, _ in groups])
-    connected = not is_complex and len(spanning) == n - len(masks)
-    out = []
-    for (_, basis, _), orbits in zip(blocks, _orbits(n, groups, is_complex, d)):
-        reps = orbits.reps
-        stoquastic = -np.abs(_entries(basis[reps], groups, is_complex))
-        folded = _fold(reps[:, None] ^ np.array(steps, dtype=np.intp), stoquastic, orbits, 0)
-        gauge = _sign_gauge(basis, steps, groups, spanning) if connected else None
-        if gauge is not None:
-            gauge.flags.writeable = False
-        out.append(SymmetricBlock(orbits, folded, gauge))
-    return tuple(out)
 
 
 def _sign_gauge(basis: np.ndarray, steps: tuple, groups, spanning) -> np.ndarray | None:
@@ -1166,7 +1146,8 @@ def ground_state(spec: SpinChainSpec, seed: int = START_SEED) -> tuple[float, St
     """Lowest eigenpair over all Z-parity sectors.
 
     Each sector's :class:`SymmetricBlock` (built once per ring,
-    ``_symmetric_blocks``) is solved first, by ``_lanczos`` from its image
+    ``_Ring.symmetric_blocks``), with H's diagonal at its representatives,
+    is solved first, by ``_lanczos`` from its image
     of the uniform vector, sqrt(p), which overlaps every nonnegative lowest
     vector of the block; no seed enters.  The sectors are then walked once,
     in ascending order of block level, up to the first that lies
@@ -1181,7 +1162,7 @@ def ground_state(spec: SpinChainSpec, seed: int = START_SEED) -> tuple[float, St
 
     Degeneracy rule: when the lowest levels of two or more sectors agree
     within ``DEGENERACY_TOL``, the ground state of the first tied sector in
-    the fixed order of ``spec.operator().sectors`` is returned, and a
+    the fixed order of the ring's sectors is returned, and a
     :class:`DegenerateGroundStateWarning` names the tied sectors.  The state
     returned at a cross-sector degeneracy therefore does not depend on
     ``seed``.  Otherwise a chosen sector with a gauge has a simple lowest
@@ -1197,24 +1178,24 @@ def ground_state(spec: SpinChainSpec, seed: int = START_SEED) -> tuple[float, St
     n = spec.n_sites
     _check_iterative_cap(n)
     op = spec.operator()
-    sectors = op.sectors
-    blocks = _symmetric_blocks(*op.offdiag_key, _translation_step(spec))
-    solved = [_lanczos(block.at(sector), np.sqrt(block.orbits.length))
-              for sector, block in zip(sectors, blocks)]
-    lows = np.full(len(sectors), np.inf)
+    labels = op.ring.labels
+    blocks = op.ring.symmetric_blocks(_translation_step(spec))
+    solved = [_lanczos(diag[block.orbits.reps], block.offdiag, np.sqrt(block.orbits.length))
+              for diag, block in zip(op.diags, blocks)]
+    lows = np.full(len(blocks), np.inf)
     streams, vectors = {}, {}
     shift = _deflation_shift(spec)
-    for i in sorted(range(len(sectors)), key=lambda i: solved[i][0]):
+    for i in sorted(range(len(blocks)), key=lambda i: solved[i][0]):
         level, ritz_vector = solved[i]
         if level - lows.min() >= DEGENERACY_TOL:
             break  # this sector and every later one lie above the ground level
         if blocks[i].gauge is None:
-            streams[i] = _lanczos_levels(sectors[i], seed, shift)
+            streams[i] = _lanczos_levels(op, i, seed, shift)
             lows[i], vectors[i] = next(streams[i])
         else:
             lows[i] = level
             vectors[i] = _checked_vector(
-                sectors[i], level,
+                op, i, level,
                 lambda expand=blocks[i].expand, ritz_vector=ritz_vector: expand(ritz_vector()))
     tied = np.flatnonzero(lows - lows.min() < DEGENERACY_TOL)
     first = int(tied[0])
@@ -1222,16 +1203,16 @@ def ground_state(spec: SpinChainSpec, seed: int = START_SEED) -> tuple[float, St
     psi = vectors[first]()
     degenerate = None
     if tied.size > 1:
-        names = ", ".join(sectors[i].label for i in tied)
+        names = ", ".join(labels[i] for i in tied)
         degenerate = (f"across Z-parity sectors {names}; returning the state of "
-                      f"sector {sectors[first].label}")
+                      f"sector {labels[first]}")
     elif first in streams and next(streams[first])[0] - energy < DEGENERACY_TOL:
-        degenerate = f"inside Z-parity sector {sectors[first].label}; returning one minimizer"
+        degenerate = f"inside Z-parity sector {labels[first]}; returning one minimizer"
     if degenerate:
         warnings.warn(f"ground level degenerate within {DEGENERACY_TOL:g} {degenerate}",
                       DegenerateGroundStateWarning)
     amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[sectors[first].basis] = psi
+    amps[op.ring.bases[first]] = psi
     return energy, StateVector(n, amps)
 
 

@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,27 @@ def as_csr(block):
     """A FixedWidthBlock as a scipy CSR matrix on the block's own arrays."""
     rows = block.cols.shape[0]
     return csr_matrix((block.values.ravel(), block.cols.ravel(), block.indptr), shape=(rows, rows))
+
+
+class Sector:
+    """Sector s of a spec's operator, read off its ring: the label, basis,
+    dtype and off-diagonal block (built on its first read) of the ring's
+    sector s, and the spec's diagonal there."""
+
+    def __init__(self, op, s):
+        self.op, self.s = op, s
+        self.label, self.basis, self.dtype = op.ring.labels[s], op.ring.bases[s], op.ring.dtype
+        self.diag = op.diags[s]
+
+    @property
+    def offdiag(self):
+        return self.op.ring.block(self.s)
+
+
+def sectors(spec):
+    """The Z-parity sectors of the spec's operator, in the ring's order."""
+    op = spec.operator()
+    return [Sector(op, s) for s in range(len(op.diags))]
 
 
 def kron_oracle(spec):
@@ -230,14 +252,15 @@ class TestApply:
         def strided_views(spec, state):
             amps = state.amplitudes
             out = np.empty_like(amps)
-            for sector in spec.operator().sectors:
+            for sector in sectors(spec):
                 x = amps[sector.basis]
+                diag, off = sector.diag, sector.offdiag
                 if sector.dtype.kind == "c":
-                    out[sector.basis] = spin_core._sector_matvec(sector, x, np.empty_like(x))
+                    out[sector.basis] = spin_core._sector_matvec(diag, off, x, np.empty_like(x))
                     continue
-                re = spin_core._sector_matvec(sector, x.real, np.empty(x.size))
+                re = spin_core._sector_matvec(diag, off, x.real, np.empty(x.size))
                 if x.imag.any():
-                    re = re + 1j * spin_core._sector_matvec(sector, x.imag, np.empty(x.size))
+                    re = re + 1j * spin_core._sector_matvec(diag, off, x.imag, np.empty(x.size))
                 out[sector.basis] = re
             return out
 
@@ -392,7 +415,7 @@ class TestBlockedOperator:
     def test_oracle_covers_complex_and_parity_breaking_terms(self):
         specs = [random_spec(3 + seed % 4, seed) for seed in range(12)]
         assert any(ts.dense_matrix(sp).dtype.kind == "c" for sp in specs)
-        assert any(len(sp.operator().sectors) == 1 for sp in specs)
+        assert any(len(sp.operator().diags) == 1 for sp in specs)
 
     def test_builders_match_oracle(self):
         coup = ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0)
@@ -409,15 +432,15 @@ class TestBlockedOperator:
     def test_sector_counts(self):
         coup = ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0)
         for n in (4, 6, 8):
-            assert len(ts.cluster_hamiltonian(n, 0.5).operator().sectors) == 4
+            assert len(ts.cluster_hamiltonian(n, 0.5).operator().diags) == 4
         for n in (5, 7, 9):
-            assert len(ts.cluster_hamiltonian(n, 0.5).operator().sectors) == 2
+            assert len(ts.cluster_hamiltonian(n, 0.5).operator().diags) == 2
         tri = ts.triangle_chain_hamiltonian(coup, (0.1, 0.0, 0.4), 6)
-        assert len(tri.operator().sectors) == 1
+        assert len(tri.operator().diags) == 1
 
     def test_sectors_partition_the_basis(self):
         op = ts.cluster_hamiltonian(8, 0.5).operator()
-        basis = np.concatenate([sector.basis for sector in op.sectors])
+        basis = np.concatenate(op.ring.bases)
         assert np.array_equal(np.sort(basis), np.arange(1 << 8))
 
 
@@ -480,12 +503,12 @@ class TestMomentumBlocks:
         specs = [invariant_spec(3 + seed % 6, seed) for seed in range(12)]
         assert {sp.n_sites for sp in specs} == set(range(3, 9))
         assert any(ts.dense_matrix(sp).dtype.kind == "c" for sp in specs)
-        assert any(len(sp.operator().sectors) == 1 for sp in specs)
+        assert any(len(sp.operator().diags) == 1 for sp in specs)
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_alternating_field_ring_has_step_two(self, n):
         spec = alternating_ring(n)
-        assert spec.operator().masks == ()
+        assert spec.operator().ring.masks == ()
         assert spin_core._translation_step(spec) == 2
         oracle = np.linalg.eigvalsh(kron_oracle(spec))
         assert np.max(np.abs(ts.dense_spectrum(spec) - oracle)) < 1e-10
@@ -508,7 +531,7 @@ class TestMomentumBlocks:
         # H is real here, so only q = 0..M/2 are solved (every momentum has
         # orbits here), and each 0 < q < M - q block also stands for M - q
         half = period // 2 + 1
-        for sector in spec.operator().sectors:
+        for sector in sectors(spec):
             blocks, solved = solved[:half], solved[half:]
             copies = [2 if 0 < q < period - q else 1 for q in range(half)]
             assert sum(c * block.shape[0] for c, block in zip(copies, blocks)) == sector.basis.size
@@ -533,7 +556,7 @@ class TestMomentumBlocks:
         moved = rotate(np.arange(1 << n), d, n)
         assert abs(h[moved][:, moved] - h).max() < 1e-12
         expected = []
-        for sector in spec.operator().sectors:
+        for sector in sectors(spec):
             h_sector = h[sector.basis][:, sector.basis]
             real = sector.offdiag.dtype.kind == "f"
             dims, blocks = 0, {}
@@ -558,10 +581,9 @@ class TestMomentumBlocks:
         # every momentum block of every sector solved, as before the pairing
         for b in (0.0, 0.7):
             spec = ts.cluster_hamiltonian(n, b)
-            op = spec.operator()
             levels = []
             d = spin_core._translation_step(spec)
-            for sector, orbits in zip(op.sectors, spin_core._orbits(*op.offdiag_key, d)):
+            for sector, orbits in zip(sectors(spec), spec.operator().ring.orbits(d)):
                 diag = np.diag(sector.diag[orbits.reps])
                 off = sector.offdiag
                 stored = [off.cols[orbits.reps], off.values[orbits.reps]]
@@ -575,7 +597,7 @@ class TestMomentumBlocks:
     def test_complex_triangle_chain_solves_every_block(self):
         coup = ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0)
         spec = ts.triangle_chain_hamiltonian(coup, (0.1, 0.2, 0.4), 9)
-        assert [s.offdiag.dtype.kind for s in spec.operator().sectors] == ["c"]
+        assert [s.offdiag.dtype.kind for s in sectors(spec)] == ["c"]
         oracle = eigh(ts.dense_matrix(spec), eigvals_only=True)
         assert np.max(np.abs(ts.dense_spectrum(spec) - oracle)) < 1e-10
 
@@ -646,7 +668,7 @@ def dense_sector_levels(n, b):
     level's vector, by dense eigh."""
     return [
         eigh(sector_matrix(sector).toarray(), subset_by_index=(0, 1))
-        for sector in ts.cluster_hamiltonian(n, b).operator().sectors
+        for sector in sectors(ts.cluster_hamiltonian(n, b))
     ]
 
 
@@ -722,17 +744,17 @@ class TestLanczosGroundState:
                 ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.2, 0.4), 10
             )
             levels = [eigh(sector_matrix(s).toarray(), subset_by_index=(0, 1))
-                      for s in spec.operator().sectors]
-            assert spec.operator().sectors[0].offdiag.dtype.kind == "c"
+                      for s in sectors(spec)]
+            assert sectors(spec)[0].offdiag.dtype.kind == "c"
         else:
             spec = ts.cluster_hamiltonian(*case)
             levels = dense_sector_levels(*case)
-        sectors = spec.operator().sectors
+        parts = sectors(spec)
         lows = np.sort(np.concatenate([vals for vals, _ in levels]))
         assert lows[1] - lows[0] > 1e-3  # a unique ground state to compare with
         best = int(np.argmin([vals[0] for vals, _ in levels]))
         oracle = np.zeros(1 << spec.n_sites, dtype=np.complex128)
-        oracle[sectors[best].basis] = levels[best][1][:, 0]
+        oracle[parts[best].basis] = levels[best][1][:, 0]
         energy, state = ts.ground_state(spec)
         assert abs(energy - lows[0]) < 1e-10
         assert abs(np.vdot(oracle, state.amplitudes)) > 1 - 1e-10
@@ -740,7 +762,7 @@ class TestLanczosGroundState:
     @pytest.mark.parametrize("n", [10, 11, 12])
     def test_tie_in_one_large_sector_warns(self, n):
         spec = free_site_chain(n)
-        (sector,) = spec.operator().sectors
+        (sector,) = sectors(spec)
         assert sector.label == "all states" and sector.basis.size == 1 << n
         with pytest.warns(ts.DegenerateGroundStateWarning, match="inside"):
             ts.ground_state(spec)
@@ -771,11 +793,11 @@ class TestLanczosGroundState:
         for n in (11, 12):
             for b in np.arange(9) * 0.25:
                 spec = ts.cluster_hamiltonian(n, b)
-                for sector, (vals, _) in zip(spec.operator().sectors, dense_sector_levels(n, b)):
+                for sector, (vals, _) in zip(sectors(spec), dense_sector_levels(n, b)):
                     assert sector.basis.size == 1024
-                    energy, ritz_vector = spin_core._lanczos(sector, 7)
+                    energy, ritz_vector = spin_core._lanczos(sector.diag, sector.offdiag, 7)
                     shifted, _ = spin_core._lanczos(
-                        sector, 8, deflate=ritz_vector(),
+                        sector.diag, sector.offdiag, 8, deflate=ritz_vector(),
                         shift=spin_core._deflation_shift(spec),
                     )
                     assert abs(energy - vals[0]) < 1e-10
@@ -797,7 +819,7 @@ class TestLanczosGap:
         for n in (11, 12):
             for b in np.arange(9) * 0.25:
                 spec = ts.cluster_hamiltonian(n, b)
-                assert all(s.basis.size == 1024 for s in spec.operator().sectors)
+                assert all(s.basis.size == 1024 for s in sectors(spec))
                 tied += sum(vals[1] - vals[0] < spin_core.DEGENERACY_TOL
                             for vals, _ in dense_sector_levels(n, b))
                 oracle = spin_core._gap_above_ground(ts.dense_spectrum(spec))
@@ -821,14 +843,14 @@ class TestLanczosGap:
             spec = ts.triangle_chain_hamiltonian(
                 ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.2, 0.4), 10
             )
-            assert spec.operator().sectors[0].offdiag.dtype.kind == "c"
+            assert sectors(spec)[0].offdiag.dtype.kind == "c"
         oracle = spin_core._gap_above_ground(ts.dense_spectrum(oracle_spec or spec))
         assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
 
     def test_zero_mode_ring_matches_dense_spectrum(self):
         # n = 14 at B = 1: the ground manifold spans two sectors
         spec = ts.cluster_hamiltonian(14, 1.0)
-        lows = np.array([spin_core._lanczos(s, 7)[0] for s in spec.operator().sectors])
+        lows = np.array([spin_core._lanczos(s.diag, s.offdiag, 7)[0] for s in sectors(spec)])
         assert np.count_nonzero(lows - lows.min() < spin_core.DEGENERACY_TOL) == 2
         oracle = spin_core._gap_above_ground(ring_spectrum(14, 1.0))
         assert abs(ts.spectral_gap(spec) - oracle) < 1e-10
@@ -908,7 +930,7 @@ class TestLowestEigenvalues:
         monkeypatch.setattr(spin_core, "_lanczos", counted_lanczos)
         k = 16
         ts.lowest_eigenvalues(spec, k)
-        assert len(calls) == len(spec.operator().sectors) + k - 1
+        assert len(calls) == len(spec.operator().diags) + k - 1
 
 
 def small_spec(family, n, arg):
@@ -936,7 +958,7 @@ SMALL_CASES = (
 def dense_warning_kind(spec):
     """ground_state's degeneracy rule applied to each sector's dense
     eigenvalues: "across", "inside" or None."""
-    levels = [np.linalg.eigvalsh(sector_matrix(s).toarray()) for s in spec.operator().sectors]
+    levels = [np.linalg.eigvalsh(sector_matrix(s).toarray()) for s in sectors(spec)]
     lows = np.array([vals[0] for vals in levels])
     tied = np.flatnonzero(lows - lows.min() < spin_core.DEGENERACY_TOL)
     if tied.size > 1:
@@ -994,9 +1016,7 @@ def cancelling_hop_chain(n):
 
 def symmetric_blocks(spec):
     """ground_state's SymmetricBlock per sector of the spec."""
-    return spin_core._symmetric_blocks(
-        *spec.operator().offdiag_key, spin_core._translation_step(spec)
-    )
+    return spec.operator().ring.symmetric_blocks(spin_core._translation_step(spec))
 
 
 def orbit_count(spec, sector):
@@ -1011,7 +1031,7 @@ def orbit_count(spec, sector):
 
 class TestPerronFrobenius:
     """ground_state's stoquastic symmetric blocks and sign gauges
-    (``_symmetric_blocks``): the block's lowest level bounds the sector's,
+    (``_Ring.symmetric_blocks``): the block's lowest level bounds the sector's,
     and a gauge makes it the sector's simple lowest level."""
 
     def test_certified_sectors_have_a_simple_lowest_level(self):
@@ -1020,11 +1040,10 @@ class TestPerronFrobenius:
                   for n in range(4, 13) for b in np.arange(-4, 5) * 0.5]
         certified = refused = 0
         for spec, levels in cases:
-            op = spec.operator()
             if levels is None:
                 levels = [eigh(sector_matrix(s).toarray(), subset_by_index=(0, min(1, s.basis.size - 1)))
-                          for s in op.sectors]
-            for sector, block, (vals, _) in zip(op.sectors, symmetric_blocks(spec), levels):
+                          for s in sectors(spec)]
+            for sector, block, (vals, _) in zip(sectors(spec), symmetric_blocks(spec), levels):
                 assert block.orbits.reps.size == orbit_count(spec, sector)
                 matrix = block.offdiag.toarray() + np.diag(sector.diag[block.orbits.reps])
                 assert np.max(np.abs(matrix - matrix.T), initial=0.0) < 1e-12
@@ -1054,8 +1073,8 @@ class TestPerronFrobenius:
             "cancelling": lambda: [cancelling_hop_chain(8)],
         }[case]()
         for spec in specs:
-            op = spec.operator()
-            for sector, block in zip(op.sectors, symmetric_blocks(spec)):
+            ring = spec.operator().ring
+            for sector, block in zip(sectors(spec), symmetric_blocks(spec)):
                 assert block.gauge is None
                 assert block.orbits.reps.size == orbit_count(spec, sector)
                 if case == "zz":
@@ -1066,9 +1085,7 @@ class TestPerronFrobenius:
                     # this gauge gives every nonzero entry the right sign, and
                     # opposite signs across every zero entry
                     gauge = (-1.0) ** (np.bitwise_count(sector.basis) // 2)
-                    _, groups, _ = op.offdiag_key
-                    steps = spin_core._off_diagonal(*op.offdiag_key)[1]
-                    assert not spin_core._is_gauge(sector.basis, steps, groups, gauge)
+                    assert not spin_core._is_gauge(sector.basis, ring.steps, ring.groups, gauge)
                     nonzero = off.data != 0.0
                     rows = np.repeat(np.arange(sector.basis.size), off.indptr[1])
                     signs = gauge[rows] * gauge[off.indices] * off.data
@@ -1080,7 +1097,7 @@ class TestPerronFrobenius:
         gauged = 0
         for b in (0.0, 0.5, -1.5):
             spec = ts.cluster_hamiltonian(n, b)
-            for sector, block in zip(spec.operator().sectors, symmetric_blocks(spec)):
+            for sector, block in zip(sectors(spec), symmetric_blocks(spec)):
                 if block.gauge is None:
                     continue
                 gauged += 1
@@ -1110,31 +1127,53 @@ class TestPerronFrobenius:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ts.DegenerateGroundStateWarning)
             ts.ground_state(spec)
-        assert len(calls) == len(spec.operator().sectors) + full + deflated
+        assert len(calls) == len(spec.operator().diags) + full + deflated
         assert sum(calls) == deflated
 
 
 class TestSharedOffDiagonal:
-    """The field-independent off-diagonal part is built once per ring."""
+    """The field-independent part is one ring, built once per ring."""
 
     def test_fields_share_it(self):
         low, high = ts.cluster_hamiltonian(9, 0.3), ts.cluster_hamiltonian(9, 1.7)
-        for a, b in zip(low.operator().sectors, high.operator().sectors):
+        assert low.operator().ring is high.operator().ring
+        for a, b in zip(sectors(low), sectors(high)):
             assert a.offdiag is b.offdiag and a.basis is b.basis
             assert not np.array_equal(a.diag, b.diag)
         for spec in (low, high):
             assert np.max(np.abs(ts.dense_matrix(spec) - kron_oracle(spec))) < 1e-12
 
     def test_a_field_sweep_builds_one_symmetric_block_per_ring(self):
-        spin_core._symmetric_blocks.cache_clear()
-        energies = {}
+        spin_core._ring.cache_clear()
+        energies, blocks, orbits = {}, [], []
         for n in (10, 9, 10):  # a ring built again after another one was freed
             for b in (0.3, 0.8, 1.6):
-                energies.setdefault((n, b), []).append(ts.ground_state(ts.cluster_hamiltonian(n, b))[0])
-        assert spin_core._symmetric_blocks.cache_info().misses == 3
+                spec = ts.cluster_hamiltonian(n, b)
+                energies.setdefault((n, b), []).append(ts.ground_state(spec)[0])
+                ring, d = spec.operator().ring, spin_core._translation_step(spec)
+                blocks.append(ring.symmetric_blocks(d))
+                orbits.append(ring.orbits(d))
+        assert spin_core._ring.cache_info().misses == 3
+        # each ring's first field builds its tables, and the later fields share them
+        for built in (blocks, orbits):
+            assert [b is a for a, b in zip(built, built[1:])] == [True, True, False] * 2 + [True, True]
         for (n, b), found in energies.items():
             oracle = min(vals[0] for vals, _ in dense_sector_levels(n, b))
             assert np.max(np.abs(np.array(found) - oracle)) < 1e-10
+
+
+    def test_an_evicted_ring_is_freed(self):
+        # the ring memoises its tables on itself, so once the cache has moved
+        # on and no spec holds the ring, nothing keeps it or its tables alive
+        spec = ts.cluster_hamiltonian(9, 0.5)
+        ts.ground_state(spec)
+        ts.dense_spectrum(spec)
+        ts.apply(spec, random_state(9, 1))
+        ring = weakref.ref(spec.operator().ring)
+        del spec
+        assert ring() is not None  # still the cached ring
+        ts.cluster_hamiltonian(10, 0.5).operator()
+        assert ring() is None
 
 
 def masked_chain(case):
@@ -1208,19 +1247,18 @@ class TestColumnTable:
     def test_every_sector_reads_the_shared_table(self, case, masks, kind):
         spec = masked_chain(case)
         n = spec.n_sites
-        op = spec.operator()
-        _, groups, is_complex = op.offdiag_key
+        ring = spec.operator().ring
+        groups, is_complex, steps = ring.groups, ring.is_complex, ring.steps
         named = {"even": sum(1 << i for i in range(0, n, 2)), "odd": sum(1 << i for i in range(1, n, 2)),
                  "all": (1 << n) - 1}
-        assert op.masks == tuple(named[name] for name in masks)
+        assert ring.masks == tuple(named[name] for name in masks)
         assert (len(groups) == 0) == (case == "diagonal")
-        _, steps, _ = spin_core._off_diagonal(*op.offdiag_key)
         assert len(steps) == len(groups)
-        assert np.array_equal(np.sort(np.concatenate([s.basis for s in op.sectors])), np.arange(1 << n))
-        for s, sector in enumerate(op.sectors):
+        assert np.array_equal(np.sort(np.concatenate([s.basis for s in sectors(spec)])), np.arange(1 << n))
+        for s, sector in enumerate(sectors(spec)):
             basis = sector.basis
             assert np.all(np.diff(basis) > 0)
-            for j, mask in enumerate(op.masks):
+            for j, mask in enumerate(ring.masks):
                 assert np.all(np.bitwise_count(basis & mask) % 2 == (s >> j) & 1)
             position = np.full(1 << n, -1)
             position[basis] = np.arange(basis.size)
@@ -1234,8 +1272,8 @@ class TestColumnTable:
             assert off.values.dtype == data.dtype and off.values.tobytes() == data.tobytes()
             assert np.array_equal(off.indptr, np.arange(basis.size + 1) * len(groups))
             # one column table and one indptr for every sector, once built
-            assert np.shares_memory(off.cols, op.sectors[0].offdiag.cols) or not groups
-            assert np.shares_memory(off.indptr, op.sectors[0].offdiag.indptr)
+            assert np.shares_memory(off.cols, ring.block(0).cols) or not groups
+            assert np.shares_memory(off.indptr, ring.block(0).indptr)
             assert not (off.values.flags.writeable or off.cols.flags.writeable or off.indptr.flags.writeable)
         assert np.max(np.abs(ts.dense_matrix(spec) - kron_oracle(spec))) < 1e-12
 
@@ -1246,12 +1284,13 @@ class TestTableFreeCheck:
     @pytest.mark.parametrize("case", [case for case, _, _ in MASKED_CASES])
     def test_matches_the_table_product(self, case):
         rng = np.random.default_rng(len(case))
-        for sector in masked_chain(case).operator().sectors:
+        spec = masked_chain(case)
+        for sector in sectors(spec):
             x = rng.standard_normal(sector.basis.size).astype(sector.dtype)
             if sector.dtype.kind == "c":
                 x += 1j * rng.standard_normal(sector.basis.size)
-            got = spin_core._flip_matvec(sector, x)
-            want = spin_core._sector_matvec(sector, x, np.empty_like(x))
+            got = spin_core._flip_matvec(spec.operator(), sector.s, x)
+            want = spin_core._sector_matvec(sector.diag, sector.offdiag, x, np.empty_like(x))
             assert got.dtype == want.dtype
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             if sector.dtype.kind == "f":  # the same sums in the same order
@@ -1273,7 +1312,8 @@ def refuse(*args):
     raise AssertionError("a gauged ground state built a table")
 
 
-spin_core._offdiag_block = spin_core._column_table = refuse
+spin_core._Ring.block = refuse
+spin_core._Ring._table = property(refuse)
 tracemalloc.start()
 _, state = ts.ground_state(ts.cluster_hamiltonian(17, 0.5))
 print(tracemalloc.get_traced_memory()[1])
@@ -1285,25 +1325,31 @@ class TestLazyValues:
     and at most once per ring."""
 
     @pytest.fixture(autouse=True)
-    def fresh_rings(self):
-        caches = (spin_core._off_diagonal, spin_core._orbits, spin_core._symmetric_blocks)
-        for cache in caches:
-            cache.cache_clear()
-        yield
-        for cache in caches:
-            cache.cache_clear()
+    def recorded_entries(self, monkeypatch):
+        # a fresh ring per test, and the rows of every ``_entries`` call: a
+        # sector's block is built from its whole basis, a fold from some rows
+        spin_core._ring.cache_clear()
+        self.rows = []
+        entries = spin_core._entries
 
-    @staticmethod
-    def builds(spec):
+        def recording(rows, *args):
+            self.rows.append(rows)
+            return entries(rows, *args)
+
+        monkeypatch.setattr(spin_core, "_entries", recording)
+        yield
+        spin_core._ring.cache_clear()
+
+    def builds(self, spec):
         """How many times each sector's values have been built."""
-        return [sector._offdiag.cache_info().misses for sector in spec.operator().sectors]
+        return [sum(rows is basis for rows in self.rows) for basis in spec.operator().ring.bases]
 
     def test_gauged_ground_state_builds_no_sector(self):
         # its residual check applies the ground sector's H flip by flip
         spec = ts.cluster_hamiltonian(13, 1.5)
         assert self.builds(spec) == [0, 0]
         _, psi = ts.ground_state(spec)
-        ground = [int(np.any(psi.amplitudes[sector.basis])) for sector in spec.operator().sectors]
+        ground = [int(np.any(psi.amplitudes[sector.basis])) for sector in sectors(spec)]
         assert sorted(ground) == [0, 1]
         assert self.builds(spec) == [0, 0]
 
@@ -1313,26 +1359,31 @@ class TestLazyValues:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ts.DegenerateGroundStateWarning)
             ts.ground_state(spec)
-        blocks = spin_core._symmetric_blocks(*spec.operator().offdiag_key, spin_core._translation_step(spec))
+        blocks = symmetric_blocks(spec)
         assert self.builds(spec) == [int(block.gauge is None) for block in blocks]
         assert sorted(self.builds(spec)) == [0, 1]
 
     @pytest.mark.parametrize("solve", [
         ts.spectral_gap,
-        ts.dense_spectrum,
         lambda spec: ts.apply(spec, random_state(spec.n_sites, 3)),
-    ], ids=["spectral_gap", "dense_spectrum", "apply"])
+    ], ids=["spectral_gap", "apply"])
     def test_solvers_of_every_sector_build_every_sector(self, solve):
         spec = ts.cluster_hamiltonian(10, 0.5)
         solve(spec)
         assert self.builds(spec) == [1, 1, 1, 1]
 
+    def test_dense_spectrum_builds_no_sector(self):
+        # it folds the representatives' rows alone, and builds no column table
+        spec = ts.cluster_hamiltonian(10, 0.5)
+        ts.dense_spectrum(spec)
+        assert self.builds(spec) == [0, 0, 0, 0]
+        assert self.rows and "_table" not in vars(spec.operator().ring)
+
     def test_symmetric_blocks_and_dtypes_build_none(self):
         spec = ts.cluster_hamiltonian(13, 1.5)
-        op = spec.operator()
-        blocks = spin_core._symmetric_blocks(*op.offdiag_key, spin_core._translation_step(spec))
+        blocks = symmetric_blocks(spec)
         assert any(block.gauge is not None for block in blocks)
-        assert [sector.dtype.kind for sector in op.sectors] == ["f", "f"]
+        assert [sector.dtype.kind for sector in sectors(spec)] == ["f", "f"]
         assert self.builds(spec) == [0, 0]
 
     def test_a_field_sweep_builds_each_sector_once(self):
@@ -1391,27 +1442,30 @@ specs = [ts.cluster_hamiltonian(12, 0.5), ts.cluster_hamiltonian(13, -1.5),
 kinds, folds = set(), set()
 for spec in specs:
     op = spec.operator()
+    ring = op.ring
     d = spin_core._translation_step(spec)
-    for sector, orbits in zip(op.sectors, spin_core._orbits(*op.offdiag_key, d)):
-        off = sector.offdiag
+    for s, orbits in enumerate(ring.orbits(d)):
+        diag, off = op.diags[s], ring.block(s)
         kinds.add(off.dtype.kind)
         check_block(off, rng)
         # the whole sector H as one CSR matrix, each row's diagonal first
         rows, m = off.cols.shape
-        whole = csr_matrix((np.column_stack([sector.diag, off.values]).ravel(),
+        whole = csr_matrix((np.column_stack([diag, off.values]).ravel(),
                             np.column_stack([np.arange(rows, dtype=np.int32), off.cols]).ravel(),
                             np.arange(rows + 1) * (m + 1)), shape=(rows, rows))
-        x = rng.standard_normal(rows).astype(sector.dtype)
-        out = spin_core._sector_matvec(sector, x, np.empty_like(x))
+        x = rng.standard_normal(rows).astype(ring.dtype)
+        out = spin_core._sector_matvec(diag, off, x, np.empty_like(x))
         assert same(out, whole @ x)
-        split = sector.diag * x + as_csr(off) @ x
+        split = diag * x + as_csr(off) @ x
         assert np.max(np.abs(out - split)) <= 1e-13 * np.max(np.abs(split))
         reps = orbits.reps
         for q in sorted({0, 1, orbits.period // 2}):
             folded = spin_core._fold(off.cols[reps], off.values[reps], orbits, q)
             folds.add((q > 0, folded.dtype.kind))
             check_block(folded, rng)
-    for block in spin_core._symmetric_blocks(*op.offdiag_key, d):
+            # the representatives' rows formed with no block, as dense_spectrum folds them
+            assert same(folded.toarray(), spin_core._fold(*ring.rep_rows(s, orbits), orbits, q).toarray())
+    for block in ring.symmetric_blocks(d):
         check_block(block.offdiag, rng)
 assert kinds == {"f", "c"}, kinds
 assert folds == {(False, "f"), (True, "f"), (True, "c"), (False, "c")}, folds
@@ -1443,7 +1497,7 @@ class TestStandaloneKernels:
             spin_core._load_sparsetools()
 
     def test_blocks_are_read_only_and_checked(self):
-        off = ts.cluster_hamiltonian(8, 0.5).operator().sectors[0].offdiag
+        off = ts.cluster_hamiltonian(8, 0.5).operator().ring.block(0)
         for array in (off.cols, off.values, off.indptr):
             with pytest.raises(ValueError):
                 array[0] = 0
