@@ -33,6 +33,7 @@ from .localizable import (
     optimize_plan,
 )
 from .spin_core import (
+    DENSE_SITE_CAP,
     GAP_LEVELS,
     GROUND_SITE_CAP,
     _gap_above_ground,
@@ -59,12 +60,6 @@ _UNREAD_OPTIONS = {
     "locent": (lambda a: a.scheme != "anneal", "--scheme anneal", _ANNEAL_OPTIONS),
     "figure2": (lambda a: a.no_anneal, "runs without --no-anneal", _ANNEAL_OPTIONS),
 }
-
-#: ``spectrum`` takes the dense path up to this many sites, else Lanczos.
-#: At n = 13 the dense path is the faster: all levels of the cluster ring in
-#: 0.23-0.34 s against 2.4 s for the default 64 by Lanczos, and of the
-#: complex triangle model in 1.3-2.0 s against 43 s.
-_DENSE_SITE_MAX = 13
 
 #: figure2 tables per channel: summary file and its length column, detail
 #: file and its value columns.
@@ -206,7 +201,11 @@ def _cmd_spectrum(args, out: Path, timings: dict) -> int:
     else:
         coup = EffectiveCouplings(args.lambda1, args.lambda2, args.lambda3, args.lambda4, 0.0)
         spec = triangle_chain_hamiltonian(coup, (args.bx, args.by, args.b), args.n)
-    dense = args.n <= _DENSE_SITE_MAX
+    # dense up to the library's cap, where it is the faster path for both
+    # models: at n = 14 all levels of the cluster ring take 0.5-0.8 s against
+    # 1.0-1.3 s for the default 64 by Lanczos, and of the complex triangle
+    # model 8.2 s against 113 s
+    dense = args.n <= DENSE_SITE_CAP
     if dense:
         energies = dense_spectrum(spec)
     else:

@@ -32,6 +32,9 @@ from .spin_core import (
 PROB_CUTOFF = 1e-14
 #: Largest number of measured spins enumerated exhaustively.
 MEASURED_CAP = 20
+#: Branches per block of ``_read``'s kept-branch compaction, so that each of
+#: its temporaries holds at most this many entries whatever n.
+_READ_BLOCK = 4096
 #: Annealing schedule: the starting temperature, the cooling factor applied
 #: after each temperature step, and the angle step (radians) at ``T_START``,
 #: which shrinks in proportion to the temperature.
@@ -227,7 +230,17 @@ def _read(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     dets *= 2.0
     if keep.all():
         return float(dets.sum() / total), probs, keep, dets
-    return float(dets[keep].sum() / probs[keep].sum()), probs, keep, dets
+    # the kept entries compacted, one block at a time, into the float views of
+    # det and product, free once dets is formed: the values, and so the sums,
+    # of dets[keep] and probs[keep].  numpy has no compaction into a given
+    # array without a temporary of the kept count (compress(out=) makes two)
+    kept_dets, kept_probs, stop = work.det["f"], work.product["f"], 0
+    for lo in range(0, keep.size, _READ_BLOCK):
+        block = slice(lo, lo + _READ_BLOCK)
+        start, stop = stop, stop + int(np.count_nonzero(keep[block]))
+        kept_dets[start:stop] = dets[block][keep[block]]
+        kept_probs[start:stop] = probs[block][keep[block]]
+    return float(kept_dets[:stop].sum() / kept_probs[:stop].sum()), probs, keep, dets
 
 
 def _check_state(state: StateVector) -> None:

@@ -12,8 +12,11 @@ Conventions shared by every module in this package:
   ladder operators) are formed by the caller from separate applications.
 * Every solver works on :class:`BlockedOperator`, the Hamiltonian split
   into the joint eigenspaces ("sectors") of the products of Z over the
-  conserved sublattice masks; :func:`dense_spectrum` splits each sector
-  further into every lattice-momentum block, and :func:`ground_state`
+  conserved sublattice masks.  A translation that commutes with H maps
+  sectors onto sectors (``_translations``), so every solver solves one
+  representative sector per orbit and counts its levels again for each
+  translate.  :func:`dense_spectrum` splits a representative further into
+  every lattice-momentum block of its own step, and :func:`ground_state`
   takes one such block of a related matrix (below), both by one fold
   (``_fold``) over the ring's orbit tables (``_Ring.orbits``).  Each
   sector is a real diagonal plus m off-diagonal entries per row, one per
@@ -38,10 +41,11 @@ Conventions shared by every module in this package:
   an energy-only pass for the sector's lowest level, then for each next
   level a solve deflated against the residual-checked vectors of the
   levels below it.  :func:`lowest_eigenvalues` and :func:`spectral_gap`
-  read the sectors' streams merged in ascending order (``_levels``).
-* :func:`ground_state` first solves each sector's small stoquastic
-  symmetric block (``SymmetricBlock``, built once per ring,
-  ``_Ring.symmetric_blocks``): the q = 0 lattice-momentum block of S =
+  read the representative sectors' streams, each level repeated once per
+  sector of its orbit, merged in ascending order (``_levels``).
+* :func:`ground_state` first solves each representative sector's small
+  stoquastic symmetric block (``SymmetricBlock``, built once per ring,
+  ``_Ring.symmetric_block``): the q = 0 lattice-momentum block of S =
   diag(H) - |offdiag(H)|, whose lowest level bounds the sector's from
   below.  Where an exact sign gauge G gives H = G
   S G, that level is the sector's, simple, and its vector is the block's
@@ -68,9 +72,9 @@ import math
 import os
 import threading
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import itemgetter
+from itertools import islice, repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -508,10 +512,12 @@ class _Ring:
     bit of each mask whose parity s flips.
 
     The rest is built on first use and kept with the ring: each sector's
-    off-diagonal block (``block``) and, per translation step d, the
-    sectors' :class:`Orbits` (``orbits``) and :class:`SymmetricBlock`
-    (``symmetric_blocks``).  They are memoised on the instance, so they go
-    when ``_ring`` drops the ring and no spec holds it.
+    off-diagonal block (``block``) and, per sector and translation step, its
+    :class:`Orbits` (``orbits``) and :class:`SymmetricBlock`
+    (``symmetric_block``), which the solvers ask for only for a
+    representative sector at its own step (``_translations``).  They are
+    memoised on the instance, so they go when ``_ring`` drops the ring and
+    no spec holds it.
     """
 
     def __init__(self, n: int, groups: tuple, is_complex: bool):
@@ -541,8 +547,8 @@ class _Ring:
                                    for j, (name, _) in enumerate(named)) or "all states")
         self.labels, self.bases = tuple(labels), tuple(bases)
         self._blocks: list[FixedWidthBlock | None] = [None] * len(bases)
-        self._orbits_at: dict[int, tuple[Orbits, ...]] = {}
-        self._symmetric_at: dict[int, tuple[SymmetricBlock, ...]] = {}
+        self._orbits: dict[tuple[int, int], Orbits] = {}
+        self._symmetric: dict[tuple[int, int], SymmetricBlock] = {}
 
     @functools.cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -571,52 +577,48 @@ class _Ring:
         return (reps[:, None] ^ np.array(self.steps, dtype=np.intp),
                 _entries(self.bases[s][reps], self.groups, self.is_complex))
 
-    def orbits(self, d: int) -> tuple[Orbits, ...]:
-        """One read-only :class:`Orbits` per sector under T^d, built on the
-        first call for d from one running minimum over the translates, so
-        no (M, sector) array of them is made."""
-        if d not in self._orbits_at:
-            period, out = self.n // d, []
-            for basis in self.bases:
-                rep, moved = basis.copy(), basis
-                back = np.zeros(basis.size, dtype=np.uint8)  # back < n <= GROUND_SITE_CAP
-                count = np.ones(basis.size, dtype=np.int64)  # T^(dj) s = s for M/p of the j
-                for j in range(1, period):
-                    moved = _rotate_sites(moved, d, self.n)
-                    lower = moved < rep
-                    np.copyto(rep, moved, where=lower)
-                    back[lower] = j
-                    count += moved == basis
-                is_rep = rep == basis
-                reps = np.flatnonzero(is_rep)
-                orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[np.searchsorted(basis, rep)]
-                orbits = Orbits(period, reps, (period // count)[reps], orbit, back)
-                for array in (orbits.reps, orbits.length, orbits.orbit, orbits.back):
-                    array.flags.writeable = False
-                out.append(orbits)
-            self._orbits_at[d] = tuple(out)
-        return self._orbits_at[d]
+    def orbits(self, s: int, d: int) -> Orbits:
+        """Sector s's read-only :class:`Orbits` under T^d, a translation that
+        maps the sector onto itself, built on the first call for (s, d) from
+        one running minimum over the translates, so no (M, sector) array of
+        them is made."""
+        if (s, d) not in self._orbits:
+            basis, period = self.bases[s], self.n // d
+            rep, moved = basis.copy(), basis
+            back = np.zeros(basis.size, dtype=np.uint8)  # back < n <= GROUND_SITE_CAP
+            count = np.ones(basis.size, dtype=np.int64)  # T^(dj) s = s for M/p of the j
+            for j in range(1, period):
+                moved = _rotate_sites(moved, d, self.n)
+                lower = moved < rep
+                np.copyto(rep, moved, where=lower)
+                back[lower] = j
+                count += moved == basis
+            is_rep = rep == basis
+            reps = np.flatnonzero(is_rep)
+            orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[np.searchsorted(basis, rep)]
+            orbits = Orbits(period, reps, (period // count)[reps], orbit, back)
+            for array in (orbits.reps, orbits.length, orbits.orbit, orbits.back):
+                array.flags.writeable = False
+            self._orbits[s, d] = orbits
+        return self._orbits[s, d]
 
-    def symmetric_blocks(self, d: int) -> tuple[SymmetricBlock, ...]:
-        """One :class:`SymmetricBlock` per sector under T^d, built on the
-        first call for d.  Each folds its representatives' rows alone
+    def symmetric_block(self, s: int, d: int) -> SymmetricBlock:
+        """Sector s's :class:`SymmetricBlock` under T^d, built on the first
+        call for (s, d).  It folds the representatives' rows alone
         (``rep_rows``), and the gauge reads one flip's entries at a time, so
         no sector block is built here.  The gauge is sought only when the
         blocks are real and a GF(2) basis of the flips has n - len(masks)
         members, so that the flips connect every sector (``_sign_gauge``)."""
-        if d not in self._symmetric_at:
+        if (s, d) not in self._symmetric:
+            orbits = self.orbits(s, d)
+            cols, entries = self.rep_rows(s, orbits)
             spanning = _gf2_basis([flip for flip, _ in self.groups])
             connected = not self.is_complex and len(spanning) == self.n - len(self.masks)
-            out = []
-            for s, orbits in enumerate(self.orbits(d)):
-                cols, entries = self.rep_rows(s, orbits)
-                folded = _fold(cols, -np.abs(entries), orbits, 0)
-                gauge = _sign_gauge(self.bases[s], self.steps, self.groups, spanning) if connected else None
-                if gauge is not None:
-                    gauge.flags.writeable = False
-                out.append(SymmetricBlock(orbits, folded, gauge))
-            self._symmetric_at[d] = tuple(out)
-        return self._symmetric_at[d]
+            gauge = _sign_gauge(self.bases[s], self.steps, self.groups, spanning) if connected else None
+            if gauge is not None:
+                gauge.flags.writeable = False
+            self._symmetric[s, d] = SymmetricBlock(orbits, _fold(cols, -np.abs(entries), orbits, 0), gauge)
+        return self._symmetric[s, d]
 
 
 #: The ring of the latest spec built, made anew when n or the off-diagonal
@@ -914,10 +916,21 @@ def _rotate_sites(x, d: int, n: int):
     return ((x << d) | (x >> (n - d))) & ((1 << n) - 1)
 
 
-def _translation_step(spec: SpinChainSpec) -> int:
-    """Smallest divisor d of n such that shifting every site by d maps the
-    summed Pauli strings and every conserved mask onto themselves, with
-    coefficients compared exactly; n when there is none."""
+def _translations(spec: SpinChainSpec) -> tuple[tuple[int, int], ...]:
+    """Per sector s of the spec's ring, ``(d_s, r_s)``: the smallest step d_s
+    whose translation T^(d_s) maps the sector onto itself, and its
+    representative r_s, the lowest sector of its orbit under T^d.
+
+    d is the smallest divisor of n such that shifting every site by d maps
+    the summed Pauli strings onto themselves, with coefficients compared
+    exactly, and each conserved mask onto a conserved mask (d = n, the
+    identity, always does).  T^d maps sector s onto the sector whose parity
+    for the image of mask j is that of s for mask j, and d_s is d times the
+    length of s's cycle.  T^d commutes with H, so a sector has the levels of
+    its representative: on an even cluster ring T swaps the two
+    sublattices, the two mixed sectors are one orbit with d_s = 2, and the
+    other two have d_s = 1.
+    """
     n = spec.n_sites
     coeffs: dict[tuple[int, int, int], float] = {}
     for term in spec.terms:
@@ -925,25 +938,36 @@ def _translation_step(spec: SpinChainSpec) -> int:
         coeffs[key] = coeffs.get(key, 0.0) + term.coeff
     coeffs = {key: c for key, c in coeffs.items() if c != 0.0}
     masks = spec.operator().ring.masks
-    for d in range(1, n):
-        if n % d or any(_rotate_sites(m, d, n) != m for m in masks):
+    for d in range(1, n + 1):
+        moved = [_rotate_sites(m, d, n) for m in masks]
+        if n % d or not set(moved) <= set(masks):
             continue
-        moved = {
-            (_rotate_sites(flip, d, n), _rotate_sites(zy, d, n), n_y): c
-            for (flip, zy, n_y), c in coeffs.items()
-        }
-        if moved == coeffs:
-            return d
-    return n
+        if coeffs == {(_rotate_sites(flip, d, n), _rotate_sites(zy, d, n), n_y): c
+                      for (flip, zy, n_y), c in coeffs.items()}:
+            break
+    image = [masks.index(m) for m in moved]  # T^d moves mask j onto mask image[j]
+
+    def shifted(s: int) -> int:  # the sector that T^d maps sector s onto
+        return sum(((s >> j) & 1) << i for j, i in enumerate(image))
+
+    out = []
+    for s in range(1 << len(masks)):
+        cycle = [s]
+        while shifted(cycle[-1]) != s:
+            cycle.append(shifted(cycle[-1]))
+        out.append((d * len(cycle), min(cycle)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class Orbits:
-    """The orbits of T^d (T moves every site by one) in one sector, M = n/d
-    = ``period``.  ``reps``: the sector rows of the representatives (each
-    orbit's smallest basis index), ascending; ``length``: their orbit
-    lengths p.  Per sector row s, ``orbit`` is the index into ``reps`` of its
-    orbit and ``back`` the j < p with T^(dj) s its representative."""
+    """The orbits of T^d (T moves every site by one) in one sector that T^d
+    maps onto itself, M = n/d = ``period``; the solvers take d = d_s, the
+    sector's own step (``_translations``).  ``reps``: the sector rows of the
+    representatives (each orbit's smallest basis index), ascending;
+    ``length``: their orbit lengths p.  Per sector row s, ``orbit`` is the
+    index into ``reps`` of its orbit and ``back`` the j < p with T^(dj) s
+    its representative."""
 
     period: int
     reps: np.ndarray
@@ -956,7 +980,9 @@ def _fold(cols: np.ndarray, data: np.ndarray, orbits: Orbits, q: int) -> FixedWi
     """The off-diagonal part of the momentum-q block Q_q^H H Q_q from the
     (reps, m) columns ``cols`` and entries ``data`` of a sector's stored
     off-diagonal entries in the rows of ``orbits.reps``; with ``data`` their
-    -|entries|, that of S = diag(H) - |offdiag(H)|.
+    -|entries|, that of S = diag(H) - |offdiag(H)|.  T^d is the translation
+    of ``orbits``, which maps the sector onto itself: in the solvers, a
+    representative sector's own step d_s (``_translations``).
 
     Column r of Q_q is p^(-1/2) sum_{j<p} exp(2 pi i q j / M) |T^(-dj) r>,
     for each orbit with q p = 0 (mod M).  As H commutes with T^d, entry (r,
@@ -977,13 +1003,15 @@ def _fold(cols: np.ndarray, data: np.ndarray, orbits: Orbits, q: int) -> FixedWi
 def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
     """All 2^n eigenvalues, ascending, from dense lattice-momentum blocks.
 
-    Each Z-parity sector's block at each momentum q = 0..M-1 under T^d
-    (``_translation_step``; d = n, so M = 1, for a chain that is not exactly
-    invariant) is its ``_fold`` of the representatives' rows
-    (``_Ring.rep_rows``) plus the diagonal at the representatives, on the
-    orbits with q p = 0 (mod M); every block that is not empty is solved
-    dense.  Only this solver reads every momentum block of H, and it builds
-    no sector block.
+    Each representative Z-parity sector (``_translations``) is split into
+    its blocks at each momentum q = 0..M-1 under T^(d_s), M = n/d_s (d_s =
+    n, so M = 1, for a chain that is not exactly invariant): its ``_fold``
+    of the representatives' rows (``_Ring.rep_rows``) plus the diagonal at
+    the representatives, on the orbits with q p = 0 (mod M); every block
+    that is not empty is solved dense.  A translate of a representative
+    solves nothing: its levels are the representative's, counted again.
+    Only this solver reads every momentum block of H, and it builds no
+    sector block.
 
     In a real sector the block at M - q is the complex conjugate of the
     block at q, on the same orbits, so it has the same levels: only q =
@@ -993,28 +1021,33 @@ def dense_spectrum(spec: SpinChainSpec) -> np.ndarray:
     _check_dense_cap(spec.n_sites)
     op = spec.operator()
     real = op.ring.dtype.kind == "f"
-    levels = []
-    for s, orbits in enumerate(op.ring.orbits(_translation_step(spec))):
+    sectors = []
+    for s, (step, rep) in enumerate(_translations(spec)):
+        if rep != s:
+            sectors.append(sectors[rep])
+            continue
+        orbits = op.ring.orbits(s, step)
         diag = np.diag(op.diags[s][orbits.reps])
         cols, data = op.ring.rep_rows(s, orbits)
-        period = orbits.period
+        period, levels = orbits.period, []
         for q in range(period // 2 + 1 if real else period):
             keep = np.flatnonzero(q * orbits.length % period == 0)
             if keep.size:
                 block = _fold(cols, data, orbits, q).toarray() + diag
                 solved = _solve_block(block[np.ix_(keep, keep)])
                 levels.extend([solved] * (2 if real and 0 < q < period - q else 1))
-    return np.sort(np.concatenate(levels))
+        sectors.append(np.concatenate(levels))
+    return np.sort(np.concatenate(sectors))
 
 
 def lowest_eigenvalues(spec: SpinChainSpec, k: int = 2) -> np.ndarray:
     """The k lowest levels over all Z-parity sectors, ascending, every
     degenerate copy included: the first k of the merged level stream
-    ``_levels``, so a sector solves its next level only once its latest
-    one is among them."""
+    ``_levels``, so a sector solves its next level only once every copy of
+    its latest one is among them."""
     _check_iterative_cap(spec.n_sites)
     # a stream may step down by rounding inside a degenerate level
-    return np.sort([level for level, _ in islice(_levels(spec, START_SEED), k)])
+    return np.sort(list(islice(_levels(spec, START_SEED), k)))
 
 
 def _deflation_shift(spec: SpinChainSpec) -> float:
@@ -1064,22 +1097,28 @@ def _checked_vector(op: BlockedOperator, s: int, energy: float, ritz_vector):
 
 
 def _levels(spec: SpinChainSpec, seed: int):
-    """Every sector's ``_lanczos_levels`` stream, cut at the sector's
-    dimension, merged in ascending order of level: a sector solves its next
-    level only after its latest level has been read."""
+    """The levels of every representative sector's ``_lanczos_levels``
+    stream (``_translations``), cut at the sector's dimension, each repeated
+    once per sector of its orbit, since a translate has its
+    representative's levels, merged in ascending order: a sector solves its
+    next level only after every copy of its latest level has been read."""
     shift = _deflation_shift(spec)
     op = spec.operator()
-    return heapq.merge(
-        *(islice(_lanczos_levels(op, s, seed, shift), basis.size)
-          for s, basis in enumerate(op.ring.bases)),
-        key=itemgetter(0),
-    )
+    copies = Counter(rep for _, rep in _translations(spec))
+
+    def stream(s: int):
+        for level, _ in islice(_lanczos_levels(op, s, seed, shift), op.ring.bases[s].size):
+            yield from repeat(level, copies[s])
+
+    return heapq.merge(*map(stream, copies))
 
 
 @dataclass(frozen=True)
 class SymmetricBlock:
     """One sector's stoquastic form S = diag(H) - |offdiag(H)| on its q = 0
-    momentum block under the translation T^d, and the sector's sign gauge.
+    momentum block under a translation T^d that maps the sector onto itself
+    (the solvers take the sector's own step d_s), and the sector's sign
+    gauge.
 
     For any x, |x|^T S |x| <= x^H H x, so S's lowest level bounds H's from
     below; and since S commutes with T^d and its off-diagonal entries are
@@ -1145,13 +1184,16 @@ def _is_gauge(basis: np.ndarray, steps: tuple, groups, gauge: np.ndarray) -> boo
 def ground_state(spec: SpinChainSpec, seed: int = START_SEED) -> tuple[float, StateVector]:
     """Lowest eigenpair over all Z-parity sectors.
 
-    Each sector's :class:`SymmetricBlock` (built once per ring,
-    ``_Ring.symmetric_blocks``), with H's diagonal at its representatives,
-    is solved first, by ``_lanczos`` from its image
-    of the uniform vector, sqrt(p), which overlaps every nonnegative lowest
-    vector of the block; no seed enters.  The sectors are then walked once,
-    in ascending order of block level, up to the first that lies
-    ``DEGENERACY_TOL`` or more above the lowest level recorded.
+    Each representative sector's :class:`SymmetricBlock` at its own step
+    (``_translations``; built once per ring, ``_Ring.symmetric_block``),
+    with H's diagonal at its representatives, is solved first, by
+    ``_lanczos`` from its image of the uniform vector, sqrt(p), which
+    overlaps every nonnegative lowest vector of the block; no seed enters.
+    The sectors are then walked once, in ascending order of block level, up
+    to the first that lies ``DEGENERACY_TOL`` or more above the lowest level
+    recorded.  A translate records its representative's level, so a
+    representative's level ties with its translates' and is never read
+    from a translate.
     * A sector with a gauge has H = G S G: its block level is its lowest
       level, which is simple, and it records that level and G Q times the
       block's vector.
@@ -1179,17 +1221,22 @@ def ground_state(spec: SpinChainSpec, seed: int = START_SEED) -> tuple[float, St
     _check_iterative_cap(n)
     op = spec.operator()
     labels = op.ring.labels
-    blocks = op.ring.symmetric_blocks(_translation_step(spec))
-    solved = [_lanczos(diag[block.orbits.reps], block.offdiag, np.sqrt(block.orbits.length))
-              for diag, block in zip(op.diags, blocks)]
-    lows = np.full(len(blocks), np.inf)
+    translations = _translations(spec)
+    reps = [rep for _, rep in translations]
+    blocks = {s: op.ring.symmetric_block(s, step) for s, (step, rep) in enumerate(translations) if rep == s}
+    solved = {s: _lanczos(op.diags[s][block.orbits.reps], block.offdiag, np.sqrt(block.orbits.length))
+              for s, block in blocks.items()}
+    lows = np.full(len(reps), np.inf)
     streams, vectors = {}, {}
     shift = _deflation_shift(spec)
-    for i in sorted(range(len(blocks)), key=lambda i: solved[i][0]):
-        level, ritz_vector = solved[i]
+    # stable: a translate follows its representative, whose level it shares
+    for i in sorted(range(len(reps)), key=lambda i: solved[reps[i]][0]):
+        level, ritz_vector = solved[reps[i]]
         if level - lows.min() >= DEGENERACY_TOL:
             break  # this sector and every later one lie above the ground level
-        if blocks[i].gauge is None:
+        if reps[i] != i:
+            lows[i] = lows[reps[i]]
+        elif blocks[i].gauge is None:
             streams[i] = _lanczos_levels(op, i, seed, shift)
             lows[i], vectors[i] = next(streams[i])
         else:
@@ -1229,7 +1276,7 @@ def spectral_gap(spec: SpinChainSpec, seed: int = START_SEED) -> float:
     more copies over all sectors.
     """
     _check_iterative_cap(spec.n_sites)
-    return _gap_above_ground(level for level, _ in islice(_levels(spec, seed), GAP_LEVELS))
+    return _gap_above_ground(islice(_levels(spec, seed), GAP_LEVELS))
 
 
 def _gap_above_ground(levels) -> float:

@@ -113,10 +113,13 @@ class TestSpectrum:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_iterative_gap_matches_spectral_gap(self, tmp_path):
-        # --max-levels counts on the iterative path too; the gap does not depend on it
-        n = cli._DENSE_SITE_MAX + 1
-        levels = ts.dense_spectrum(ts.cluster_hamiltonian(n, 0.5))
+    def test_iterative_gap_matches_spectral_gap(self, tmp_path, monkeypatch):
+        # --max-levels counts on the iterative path too; the gap does not depend
+        # on it.  The oracle is the dense spectrum one site above its cap
+        n = spin_core.DENSE_SITE_CAP + 1
+        with monkeypatch.context() as patch:
+            patch.setattr(spin_core, "DENSE_SITE_CAP", n)
+            levels = ts.dense_spectrum(ts.cluster_hamiltonian(n, 0.5))
         for max_levels in (20, 1):
             out = tmp_path / str(max_levels)
             assert cli.main(["spectrum", "--n", str(n), "--b", "0.5",
@@ -153,7 +156,7 @@ class TestSpectrum:
             ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.1, 0.2, 0.4), 8
         )
         assert [s.offdiag.dtype.kind for s in sectors(spec)] == ["c"]
-        assert spin_core._translation_step(spec) == 1
+        assert spin_core._translations(spec) == ((1, 0),)
         oracle = np.linalg.eigvalsh(kron_oracle(spec))
         assert payload["dense"] is True
         assert np.max(np.abs(np.array(payload["energies"]) - oracle)) < 1e-10
@@ -174,7 +177,7 @@ ts.dense_spectrum(spec)
 ts.apply(spec, ts.StateVector.basis_state(9, 5))
 ts.dense_matrix(spec)
 out = {str(tmp_path)!r}
-for n in ("9", "14"):  # the dense path, then Lanczos levels
+for n in ("9", "15"):  # the dense path, then Lanczos levels
     assert cli.main(["spectrum", "--n", n, "--max-levels", "8", "--out", out + "/" + n]) == 0
 assert cli.main(["figure2", "--n", "12", "--no-anneal", "--b-grid", "0.5:0.5:1", "--out", out + "/figure2"]) == 0
 loaded = sorted(name for name in sys.modules if name == "scipy.sparse" or name.startswith("scipy.linalg"))

@@ -1,4 +1,5 @@
 import functools
+import heapq
 import importlib.machinery
 import importlib.util
 import os
@@ -7,6 +8,8 @@ import subprocess
 import sys
 import warnings
 import weakref
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -409,7 +412,9 @@ class TestBlockedOperator:
         assert np.max(np.abs(ts.dense_matrix(spec) - oracle)) < 1e-12
         psi = random_state(n, seed + 100)
         assert np.max(np.abs(ts.apply(spec, psi).amplitudes - oracle @ psi.amplitudes)) < 1e-12
-        assert spin_core._translation_step(spec) == n  # one momentum block per sector
+        # no translation but the identity: every sector its own representative,
+        # with one momentum block
+        assert spin_core._translations(spec) == tuple((n, s) for s in range(len(spec.operator().diags)))
         assert np.max(np.abs(ts.dense_spectrum(spec) - np.linalg.eigvalsh(oracle))) < 1e-10
 
     def test_oracle_covers_complex_and_parity_breaking_terms(self):
@@ -448,6 +453,14 @@ def alternating_ring(n):
     """ZZ bonds and X fields 0.7, 0.3 alternating: period 2, no conserved mask."""
     terms = [ts.PauliString(1.0, ((i, "Z"), ((i + 1) % n, "Z"))) for i in range(n)]
     terms += [ts.PauliString(0.7 if i % 2 == 0 else 0.3, ((i, "X"),)) for i in range(n)]
+    return ts.SpinChainSpec(n, terms)
+
+
+def staggered_cluster_ring(n, b):
+    """The cluster ring in the field b + 0.4 (-1)^i: T^2 is a symmetry but T
+    is not, so no translation maps one sector onto another."""
+    terms = ts.cluster_hamiltonian(n, 0.0).terms
+    terms += [ts.PauliString(b + (0.4 if i % 2 == 0 else -0.4), ((i, "Z"),)) for i in range(n)]
     return ts.SpinChainSpec(n, terms)
 
 
@@ -495,7 +508,7 @@ class TestMomentumBlocks:
     def test_invariant_specs_match_oracle(self, seed):
         n = 3 + seed % 6
         spec = invariant_spec(n, seed)
-        assert spin_core._translation_step(spec) < n
+        assert spin_core._translations(spec)[0][0] < n  # T^d fixes sector 0, so d_0 = d
         oracle = np.linalg.eigvalsh(kron_oracle(spec))
         assert np.max(np.abs(ts.dense_spectrum(spec) - oracle)) < 1e-10
 
@@ -509,29 +522,40 @@ class TestMomentumBlocks:
     def test_alternating_field_ring_has_step_two(self, n):
         spec = alternating_ring(n)
         assert spec.operator().ring.masks == ()
-        assert spin_core._translation_step(spec) == 2
+        assert spin_core._translations(spec) == ((2, 0),)
         oracle = np.linalg.eigvalsh(kron_oracle(spec))
         assert np.max(np.abs(ts.dense_spectrum(spec) - oracle)) < 1e-10
 
     def test_translation_steps_of_the_builders(self):
         coup = ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0)
-        for n in (4, 6, 10, 12):  # the sublattice masks force d = 2
-            assert spin_core._translation_step(ts.cluster_hamiltonian(n, 0.5)) == 2
+        for n in (4, 6, 10, 12):
+            # T swaps the sublattice masks: it fixes even+,odd+ and even-,odd-,
+            # and maps even-,odd+ onto even+,odd-, whose step is then 2
+            spec = ts.cluster_hamiltonian(n, 0.5)
+            assert spec.operator().ring.labels == ("even+,odd+", "even-,odd+", "even+,odd-", "even-,odd-")
+            assert spin_core._translations(spec) == ((1, 0), (2, 1), (2, 1), (1, 3))
         for n in (5, 9, 11):
-            assert spin_core._translation_step(ts.cluster_hamiltonian(n, 0.5)) == 1
+            assert spin_core._translations(ts.cluster_hamiltonian(n, 0.5)) == ((1, 0), (1, 1))
         tri = ts.triangle_chain_hamiltonian(coup, (0.1, 0.2, 0.4), 7)
-        assert spin_core._translation_step(tri) == 1
+        assert spin_core._translations(tri) == ((1, 0),)
+        for n in (6, 8):  # T^2 alone is a symmetry, and it fixes every mask
+            assert spin_core._translations(staggered_cluster_ring(n, 0.5)) == ((2, 0), (2, 1), (2, 2), (2, 3))
 
-    @pytest.mark.parametrize("n, step", [(10, 2), (11, 1)])
-    def test_blocks_partition_each_sector_and_all_are_solved(self, n, step, monkeypatch):
+    @pytest.mark.parametrize("n, steps", [(10, (1, 2, 2, 1)), (11, (1, 1))], ids=["10-2", "11-1"])
+    def test_blocks_partition_each_sector_and_all_are_solved(self, n, steps, monkeypatch):
         spec = ts.cluster_hamiltonian(n, 0.5)
-        assert spin_core._translation_step(spec) == step
-        period = n // step
+        translations = spin_core._translations(spec)
+        assert tuple(step for step, _ in translations) == steps
         solved = solved_blocks(spec, monkeypatch)
         # H is real here, so only q = 0..M/2 are solved (every momentum has
-        # orbits here), and each 0 < q < M - q block also stands for M - q
-        half = period // 2 + 1
-        for sector in sectors(spec):
+        # orbits here), and each 0 < q < M - q block also stands for M - q;
+        # a translate solves no block, and its representative's stand for it
+        for sector, (step, rep) in zip(sectors(spec), translations):
+            if rep != sector.s:
+                assert sector.basis.size == sectors(spec)[rep].basis.size
+                continue
+            period = n // step
+            half = period // 2 + 1
             blocks, solved = solved[:half], solved[half:]
             copies = [2 if 0 < q < period - q else 1 for q in range(half)]
             assert sum(c * block.shape[0] for c, block in zip(copies, blocks)) == sector.basis.size
@@ -547,21 +571,30 @@ class TestMomentumBlocks:
             "cluster10", "cluster11"])
     def test_every_block_is_the_kronecker_momentum_block(self, spec, monkeypatch):
         # Q_q^H H Q_q with Q_q summed over every translate of the Kronecker
-        # basis, against each block dense_spectrum solves, in its order; a
-        # real sector's block at q > M - q is the conjugate of the one at
-        # M - q, which stands for it
-        n, d = spec.n_sites, spin_core._translation_step(spec)
-        period = n // d
+        # basis at the sector's own step, against each block dense_spectrum
+        # solves, in its order; a real sector's block at q > M - q is the
+        # conjugate of the one at M - q, which stands for it.  A translate
+        # solves none, and some shift by a multiple of d maps its
+        # representative's basis onto its own
+        n, translations = spec.n_sites, spin_core._translations(spec)
+        d = translations[0][0]
         h = kron_sparse(spec)
         moved = rotate(np.arange(1 << n), d, n)
         assert abs(h[moved][:, moved] - h).max() < 1e-12
         expected = []
-        for sector in sectors(spec):
+        for sector, (step, rep) in zip(sectors(spec), translations):
+            if rep != sector.s:
+                source = sectors(spec)[rep].basis
+                assert any(np.array_equal(np.sort(rotate(source, d * j, n)), sector.basis)
+                           for j in range(1, n // d))
+                continue
+            assert step % d == 0 and np.array_equal(np.sort(rotate(sector.basis, step, n)), sector.basis)
+            period = n // step
             h_sector = h[sector.basis][:, sector.basis]
             real = sector.offdiag.dtype.kind == "f"
             dims, blocks = 0, {}
             for q in range(period):
-                q_basis = momentum_basis(sector.basis, n, d, q)
+                q_basis = momentum_basis(sector.basis, n, step, q)
                 dims += q_basis.shape[1]
                 if q_basis.shape[1]:
                     blocks[q] = q_basis.conj().T @ (h_sector @ q_basis)
@@ -578,21 +611,35 @@ class TestMomentumBlocks:
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_paired_blocks_match_the_full_loop_bit_for_bit(self, n):
-        # every momentum block of every sector solved, as before the pairing
+        # every momentum block of every representative sector solved, as
+        # before the pairing, and a translate's levels its representative's.
+        # The block at q > M/2 is solved as the conjugate of the one at M - q:
+        # its own fold is that conjugate up to the last bit of the phases
+        # (exp(2 pi i 6/10) is not the conjugate of exp(2 pi i 4/10) in
+        # floating point), which moves its levels by up to 1.2e-14 at n = 10
         for b in (0.0, 0.7):
             spec = ts.cluster_hamiltonian(n, b)
-            levels = []
-            d = spin_core._translation_step(spec)
-            for sector, orbits in zip(sectors(spec), spec.operator().ring.orbits(d)):
+            ring, per_sector = spec.operator().ring, []
+            for sector, (step, rep) in zip(sectors(spec), spin_core._translations(spec)):
+                if rep != sector.s:
+                    per_sector.append(per_sector[rep])
+                    continue
+                orbits, levels, blocks = ring.orbits(sector.s, step), [], {}
+                period = orbits.period
                 diag = np.diag(sector.diag[orbits.reps])
                 off = sector.offdiag
                 stored = [off.cols[orbits.reps], off.values[orbits.reps]]
-                for q in range(orbits.period):
-                    keep = np.flatnonzero(q * orbits.length % orbits.period == 0)
+                for q in range(period):
+                    keep = np.flatnonzero(q * orbits.length % period == 0)
                     if keep.size:
-                        block = spin_core._fold(*stored, orbits, q).toarray() + diag
-                        levels.append(spin_core._solve_block(block[np.ix_(keep, keep)]))
-            assert np.array_equal(ts.dense_spectrum(spec), np.sort(np.concatenate(levels)))
+                        blocks[q] = (spin_core._fold(*stored, orbits, q).toarray() + diag)[np.ix_(keep, keep)]
+                        if q > period - q:
+                            assert np.max(np.abs(blocks[q] - blocks[period - q].conj())) < 1e-14
+                            blocks[q] = blocks[period - q].conj()
+                        levels.append(spin_core._solve_block(blocks[q]))
+                per_sector.append(np.concatenate(levels))
+            assert [len(levels) for levels in per_sector] == [sector.basis.size for sector in sectors(spec)]
+            assert np.array_equal(ts.dense_spectrum(spec), np.sort(np.concatenate(per_sector)))
 
     def test_complex_triangle_chain_solves_every_block(self):
         coup = ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0)
@@ -600,6 +647,77 @@ class TestMomentumBlocks:
         assert [s.offdiag.dtype.kind for s in sectors(spec)] == ["c"]
         oracle = eigh(ts.dense_matrix(spec), eigvals_only=True)
         assert np.max(np.abs(ts.dense_spectrum(spec) - oracle)) < 1e-10
+
+
+def kron_sector_levels(spec):
+    """Every level of the spec, by dense eigvalsh of each Z-parity sector's
+    block of the Kronecker-product H (a block-diagonal H: no entry outside
+    the blocks), translates solved on their own."""
+    h = kron_sparse(spec)
+    blocks = [h[sector.basis][:, sector.basis] for sector in sectors(spec)]
+    assert sum(block.nnz for block in blocks) == h.nnz
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block.toarray()) for block in blocks]))
+
+
+class TestTranslates:
+    """On an even cluster ring T swaps the sublattices: it fixes even+,odd+
+    and even-,odd- (one-site momentum blocks) and maps even-,odd+ onto
+    even+,odd-, its translate, whose levels are the representative's."""
+
+    @pytest.mark.parametrize("b", [0.0, 0.5, 1.0, -1.5])
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])
+    def test_dense_spectrum_matches_eigvalsh(self, n, b):
+        spec = ts.cluster_hamiltonian(n, b)
+        assert spin_core._translations(spec) == ((1, 0), (2, 1), (2, 1), (1, 3))
+        assert np.max(np.abs(ts.dense_spectrum(spec) - kron_sector_levels(spec))) < 1e-10
+
+    @pytest.mark.parametrize("b", [0.0, 0.5, 1.0, -1.5])
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_staggered_field_keeps_every_step_two(self, n, b):
+        spec = staggered_cluster_ring(n, b)
+        assert spin_core._translations(spec) == ((2, 0), (2, 1), (2, 2), (2, 3))
+        assert np.max(np.abs(ts.dense_spectrum(spec) - kron_sector_levels(spec))) < 1e-10
+
+    @pytest.mark.parametrize("b", [0.5, 1.0])
+    @pytest.mark.parametrize("n", [10, 12, 14])
+    def test_level_streams_count_every_copy(self, n, b):
+        # n = 14 takes dense_spectrum as its oracle, checked against the
+        # Kronecker H up to n = 12 above; each sector's lowest level, the
+        # translate's included, is also solved on its own whole block
+        spec = ts.cluster_hamiltonian(n, b)
+        oracle = ring_spectrum(n, b) if n == 14 else kron_sector_levels(spec)
+        lowest = ts.lowest_eigenvalues(spec, 8)
+        assert np.max(np.abs(lowest - oracle[:8])) < 1e-10
+        assert abs(ts.spectral_gap(spec) - spin_core._gap_above_ground(oracle)) < 1e-10
+        lows = [spin_core._lanczos(sector.diag, sector.offdiag, 7)[0] for sector in sectors(spec)]
+        assert abs(lows[1] - lows[2]) < 1e-10
+        for level in lows:  # the mirror pair's lowest level twice
+            copies = sum(abs(other - level) < 1e-9 for other in lows)
+            assert np.count_nonzero(np.abs(lowest - level) < 1e-9) >= copies
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_a_translate_is_never_solved(self, n, monkeypatch):
+        spin_core._ring.cache_clear()
+        spec = ts.cluster_hamiltonian(n, 0.5)
+        op = spec.operator()
+        solved = []
+        real_lanczos = spin_core._lanczos
+
+        def recording(diag, *args, **kwargs):
+            solved.append(diag)
+            return real_lanczos(diag, *args, **kwargs)
+
+        monkeypatch.setattr(spin_core, "_lanczos", recording)
+        ts.dense_spectrum(spec)
+        ts.ground_state(spec)
+        ts.spectral_gap(spec)
+        ts.lowest_eigenvalues(spec, 8)
+        ring = op.ring
+        # the representatives at their own steps, and nothing of sector 2
+        assert sorted(ring._orbits) == sorted(ring._symmetric) == [(0, 1), (1, 2), (3, 1)]
+        assert ring._blocks[2] is None and all(ring._blocks[s] is not None for s in (0, 1, 3))
+        assert solved and not any(diag is op.diags[2] for diag in solved)
+        spin_core._ring.cache_clear()
 
 
 class TestDegenerateGroundState:
@@ -875,7 +993,7 @@ class TestGapAboveGround:
         levels = [0.0, spin_core.DEGENERACY_TOL, 1.0]
         assert spin_core._gap_above_ground(np.array(levels)) == spin_core.DEGENERACY_TOL
         # spectral_gap reads its merged stream through the same rule
-        monkeypatch.setattr(spin_core, "_levels", lambda spec, seed: ((e, None) for e in levels))
+        monkeypatch.setattr(spin_core, "_levels", lambda spec, seed: iter(levels))
         assert ts.spectral_gap(ts.cluster_hamiltonian(6, 0.0)) == spin_core.DEGENERACY_TOL
 
     def test_stops_at_the_first_level_above(self):
@@ -917,20 +1035,36 @@ class TestLowestEigenvalues:
 
     @pytest.mark.parametrize("n", [13, 14])
     def test_one_solve_per_level_read(self, n, monkeypatch):
-        # the merged stream solves each sector's lowest level, then one more
-        # level per level read, from the sector of the level just read
+        # the merged stream solves each representative sector's lowest
+        # level, then one more level each time the last copy of a level is
+        # read, from that level's sector: on the even ring each level of the
+        # mirror pair's representative comes twice, and its translate is
+        # never solved
         spec = ts.cluster_hamiltonian(n, 0.5)
-        calls = []
+        op = spec.operator()
+        copies = Counter(rep for _, rep in spin_core._translations(spec))
+        solves = []
         real_lanczos = spin_core._lanczos
 
-        def counted_lanczos(*args, **kwargs):
-            calls.append(args)
-            return real_lanczos(*args, **kwargs)
+        def counted_lanczos(diag, *args, **kwargs):
+            theta, ritz_vector = real_lanczos(diag, *args, **kwargs)
+            solves.append(([d is diag for d in op.diags].index(True), theta))
+            return theta, ritz_vector
 
         monkeypatch.setattr(spin_core, "_lanczos", counted_lanczos)
         k = 16
-        ts.lowest_eigenvalues(spec, k)
-        assert len(calls) == len(spec.operator().diags) + k - 1
+        lowest = ts.lowest_eigenvalues(spec, k)
+        assert {s for s, _ in solves} == set(copies)
+        # the solved levels merged as the streams merge them, every copy
+        # included, each item tagged with its sector and its solve
+        solved = {s: [(level, s, i) for i, (t, level) in enumerate(solves) if t == s] for s in copies}
+        stream = list(heapq.merge(*([item for item in levels for _ in range(copies[s])]
+                                    for s, levels in solved.items()), key=itemgetter(0)))
+        assert np.array_equal(lowest, np.sort([level for level, _, _ in stream[:k]]))
+        read = Counter(stream[:k - 1])  # a pull follows every read but the k-th
+        expected = {s: 1 + sum(count == copies[s] for (_, t, _), count in read.items() if t == s) for s in copies}
+        assert Counter(s for s, _ in solves) == expected
+        assert max(read.values()) == (2 if n % 2 == 0 else 1)  # some level read in both its copies
 
 
 def small_spec(family, n, arg):
@@ -1015,14 +1149,17 @@ def cancelling_hop_chain(n):
 
 
 def symmetric_blocks(spec):
-    """ground_state's SymmetricBlock per sector of the spec."""
-    return spec.operator().ring.symmetric_blocks(spin_core._translation_step(spec))
+    """The SymmetricBlock of every sector of the spec at the sector's own
+    step: those that ground_state solves, its representatives', and its
+    translates' too."""
+    ring = spec.operator().ring
+    return [ring.symmetric_block(s, step) for s, (step, _) in enumerate(spin_core._translations(spec))]
 
 
 def orbit_count(spec, sector):
-    """Number of orbits of the translation T^d in the sector, d from
-    ``_translation_step``, from every translate of every basis state."""
-    n, d = spec.n_sites, spin_core._translation_step(spec)
+    """Number of orbits of the sector's own translation T^(d_s) in it, d_s
+    from ``_translations``, from every translate of every basis state."""
+    n, d = spec.n_sites, spin_core._translations(spec)[sector.s][0]
     moved = [sector.basis]
     for _ in range(1, n // d):
         moved.append(spin_core._rotate_sites(moved[-1], d, n))
@@ -1107,15 +1244,16 @@ class TestPerronFrobenius:
                 assert set(np.unique(block.gauge)) == {-1.0, 1.0}
         assert gauged >= 3
 
-    @pytest.mark.parametrize("spec, full, deflated", [
-        (ts.cluster_hamiltonian(12, 0.5), 0, 0),
-        (ts.cluster_hamiltonian(13, 0.5), 0, 0),
-        (ts.cluster_hamiltonian(13, -1.5), 1, 1),  # odd ring, B <= -1: no gauge
-        (free_site_chain(10), 1, 1),
+    @pytest.mark.parametrize("spec, blocks, full, deflated", [
+        (ts.cluster_hamiltonian(12, 0.5), 3, 0, 0),  # four sectors, one a translate
+        (ts.cluster_hamiltonian(13, 0.5), 2, 0, 0),
+        (ts.cluster_hamiltonian(13, -1.5), 2, 1, 1),  # odd ring, B <= -1: no gauge
+        (free_site_chain(10), 1, 1, 1),
     ], ids=["n12", "n13", "n13-negative-field", "free10"])
-    def test_tie_check_only_where_not_proven(self, spec, full, deflated, monkeypatch):
-        # one block solve per sector; a full-sector solve only for a sector
-        # without a gauge whose bound reaches the ground level
+    def test_tie_check_only_where_not_proven(self, spec, blocks, full, deflated, monkeypatch):
+        # one block solve per representative sector; a full-sector solve
+        # only for a sector without a gauge whose bound reaches the ground level
+        assert blocks == sum(rep == s for s, (_, rep) in enumerate(spin_core._translations(spec)))
         calls = []
         real_lanczos = spin_core._lanczos
 
@@ -1127,7 +1265,7 @@ class TestPerronFrobenius:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ts.DegenerateGroundStateWarning)
             ts.ground_state(spec)
-        assert len(calls) == len(spec.operator().diags) + full + deflated
+        assert len(calls) == blocks + full + deflated
         assert sum(calls) == deflated
 
 
@@ -1150,13 +1288,15 @@ class TestSharedOffDiagonal:
             for b in (0.3, 0.8, 1.6):
                 spec = ts.cluster_hamiltonian(n, b)
                 energies.setdefault((n, b), []).append(ts.ground_state(spec)[0])
-                ring, d = spec.operator().ring, spin_core._translation_step(spec)
-                blocks.append(ring.symmetric_blocks(d))
-                orbits.append(ring.orbits(d))
+                ring = spec.operator().ring
+                keys = [(s, step) for s, (step, rep) in enumerate(spin_core._translations(spec)) if rep == s]
+                blocks.append([ring.symmetric_block(*key) for key in keys])
+                orbits.append([ring.orbits(*key) for key in keys])
         assert spin_core._ring.cache_info().misses == 3
         # each ring's first field builds its tables, and the later fields share them
         for built in (blocks, orbits):
-            assert [b is a for a, b in zip(built, built[1:])] == [True, True, False] * 2 + [True, True]
+            shared = [len(a) == len(b) and all(x is y for x, y in zip(a, b)) for a, b in zip(built, built[1:])]
+            assert shared == [True, True, False] * 2 + [True, True]
         for (n, b), found in energies.items():
             oracle = min(vals[0] for vals, _ in dense_sector_levels(n, b))
             assert np.max(np.abs(np.array(found) - oracle)) < 1e-10
@@ -1363,14 +1503,16 @@ class TestLazyValues:
         assert self.builds(spec) == [int(block.gauge is None) for block in blocks]
         assert sorted(self.builds(spec)) == [0, 1]
 
-    @pytest.mark.parametrize("solve", [
-        ts.spectral_gap,
-        lambda spec: ts.apply(spec, random_state(spec.n_sites, 3)),
+    @pytest.mark.parametrize("solve, builds", [
+        # the mirror sector even+,odd- is a translate of even-,odd+: its
+        # levels are that sector's, and it builds nothing
+        (ts.spectral_gap, [1, 1, 0, 1]),
+        (lambda spec: ts.apply(spec, random_state(spec.n_sites, 3)), [1, 1, 1, 1]),
     ], ids=["spectral_gap", "apply"])
-    def test_solvers_of_every_sector_build_every_sector(self, solve):
+    def test_solvers_of_every_sector_build_every_sector(self, solve, builds):
         spec = ts.cluster_hamiltonian(10, 0.5)
         solve(spec)
-        assert self.builds(spec) == [1, 1, 1, 1]
+        assert self.builds(spec) == builds
 
     def test_dense_spectrum_builds_no_sector(self):
         # it folds the representatives' rows alone, and builds no column table
@@ -1443,8 +1585,7 @@ kinds, folds = set(), set()
 for spec in specs:
     op = spec.operator()
     ring = op.ring
-    d = spin_core._translation_step(spec)
-    for s, orbits in enumerate(ring.orbits(d)):
+    for s, (step, rep) in enumerate(spin_core._translations(spec)):
         diag, off = op.diags[s], ring.block(s)
         kinds.add(off.dtype.kind)
         check_block(off, rng)
@@ -1458,6 +1599,9 @@ for spec in specs:
         assert same(out, whole @ x)
         split = diag * x + as_csr(off) @ x
         assert np.max(np.abs(out - split)) <= 1e-13 * np.max(np.abs(split))
+        if rep != s:  # a translate: no fold and no symmetric block
+            continue
+        orbits = ring.orbits(s, step)
         reps = orbits.reps
         for q in sorted({0, 1, orbits.period // 2}):
             folded = spin_core._fold(off.cols[reps], off.values[reps], orbits, q)
@@ -1465,8 +1609,7 @@ for spec in specs:
             check_block(folded, rng)
             # the representatives' rows formed with no block, as dense_spectrum folds them
             assert same(folded.toarray(), spin_core._fold(*ring.rep_rows(s, orbits), orbits, q).toarray())
-    for block in ring.symmetric_blocks(d):
-        check_block(block.offdiag, rng)
+        check_block(ring.symmetric_block(s, step).offdiag, rng)
 assert kinds == {"f", "c"}, kinds
 assert folds == {(False, "f"), (True, "f"), (True, "c"), (False, "c")}, folds
 import scipy.sparse
