@@ -35,6 +35,10 @@ MEASURED_CAP = 20
 #: Branches per block of ``_read``'s kept-branch compaction, so that each of
 #: its temporaries holds at most this many entries whatever n.
 _READ_BLOCK = 4096
+#: Entries per BLAS dot of ``_read``'s squared norm.  OpenBLAS splits a dot
+#: of more than 10,000 entries across its threads, which changes its
+#: rounding, so a longer sum would move with the thread count.
+_DOT_BLOCK = 8192
 #: Annealing schedule: the starting temperature, the cooling factor applied
 #: after each temperature step, and the angle step (radians) at ``T_START``,
 #: which shrinks in proportion to the temperature.
@@ -157,11 +161,13 @@ def _rotate_site(a: np.ndarray, u: np.ndarray, k: int, *keep: np.ndarray, pair=N
         a = cast
     out = work.view(pair[a.base is work.slots[pair[0]]], a.shape, dtype)
     x = a.reshape(batch, 2, m)
-    # Two exact forms, picked by shape; each output entry is the same two
-    # products in both, and they agree bit for bit on every tensor tested.
-    # The batched matmul makes one small product per batch entry, so its cost
-    # grows with 2^k; the kron form is one BLAS product doing m times the
-    # needed flops, its (2m, 2m) matrix kron(u^T, 1_m) built by broadcasting.
+    # Three exact forms, picked by shape; each output entry is the same two
+    # products in all, the rest exact zeros, and they agree bit for bit on
+    # every tensor tested.  The batched matmul makes one small product per
+    # batch entry, so its cost grows with 2^k; the kron form is one BLAS
+    # product doing m times the needed flops, its (2m, 2m) matrix
+    # kron(u^T, 1_m) built by broadcasting; the grouped form makes one
+    # (8, 8) x (8, 16) product, kron(1_4, u), per four batch entries.
     # Two timing runs, one BLAS thread, matmul vs kron form:
     #   n=17: k=11, m=32: 1.0-2.1 vs 1.7-1.8 ms; k=12, m=16: 1.6-1.8 vs 0.9-1.1 ms;
     #         k=14, m=4: 5.6-7.3 vs 0.4-0.6 ms
@@ -170,17 +176,24 @@ def _rotate_site(a: np.ndarray, u: np.ndarray, k: int, *keep: np.ndarray, pair=N
     #         k=7, m=8: 47-51 vs 18-26 us
     #   n=9:  k=4, m=16: 9-14 vs 18-26 us; k=5, m=8: 13-22 vs 18-20 us;
     #         k=6, m=4: 25-32 vs 12-17 us
-    # So the kron form is taken for m <= 16 once the batch is at least 8m;
-    # below that the matmul wins or ties.  From n=13 up every m <= 16 meets
-    # the batch bound.  Real (float64) tensors, which a real state gives up
-    # to its first complex bra, two runs, same setup:
+    # So a one-product form is taken for m <= 16 once the batch is at least
+    # 8m; below that the matmul wins or ties.  From n=13 up every m <= 16
+    # meets the batch bound.  Real (float64) tensors, which a real state gives
+    # up to its first complex bra, two runs, same setup:
     #   n=17: k=12, m=16: 148-164 vs 194-196 us; k=13, m=8: 265 vs 153-174 us;
     #         k=14, m=4: 464-471 vs 136-170 us
     #   n=13: k=8, m=16: 10-11 vs 14 us; k=9, m=8: 18 vs 10 us; k=10, m=4: 31 vs 8-9 us
     #   n=9:  k=5, m=8: 3 vs 6-7 us; k=6, m=4: 4 vs 5 us
-    # In float64 the matmul still wins at m = 16 (by 3-4 us a call at n=13,
-    # 30-45 us at n=17) and at n=9, k=6; one rule serves both dtypes.
-    if m <= 16 and batch >= 8 * m:
+    # In float64 the matmul beats the kron form at m = 16 and at n=9, k=6;
+    # one rule serves both dtypes.  At m = 16 the grouped form beats both, in
+    # both dtypes; kron vs grouped vs matmul, best of 200 interleaved calls:
+    #   n=17, k=12: complex 0.77 vs 0.66 vs 1.24 ms; real 245 vs 106 vs 179 us
+    #   n=13, k=8:  complex 55 vs 48 vs 85 us; real 25-28 vs 17-22 vs 19-22 us
+    if m == 16 and batch >= 8 * m:
+        grouped = (batch // 4, 8, 16)
+        kron = (np.eye(4)[:, None, :, None] * u[:, None, :]).reshape(8, 8)
+        np.matmul(kron, x.reshape(grouped), out=out.reshape(grouped))
+    elif m < 16 and batch >= 8 * m:
         kron = (u.T[:, None, :, None] * np.eye(m)[:, None, :]).reshape(2 * m, 2 * m)
         np.matmul(x.reshape(batch, 2 * m), kron, out=out.reshape(batch, 2 * m))
     else:
@@ -208,46 +221,71 @@ def _rotate_all(a: np.ndarray, bras: list[np.ndarray], *keep: np.ndarray) -> np.
     return a
 
 
-def _read(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Branch average of a plan's rotated tensor, a ``_rotate_all`` of the
-    pair-last copy, float64 or complex128.
-
-    Returns ``(value, probs, keep, dets)``: the average, each branch's
-    probability, the mask of branches above ``PROB_CUTOFF``, and each
-    branch's unnormalized concurrence 2|a00 a11 - a01 a10|.  The three
-    arrays are work arrays (``_work``), overwritten by the next read.
-    """
+def _dets(a: np.ndarray) -> np.ndarray:
+    """Each row's unnormalized concurrence 2|a00 a11 - a01 a10| of a plan's
+    rotated tensor, a work array (``_work``)."""
     work = _work(a.size)
-    re_im = a.view(np.float64)
-    probs = np.einsum("bi,bi->b", re_im, re_im, out=work.probs)
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= 1e-10:  # NaN fails too
-        raise AssertionError(f"branch probabilities sum to {total}, not 1")
-    keep = np.greater(probs, PROB_CUTOFF, out=work.keep)
     det = np.multiply(a[:, 0], a[:, 3], out=work.det[a.dtype.kind])
     det -= np.multiply(a[:, 1], a[:, 2], out=work.product[a.dtype.kind])
     dets = np.abs(det, out=work.dets)
     dets *= 2.0
+    return dets
+
+
+def _branches(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(probs, keep, dets)`` of a plan's rotated tensor: each branch's
+    probability, the mask of branches above ``PROB_CUTOFF``, and each
+    branch's unnormalized concurrence (``_dets``).  The three arrays are
+    work arrays (``_work``), overwritten by the next read."""
+    work = _work(a.size)
+    re_im = a.view(np.float64)
+    probs = np.einsum("bi,bi->b", re_im, re_im, out=work.probs)
+    return probs, np.greater(probs, PROB_CUTOFF, out=work.keep), _dets(a)
+
+
+def _read(a: np.ndarray) -> tuple[float, int]:
+    """Branch average of a plan's rotated tensor, a ``_rotate_all`` of the
+    pair-last copy, float64 or complex128: ``(value, kept)``, the average
+    and the number of branches above ``PROB_CUTOFF``.
+
+    A pure pair state's concurrence is at most 1, so each branch's
+    probability is at least its unnormalized concurrence 2|det|.  When every
+    2|det| exceeds twice the cutoff, a margin that covers the rounding of
+    that bound, every branch is kept without forming a probability: the
+    value is sum(2|det|) over the squared norm.  Otherwise the branches'
+    probabilities (``_branches``) are formed, the ones below the cutoff
+    dropped and the rest renormalized.
+    """
+    flat = a.view(np.float64).ravel()
+    rows = flat.reshape(-1, min(flat.size, _DOT_BLOCK))  # one dot a row (_DOT_BLOCK)
+    total = float(np.vecdot(rows, rows).sum())
+    if not abs(total - 1.0) <= 1e-10:  # NaN fails too
+        raise AssertionError(f"branch probabilities sum to {total}, not 1")
+    dets = _dets(a)
+    if dets.min() > 2.0 * PROB_CUTOFF:
+        return float(dets.sum() / total), dets.size
+    probs, keep, dets = _branches(a)
     if keep.all():
-        return float(dets.sum() / total), probs, keep, dets
+        return float(dets.sum() / probs.sum()), keep.size
     # the kept entries compacted, one block at a time, into the float views of
     # det and product, free once dets is formed: the values, and so the sums,
     # of dets[keep] and probs[keep].  numpy has no compaction into a given
     # array without a temporary of the kept count (compress(out=) makes two)
+    work = _work(a.size)
     kept_dets, kept_probs, stop = work.det["f"], work.product["f"], 0
     for lo in range(0, keep.size, _READ_BLOCK):
         block = slice(lo, lo + _READ_BLOCK)
         start, stop = stop, stop + int(np.count_nonzero(keep[block]))
         kept_dets[start:stop] = dets[block][keep[block]]
         kept_probs[start:stop] = probs[block][keep[block]]
-    return float(kept_dets[:stop].sum() / kept_probs[:stop].sum()), probs, keep, dets
+    return float(kept_dets[:stop].sum() / kept_probs[:stop].sum()), stop
 
 
 def _check_state(state: StateVector) -> None:
     n = state.n_sites
     if n - 2 > MEASURED_CAP:
         raise ResourceLimitError(f"{n - 2} measured spins exceed the cap {MEASURED_CAP}")
-    # the squared norm is the branch-probability sum that _read checks
+    # the squared norm, which _read checks on every rotated tensor
     amps = state.amplitudes
     if not abs(np.vdot(amps, amps).real - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("input state must be normalized")
@@ -278,9 +316,9 @@ def _best_plan(
     for plan in plans:
         bras = _plan_bras(plan)
         a = _rotate_all(base, bras, best[2] if best else base)  # the best tensor so far is kept
-        value, _, keep, _ = _read(a)
-        if best is None or value > best[3][0]:
-            best = (plan, bras, a, (value, int(np.count_nonzero(keep))))
+        read = _read(a)
+        if best is None or read[0] > best[3][0]:
+            best = (plan, bras, a, read)
     return best
 
 
@@ -295,17 +333,21 @@ def branch_average(
     tensor into its measurement basis (total work O(n 2^n)) and reading the
     target pair's four amplitudes per outcome; branches with joint probability
     below ``PROB_CUTOFF`` are dropped and the rest renormalized.  The average
-    is sum(p * concurrence) / sum(p) over the kept branches.
+    is sum(p * concurrence) / sum(p) over the kept branches (``_read``, which
+    forms no probability when no branch can fall below the cutoff).  Only
+    ``keep_branches`` forms every branch's probability and concurrence
+    (``_branches``).
     """
     n = state.n_sites
     if plan.n_sites != n:
         raise ValueError("plan and state sizes do not match")
     _check_state(state)
     a = _rotate_all(_sites_last(state, plan.target_pair[::-1]), _plan_bras(plan))
-    value, probs, keep, dets = _read(a)
+    value, kept = _read(a)
 
     branches = None
     if keep_branches:
+        probs, keep, dets = _branches(a)
         branches = []
         for row in np.nonzero(keep)[0]:
             # outcomes in ascending site order
@@ -319,7 +361,7 @@ def branch_average(
                     concurrence=float(dets[row] / probs[row]),
                 )
             )
-    return LocEntResult(value, plan, int(np.count_nonzero(keep)), branches)
+    return LocEntResult(value, plan, kept, branches)
 
 
 # --- prescribed schemes ---------------------------------------------------------

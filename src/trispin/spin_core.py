@@ -291,7 +291,8 @@ class _Work:
     tensor is the float64 view of a slot's first half.  ``_sites_last``
     writes slot 0 and every other user takes a ``free`` slot.  ``probs``,
     ``keep``, ``dets`` and, per dtype, ``det`` and ``product`` hold one
-    entry per row of a pair-last tensor, ``size // 4``, for ``_read``;
+    entry per row of a pair-last tensor, ``size // 4``, for the localizable
+    read (``probs`` and ``keep`` only when it forms the probabilities);
     ``index``, ``parity`` and ``states`` serve ``expectation``.  A page
     counts as resident only once it is written.
     """
@@ -529,14 +530,8 @@ class _Ring:
         for _, mask in named:
             parity |= np.bitwise_count(states & mask) & 1
         first = np.flatnonzero(parity == 0)
-        lowest = sorted(mask & -mask for _, mask in named)
-        steps = []
-        for flip, _ in groups:
-            for bit in reversed(lowest):  # the highest first, so the lower ones stay put
-                flip = ((flip >> 1) & ~(bit - 1)) | (flip & (bit - 1))
-            steps.append(flip)
         self.masks = tuple(mask for _, mask in named)
-        self.steps = tuple(steps)
+        self.steps = tuple(self._row(flip) for flip, _ in groups)
         labels, bases = [], []
         for s in range(1 << len(named)):
             moved = [j for j in range(len(named)) if (s >> j) & 1]
@@ -549,6 +544,18 @@ class _Ring:
         self._blocks: list[FixedWidthBlock | None] = [None] * len(bases)
         self._orbits: dict[tuple[int, int], Orbits] = {}
         self._symmetric: dict[tuple[int, int], SymmetricBlock] = {}
+
+    def _row(self, x):
+        """``x``, an int or an int array, with each conserved mask's lowest
+        bit deleted: a basis index's sector row, a flip's row step.  An array
+        is overwritten, so that one temporary of its size is made."""
+        # the highest bit first, so the lower ones stay put
+        for bit in sorted((mask & -mask for mask in self.masks), reverse=True):
+            low = x & (bit - 1)
+            x >>= 1
+            x &= ~(bit - 1)
+            x |= low
+        return x
 
     @functools.cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -581,7 +588,9 @@ class _Ring:
         """Sector s's read-only :class:`Orbits` under T^d, a translation that
         maps the sector onto itself, built on the first call for (s, d) from
         one running minimum over the translates, so no (M, sector) array of
-        them is made."""
+        them is made.  Each state's representative is in the sector, so its
+        sector row is the representative with the conserved masks' lowest
+        bits deleted (``_row``), as a flip's row step is: no search."""
         if (s, d) not in self._orbits:
             basis, period = self.bases[s], self.n // d
             rep, moved = basis.copy(), basis
@@ -595,7 +604,7 @@ class _Ring:
                 count += moved == basis
             is_rep = rep == basis
             reps = np.flatnonzero(is_rep)
-            orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[np.searchsorted(basis, rep)]
+            orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[self._row(rep)]  # rep is spent
             orbits = Orbits(period, reps, (period // count)[reps], orbit, back)
             for array in (orbits.reps, orbits.length, orbits.orbit, orbits.back):
                 array.flags.writeable = False

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,6 +17,7 @@ from trispin.localizable import (
     T_START,
     MeasurementPlan,
     _best_plan,
+    _branches,
     _measurement_matrix,
     _plan_bras,
     _read,
@@ -44,10 +48,12 @@ def random_state(n, seed):
 
 
 def read_copy(a):
-    """``_read(a)`` with its arrays copied out of the work arrays, which the
-    next read-out overwrites."""
-    value, *arrays = _read(a)
-    return (value, *(array.copy() for array in arrays))
+    """``_read(a)``'s value and ``_branches(a)``'s arrays, copied out of the
+    work arrays, which the next read-out overwrites."""
+    value, kept = _read(a)
+    probs, keep, dets = (array.copy() for array in _branches(a))
+    assert kept == keep.sum()
+    return value, probs, keep, dets
 
 
 def brute_force_branches(state, plan):
@@ -293,8 +299,8 @@ class TestBranchAverage:
 class TestKernels:
     @pytest.mark.parametrize("n", [9, 11, 13])
     def test_rotate_site_matches_tensordot(self, n):
-        # every depth k, so both forms on both sides of the crossover (kron
-        # from k=6 at n=9, k=7 at n=11, k=8 at n=13)
+        # every depth k, so every form on both sides of the crossover (kron
+        # from k=6 at n=9, k=7 at n=11, k=9 at n=13; grouped at n=13, k=8)
         rng = np.random.default_rng(n)
         a = random_state(n, 40 + n).amplitudes.reshape(-1, 4)
         before = a.copy()
@@ -306,6 +312,19 @@ class TestKernels:
             assert got.shape == a.shape
             assert np.max(np.abs(got - ref)) <= 1e-15
         assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("n", [9, 11, 13, 15])
+    def test_every_form_is_the_batched_matmul_bit_for_bit(self, n):
+        # real and complex tensors and bras at every depth: the kron and
+        # grouped forms add only exact zeros to the matmul's two products
+        rng = np.random.default_rng(60 + n)
+        for real_a, real_u in itertools.product((True, False), repeat=2):
+            amps = rng.standard_normal(1 << n) + (0.0 if real_a else 1j * rng.standard_normal(1 << n))
+            a = (amps / np.linalg.norm(amps)).reshape(-1, 4)
+            for k in range(n - 2):
+                u = _measurement_matrix(rng.uniform(0.0, math.pi), 0.0 if real_u else rng.uniform(0.0, 2.0 * math.pi))
+                want = np.matmul(u, a.reshape(2**k, 2, -1)).reshape(a.shape)
+                assert np.array_equal(_rotate_site(a, u, k), want)
 
     def test_z_bras_are_the_identity(self):
         assert np.array_equal(_measurement_matrix(0.0, 0.0), np.eye(2))
@@ -342,7 +361,7 @@ class TestKernels:
             want = read_copy(a)
             tensor, (value, kept) = _best_plan(state, [plan])[2:]
             assert kept == want[2].sum()
-            _, probs, keep, dets = _read(tensor)
+            probs, keep, dets = _branches(tensor)
             assert value == want[0]
             assert np.array_equal(probs, want[1])
             assert np.array_equal(keep, want[2])
@@ -384,7 +403,7 @@ class TestKernels:
             angles[basis_site] = Z
         state = ts.StateVector(n, amps)
         tensor, (value, kept) = _best_plan(state, [MeasurementPlan(n, (0, 3), angles)])[2:]
-        _, probs, keep, dets = _read(tensor)
+        probs, keep, dets = _branches(tensor)
         assert kept == keep.sum()
         assert value == float(dets[keep].sum() / probs[keep].sum())
         if basis_site is None:
@@ -413,6 +432,101 @@ class TestKernels:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+def counting_branches(monkeypatch):
+    """The tensors ``_read`` passes to ``_branches``, its probability path,
+    from now on."""
+    probed = []
+
+    def recording(a):
+        probed.append(a)
+        return _branches(a)
+
+    monkeypatch.setattr(localizable, "_branches", recording)
+    return probed
+
+
+class TestReadPaths:
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_bound_path_agrees_with_the_probabilities(self, n, monkeypatch):
+        # random states keep every branch, provably from the concurrence
+        # bound p >= 2|det|: no probability is formed, and the value is the
+        # probability path's up to the rounding of the squared norm
+        probed = counting_branches(monkeypatch)
+        rng = np.random.default_rng(100 + n)
+        for trial in range(4):
+            real = trial % 2 == 0
+            amps = rng.standard_normal(1 << n) + (0.0 if real else 1j * rng.standard_normal(1 << n))
+            state = ts.StateVector(n, amps / np.linalg.norm(amps))
+            pair = tuple(int(s) for s in rng.choice(n, size=2, replace=False))
+            angles = random_plan(n, pair, seed=100 * n + trial).angles
+            if real:
+                angles = {site: (theta, 0.0) for site, (theta, _) in angles.items()}
+            tensor = _best_plan(state, [MeasurementPlan(n, pair, angles)])[2]
+            assert tensor.dtype == (np.float64 if real else np.complex128)
+            value, kept = _read(tensor)
+            assert not probed
+            probs, keep, dets = _branches(tensor)
+            assert kept == keep.sum() == keep.size
+            want = float(dets[keep].sum() / probs[keep].sum())
+            assert abs(value - want) <= 1e-15 * want
+
+    def test_a_zero_concurrence_branch_takes_the_probability_path(self, monkeypatch):
+        # outcome 0 of the all-Z plan leaves the pair in |00>: a kept branch
+        # with concurrence 0, which the bound cannot prove kept, so the
+        # probabilities are formed and the value keeps the bits it had when
+        # every read formed them
+        n = 8
+        rng = np.random.default_rng(12)
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        amps[[1, 8, 9]] = 0.0
+        amps /= np.linalg.norm(amps)
+        state = ts.StateVector(n, amps)
+        plan = MeasurementPlan(n, (0, 3), {s: Z for s in range(n) if s not in (0, 3)})
+        probed = counting_branches(monkeypatch)
+        tensor, (value, kept) = _best_plan(state, [plan])[2:]
+        assert len(probed) == 1
+        probs, keep, dets = _branches(tensor)
+        assert dets[0] == 0.0 < probs[0] and keep.all() and kept == keep.size
+        assert value == float(dets.sum() / float(probs.sum())) == 0.5701034643275343
+
+    def test_read_does_not_move_with_the_blas_thread_count(self):
+        # the squared norm of an n = 13 complex tensor has 16,384 entries,
+        # more than OpenBLAS sums on one thread: one dot over all of them
+        # read 0.07461586893549267 in the restart pass above on one thread
+        # and 0.07461586893549266 on two
+        script = (
+            "import numpy as np\n"
+            "from trispin.localizable import _read\n"
+            "for n in (13, 15, 17):\n"
+            "    rng = np.random.default_rng(n)\n"
+            "    a = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)\n"
+            "    a /= np.sqrt(sum(abs(x) ** 2 for x in a.tolist()))\n"
+            "    print(repr(_read(a.reshape(-1, 4))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(ts.__file__))
+        reads = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=120, check=True)
+            reads.append(run.stdout)
+        assert reads[0] == reads[1] and reads[0].count("\n") == 3
+
+    def test_warm_anneals_form_no_probability(self, monkeypatch):
+        # n = 17 ground states away from |B| = 1: every read of the seed pass
+        # and of the walk takes the concurrence bound
+        cfg = ts.AnnealConfig(n_temps=3, proposals_per_temp=4, restarts=2, seed=7)
+        for b in (0.5, 1.5):
+            state = cluster_ground(17, b)
+            for pair in ((0, 2), (0, 8)):
+                optimize_plan(state, pair, cfg)
+                probed = counting_branches(monkeypatch)
+                optimize_plan(state, pair, cfg)
+                assert not probed
+                monkeypatch.undo()
 
 
 def forced_complex(state, plan):
@@ -446,9 +560,10 @@ class TestRealPath:
             for plan in scheme_seed_plans(n, (0, s)):
                 result = branch_average(gs, plan, keep_branches=True)
                 a = forced_complex(gs, plan).real.copy()  # C-contiguous, as the real path's
-                value, probs, keep, _ = _read(a)
+                value, kept = _read(a)
+                probs, keep, _ = _branches(a)
                 assert result.value == value
-                assert len(result.branches) == keep.sum() > 0
+                assert len(result.branches) == keep.sum() == kept > 0
                 for branch in result.branches:
                     row = np.ravel_multi_index(branch.outcome[::-1], (2,) * (n - 2))
                     assert branch.amplitudes.dtype == np.float64
@@ -479,7 +594,7 @@ class TestRealPath:
                 value, probs, keep, dets = read_copy(a)
                 tensor, (got, kept) = _best_plan(gs, [plan])[2:]
                 assert got == value and kept == keep.sum()
-                for array, want in zip(_read(tensor)[1:], (probs, keep, dets)):
+                for array, want in zip(_branches(tensor), (probs, keep, dets)):
                     assert np.array_equal(array, want)
                 result = branch_average(gs, plan, keep_branches=True)
                 assert result.value == value
@@ -518,7 +633,7 @@ class TestSeedPass:
         assert alone[3] == read and np.array_equal(alone[2], tensor)
 
     @pytest.mark.parametrize("b,pair,restarts,value", [
-        pytest.param(0.5, (0, 4), 1, 0.9309815188920395, id="0.5-pair0-0.9309815188920395"),
+        pytest.param(0.5, (0, 4), 1, 0.9309815188920397, id="0.5-pair0-0.9309815188920397"),
         # the walk beats the best seed here
         pytest.param(1.5, (0, 5), 1, 0.0658452598887916, id="1.5-pair1-0.0658452598887916"),
         # and the random restart beats both

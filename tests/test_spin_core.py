@@ -541,6 +541,35 @@ class TestMomentumBlocks:
         for n in (6, 8):  # T^2 alone is a symmetry, and it fixes every mask
             assert spin_core._translations(staggered_cluster_ring(n, 0.5)) == ((2, 0), (2, 1), (2, 2), (2, 3))
 
+    @pytest.mark.parametrize("spec", [
+        ts.cluster_hamiltonian(12, 0.5),
+        ts.cluster_hamiltonian(13, 0.5),
+        ts.triangle_chain_hamiltonian(ts.EffectiveCouplings(0.31, -0.17, 0.05, -0.23, 0.0), (0.0, 0.0, 0.4), 8),
+    ], ids=["cluster-12", "cluster-13", "triangle-8"])
+    def test_orbits_match_a_search_oracle(self, spec):
+        # every table of Orbits from all M translates at once, each
+        # representative's sector row found by a search of the basis
+        n, ring = spec.n_sites, spec.operator().ring
+        assert ring.masks
+        steps = set()
+        for s, basis in enumerate(ring.bases):
+            for d in (1, 2):
+                if n % d or not np.array_equal(np.sort(rotate(basis, d, n)), basis):
+                    continue  # T^d does not map the sector onto itself
+                steps.add(d)
+                period = n // d
+                translates = np.array([rotate(basis, d * j, n) for j in range(period)])
+                rep = translates.min(axis=0)
+                is_rep = rep == basis
+                reps = np.flatnonzero(is_rep)
+                orbits = ring.orbits(s, d)
+                assert orbits.period == period
+                assert np.array_equal(orbits.reps, reps)
+                assert np.array_equal(orbits.length, period // (translates == basis).sum(axis=0)[reps])
+                assert np.array_equal(orbits.orbit, (np.cumsum(is_rep) - 1)[np.searchsorted(basis, rep)])
+                assert np.array_equal(orbits.back, translates.argmin(axis=0))
+        assert steps == ({1, 2} if n % 2 == 0 else {1})
+
     @pytest.mark.parametrize("n, steps", [(10, (1, 2, 2, 1)), (11, (1, 1))], ids=["10-2", "11-1"])
     def test_blocks_partition_each_sector_and_all_are_solved(self, n, steps, monkeypatch):
         spec = ts.cluster_hamiltonian(n, 0.5)
